@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 from collabmap import counting, network, synth
 from collabmap.corpus import filtering, records, registry as registry_mod
@@ -35,51 +37,189 @@ EXIT_PARSE = 3
 EXIT_DATA = 4
 
 
-@dataclass
-class RunConfig:
-    inputs: list[str] = field(default_factory=list)
-    input_format: str = "tagged"
-    strict: bool = False
-    registry_path: str | None = None
-    aliases_path: str | None = None
-    type_synonyms: dict[str, str] | None = None
-    min_node_fractional: Fraction = Fraction(0)
-    min_edge_weight: int = 0
-    comparator: str = "ge"
-    core_k: int | None = None
-    core_min_edge_weight: int = 1
-    ego_focus: str | None = None
-    ego_min_edge_weight: int = 1
-    ego_alter_ties: bool = True
-    include_countries: list[str] = field(default_factory=list)
-    exclude_countries: list[str] = field(default_factory=list)
-    layout_transform: str | None = None
-    layout_weights: str = "counts"
-    layout_diameter: float = 1.0
-    layout_spring: float = 1.0
-    layout_tolerance: float = 1e-4
-    layout_max_iterations: int | None = None
-    layout_seed: int = 42
-    size_attr: str | None = None
-    size_min: float = 1.0
-    size_scale: float = 1.0
-    great_circle: bool = False
-    square_matrices: bool = False
+# ---------------------------------------------------------------------------
+# configuration: one table of options, from which RunConfig, the flags of
+# every subcommand, the config-file checks and the manifest views derive
+# ---------------------------------------------------------------------------
+
+# Value parsers take a flag string or a config-file JSON value and raise
+# TypeError or ValueError on a bad one.
+
+def _integer(raw) -> int:
+    if isinstance(raw, (bool, float)):
+        raise TypeError("not an integer")
+    return int(raw)
+
+
+def _real(raw) -> float:
+    if isinstance(raw, bool):
+        raise TypeError("not a number")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _fraction(raw) -> Fraction:
+    if isinstance(raw, bool):
+        raise TypeError("not a number")
+    return Fraction(str(raw))
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError("not a string")
+    return raw
+
+
+def _switch(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError("not true or false")
+    return raw
+
+
+def _texts(raw) -> list[str]:
+    if not isinstance(raw, list):
+        raise TypeError("not a list")
+    return [_text(item) for item in raw]
+
+
+def _countries(raw) -> list[str]:
+    """A comma-separated string or a list of names, upper-cased."""
+    items = raw.split(",") if isinstance(raw, str) else _texts(raw)
+    return [item.strip().upper() for item in items if item.strip()]
+
+
+def _synonyms(raw) -> dict[str, str]:
+    if not isinstance(raw, dict):
+        raise TypeError("not an object")
+    return {_text(key): _text(value) for key, value in raw.items()}
+
+
+# Manifest renderings, called as show(config, stage). Paths are reduced to
+# file names so manifests stay byte-identical across checkouts; content is
+# pinned by the digest table.
+
+def _file_name(path: str | None) -> str | None:
+    return Path(path).name if path else None
+
+
+def _size_attr(cfg, stage: str) -> str:
+    """The VOSviewer size attribute, defaulting per stage."""
+    return cfg.size_attr or ("degree" if stage == "core" else "fractional_papers")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One configuration value: RunConfig field, flag, checks and consumers."""
+
+    name: str  # RunConfig field and config-file key
+    flag: str | None  # None: settable from the config file only
+    default: Any
+    parse: Callable[[Any], Any]
+    stages: tuple[str, ...]  # the commands whose output depends on the value
+    help: str
+    choices: tuple[str, ...] = ()
+    store: bool | None = None  # what a bare switch stores; None if the flag takes a value
+    nargs: str | None = None
+    key: str = ""  # manifest key if not the name; "group.key" nests
+    show: Callable[[Any, str], Any] | None = None  # manifest value if not the field's
+
+    def coerce(self, raw):
+        """The field value for a flag or config-file value; null unsets an optional one."""
+        if raw is None and self.default is None:
+            return None
+        try:
+            return self.parse(raw)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad value for {self.name}: {raw!r}") from exc
+
+
+_REGISTRY_USERS = ("synth", "ingest", "summary", "geo")
+_THRESHOLD_USERS = ("net", "geo")
+_LIST_USERS = ("net", "geo", "core", "ego")
+_LAYOUT_USERS = ("net", "core", "ego")
+
+OPTIONS = (
+    Option("inputs", "--input", [], _texts, ("ingest",), "record files", nargs="+",
+           show=lambda cfg, _: [Path(p).name for p in cfg.inputs]),
+    Option("input_format", "--format", "tagged", _text, ("ingest",), "record file format",
+           choices=("tagged", "delimited")),
+    Option("strict", "--strict", False, _switch, ("ingest",),
+           "abort on the first malformed record", store=True),
+    Option("registry_path", "--registry", None, _text, _REGISTRY_USERS,
+           "override the bundled country CSV", show=lambda cfg, _: _file_name(cfg.registry_path)),
+    Option("aliases_path", "--aliases", None, _text, _REGISTRY_USERS,
+           "override the bundled alias CSV", show=lambda cfg, _: _file_name(cfg.aliases_path)),
+    Option("type_synonyms", None, None, _synonyms, ("ingest",),
+           "lower-case document-type tag -> retained type"),
+    Option("min_node_fractional", "--min-node-fractional", Fraction(0), _fraction,
+           _THRESHOLD_USERS, "node threshold on fractionally counted papers",
+           show=lambda cfg, _: str(cfg.min_node_fractional)),
+    Option("min_edge_weight", "--min-link-weight", 0, _integer, _THRESHOLD_USERS,
+           "edge threshold on co-authored document counts"),
+    Option("comparator", "--comparator", "ge", _text, _THRESHOLD_USERS,
+           "threshold test: at least (ge) or above (gt)", choices=("ge", "gt")),
+    Option("core_k", "--core-k", None, _integer, ("core",), "k of the k-core"),
+    Option("core_min_edge_weight", "--core-min-link-weight", 1, _integer, ("core",),
+           "edge threshold applied before the k-core"),
+    Option("ego_focus", "--focus", None, _text, ("ego", "export"),
+           "focal country of the ego network"),
+    Option("ego_min_edge_weight", "--ego-min-link-weight", 1, _integer, ("ego",),
+           "edge threshold of the ego network"),
+    Option("ego_alter_ties", "--no-alter-ties", True, _switch, ("ego",),
+           "drop the ties among the focus's neighbours", store=False),
+    Option("include_countries", "--include-countries", [], _countries, _LIST_USERS,
+           "comma-separated inclusion list applied before thresholds",
+           show=lambda cfg, _: sorted(cfg.include_countries)),
+    Option("exclude_countries", "--exclude-countries", [], _countries, _LIST_USERS,
+           "comma-separated exclusion list applied before thresholds",
+           show=lambda cfg, _: sorted(cfg.exclude_countries)),
+    Option("layout_transform", "--layout-transform", None, _text, _LAYOUT_USERS,
+           "edge-length transform (default follows --layout-weights)",
+           choices=tuple(t.value for t in EdgeLengthTransform), key="layout.transform",
+           show=lambda cfg, _: cfg.layout_config().transform.value),
+    Option("layout_weights", "--layout-weights", "counts", _text, _LAYOUT_USERS,
+           "lay out by co-authorship counts or by cosine similarity",
+           choices=("counts", "cosine"), key="layout.weights"),
+    Option("layout_diameter", "--layout-diameter", 1.0, _real, _LAYOUT_USERS,
+           "longest ideal distance of the layout", key="layout.diameter"),
+    Option("layout_spring", "--layout-spring", 1.0, _real, _LAYOUT_USERS,
+           "layout spring constant", key="layout.spring_constant"),
+    Option("layout_tolerance", "--layout-tolerance", 1e-4, _real, _LAYOUT_USERS,
+           "layout stops when no gradient exceeds this", key="layout.tolerance"),
+    Option("layout_max_iterations", "--layout-max-iter", None, _integer, _LAYOUT_USERS,
+           "layout iteration cap (default 200 per node)", key="layout.max_outer_iterations"),
+    Option("layout_seed", "--layout-seed", 42, _integer, _LAYOUT_USERS,
+           "seed of the initial layout positions", key="layout.seed"),
+    Option("size_attr", "--size-attr", None, _text, _LAYOUT_USERS, "VOSviewer node size",
+           choices=vosviewer.SIZE_ATTRS, show=_size_attr),
+    Option("size_min", "--size-min", 1.0, _real, ("geo",), "smallest geo marker size"),
+    Option("size_scale", "--size-scale", 1.0, _real, ("geo",),
+           "geo marker growth per log paper"),
+    Option("great_circle", "--great-circle", False, _switch, ("geo",),
+           "interpolate geo links along great circles", store=True),
+    Option("square_matrices", "--square-matrices", False, _switch, ("net",),
+           "also write square matrix CSVs", store=True),
+)
+_OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
+
+
+class _RunConfigBase:
+    """Methods of RunConfig, whose fields are the rows of OPTIONS."""
 
     def validate(self, require_inputs: bool = False) -> None:
-        if self.input_format not in ("tagged", "delimited"):
-            raise ConfigError(f"unknown input format: {self.input_format!r}")
-        if self.comparator not in ("ge", "gt"):
-            raise ConfigError(f"comparator must be ge or gt, got {self.comparator!r}")
+        for opt in OPTIONS:
+            value = getattr(self, opt.name)
+            # the default (None for optional fields) is always allowed
+            if opt.choices and value not in opt.choices + (opt.default,):
+                raise ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
         if self.min_node_fractional < 0 or self.min_edge_weight < 0:
             raise ConfigError("thresholds must be non-negative")
-        if self.layout_weights not in ("counts", "cosine"):
-            raise ConfigError(f"layout weights must be counts or cosine, got {self.layout_weights!r}")
-        valid_transforms = {t.value for t in EdgeLengthTransform}
-        if self.layout_transform is not None and self.layout_transform not in valid_transforms:
-            raise ConfigError(f"unknown layout transform: {self.layout_transform!r}")
-        if self.size_attr is not None and self.size_attr not in vosviewer.SIZE_ATTRS:
-            raise ConfigError(f"unknown size attribute: {self.size_attr!r}")
+        try:
+            self.layout_config()
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.include_countries and self.exclude_countries:
             raise ConfigError("give an include list or an exclude list, not both")
         if require_inputs and not self.inputs:
@@ -108,66 +248,26 @@ class RunConfig:
         )
 
     def stage_view(self, stage: str) -> dict:
-        """The configuration slice a stage actually consumes (for the manifest)."""
-        views = {
-            # paths are reduced to file names so manifests stay byte-identical
-            # across checkouts; content is pinned by the digest table
-            "ingest": {
-                "inputs": [Path(p).name for p in self.inputs],
-                "input_format": self.input_format,
-                "strict": self.strict,
-                "registry_path": Path(self.registry_path).name if self.registry_path else None,
-                "aliases_path": Path(self.aliases_path).name if self.aliases_path else None,
-            },
-            "summary": {},
-            "net": {
-                "min_node_fractional": str(self.min_node_fractional),
-                "min_edge_weight": self.min_edge_weight,
-                "comparator": self.comparator,
-                "include_countries": sorted(self.include_countries),
-                "exclude_countries": sorted(self.exclude_countries),
-                "layout": self._layout_view(),
-                "size_attr": self.size_attr or "fractional_papers",
-                "square_matrices": self.square_matrices,
-            },
-            "geo": {
-                "min_node_fractional": str(self.min_node_fractional),
-                "min_edge_weight": self.min_edge_weight,
-                "comparator": self.comparator,
-                "include_countries": sorted(self.include_countries),
-                "exclude_countries": sorted(self.exclude_countries),
-                "size_min": self.size_min,
-                "size_scale": self.size_scale,
-                "great_circle": self.great_circle,
-            },
-            "core": {
-                "core_k": self.core_k,
-                "core_min_edge_weight": self.core_min_edge_weight,
-                "layout": self._layout_view(),
-                "size_attr": self.size_attr or "degree",
-            },
-            "ego": {
-                "ego_focus": self.ego_focus,
-                "ego_min_edge_weight": self.ego_min_edge_weight,
-                "ego_alter_ties": self.ego_alter_ties,
-                "layout": self._layout_view(),
-                "size_attr": self.size_attr or "fractional_papers",
-            },
-            "export": {},
-        }
-        return views[stage]
+        """Every option the stage consumes, for its manifest entry."""
+        view: dict = {}
+        for opt in OPTIONS:
+            if stage in opt.stages:
+                value = opt.show(self, stage) if opt.show else getattr(self, opt.name)
+                group, _, key = (opt.key or opt.name).rpartition(".")
+                (view.setdefault(group, {}) if group else view)[key] = value
+        return view
 
-    def _layout_view(self) -> dict:
-        cfg = self.layout_config()
-        return {
-            "transform": cfg.transform.value,
-            "weights": self.layout_weights,
-            "diameter": cfg.diameter,
-            "spring_constant": cfg.spring_constant,
-            "tolerance": cfg.tolerance,
-            "max_outer_iterations": cfg.max_outer_iterations,
-            "seed": cfg.seed,
-        }
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (opt.name, Any, field(default_factory=list) if isinstance(opt.default, list)
+         else field(default=opt.default))
+        for opt in OPTIONS
+    ],
+    bases=(_RunConfigBase,),
+)
+RunConfig.__module__ = __name__
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +526,7 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> None:
     sub = network.threshold_network(
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
-    _subnetwork_files(ws, "thresholded", sub, cfg, cfg.size_attr or "fractional_papers")
+    _subnetwork_files(ws, "thresholded", sub, cfg, _size_attr(cfg, "net"))
     update_manifest(ws, "net", cfg.stage_view("net"), inputs)
 
 
@@ -456,7 +556,7 @@ def stage_core(cfg: RunConfig, ws: Workspace) -> None:
     _matrix, _counts_int, _counts_frac, net = _build_network(documents)
     net = _restrict_network(cfg, net)
     sub = network.extract_core(net, cfg.core_min_edge_weight, cfg.core_k)
-    _subnetwork_files(ws, "core", sub, cfg, cfg.size_attr or "degree")
+    _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
     update_manifest(ws, "core", cfg.stage_view("core"), inputs)
 
 
@@ -472,7 +572,7 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> None:
         net, focus, min_edge_weight=cfg.ego_min_edge_weight, include_alter_ties=cfg.ego_alter_ties
     )
     prefix = f"ego/{focus}"
-    _subnetwork_files(ws, prefix, sub, cfg, cfg.size_attr or "fractional_papers")
+    _subnetwork_files(ws, prefix, sub, cfg, _size_attr(cfg, "ego"))
     ws.write_text(
         f"{prefix}/focus.json",
         _json_artifact(report_export.focus_stats(focus, counts_int, counts_frac)),
@@ -544,35 +644,31 @@ def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_registry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--registry", help="override the bundled country CSV")
-    parser.add_argument("--aliases", help="override the bundled alias CSV")
+_COMMANDS = {
+    "ingest": "parse and filter records",
+    "summary": "corpus summary and counts",
+    "net": "build, threshold, and lay out the network",
+    "geo": "geographic map exports",
+    "core": "extract the network core",
+    "ego": "extract an ego network",
+    "export": "write the combined report",
+    "run": "full pipeline",
+}
 
 
-# Flag defaults stay None so a config file value is only overridden when the
-# flag is actually given; the effective defaults live on RunConfig.
-def _add_threshold_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-node-fractional", default=None,
-                        help="node threshold on fractionally counted papers")
-    parser.add_argument("--min-link-weight", type=int, default=None,
-                        help="edge threshold on co-authored document counts")
-    parser.add_argument("--comparator", choices=["ge", "gt"], default=None)
-    parser.add_argument("--include-countries", default=None,
-                        help="comma-separated inclusion list applied before thresholds")
-    parser.add_argument("--exclude-countries", default=None,
-                        help="comma-separated exclusion list applied before thresholds")
-
-
-def _add_layout_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layout-transform",
-                        choices=[t.value for t in EdgeLengthTransform], default=None)
-    parser.add_argument("--layout-weights", choices=["counts", "cosine"], default=None)
-    parser.add_argument("--layout-diameter", type=float, default=None)
-    parser.add_argument("--layout-spring", type=float, default=None)
-    parser.add_argument("--layout-tolerance", type=float, default=None)
-    parser.add_argument("--layout-max-iter", type=int, default=None)
-    parser.add_argument("--layout-seed", type=int, default=None)
-    parser.add_argument("--size-attr", choices=list(vosviewer.SIZE_ATTRS), default=None)
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the options the command consumes; run takes them all."""
+    # Flag defaults stay None so a config file value is only overridden when
+    # the flag is actually given; the effective defaults live on RunConfig.
+    for opt in OPTIONS:
+        if opt.flag is None or (command != "run" and command not in opt.stages):
+            continue
+        if opt.store is None:
+            parser.add_argument(opt.flag, dest=opt.name, nargs=opt.nargs,
+                                choices=opt.choices or None, help=opt.help)
+        else:
+            parser.add_argument(opt.flag, dest=opt.name, action="store_const",
+                                const=opt.store, help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,150 +685,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--countries", type=int, default=20)
     p_synth.add_argument("--intl-prob", type=float, default=0.3)
     p_synth.add_argument("--seed", type=int, default=42)
-    _add_registry_args(p_synth)
+    _add_options(p_synth, "synth")
 
     common_ws = argparse.ArgumentParser(add_help=False)
     common_ws.add_argument("--workspace", required=True, help="artifact directory")
-
-    p_ingest = sub.add_parser("ingest", parents=[common_ws], help="parse and filter records")
-    p_ingest.add_argument("--input", nargs="+", required=True)
-    p_ingest.add_argument("--format", choices=["tagged", "delimited"], default=None)
-    p_ingest.add_argument("--strict", action="store_true",
-                          help="abort on the first malformed record")
-    _add_registry_args(p_ingest)
-
-    p_summary = sub.add_parser("summary", parents=[common_ws], help="corpus summary and counts")
-    _add_registry_args(p_summary)
-
-    p_net = sub.add_parser("net", parents=[common_ws],
-                           help="build, threshold, and lay out the network")
-    _add_threshold_args(p_net)
-    _add_layout_args(p_net)
-    p_net.add_argument("--square-matrices", action="store_true")
-    _add_registry_args(p_net)
-
-    p_geo = sub.add_parser("geo", parents=[common_ws], help="geographic map exports")
-    _add_threshold_args(p_geo)
-    p_geo.add_argument("--size-min", type=float, default=None)
-    p_geo.add_argument("--size-scale", type=float, default=None)
-    p_geo.add_argument("--great-circle", action="store_true")
-    _add_registry_args(p_geo)
-
-    p_core = sub.add_parser("core", parents=[common_ws], help="extract the network core")
-    p_core.add_argument("--core-k", type=int, required=True)
-    p_core.add_argument("--core-min-link-weight", type=int, default=None)
-    _add_threshold_args(p_core)
-    _add_layout_args(p_core)
-    _add_registry_args(p_core)
-
-    p_ego = sub.add_parser("ego", parents=[common_ws], help="extract an ego network")
-    p_ego.add_argument("--focus", required=True)
-    p_ego.add_argument("--ego-min-link-weight", type=int, default=None)
-    p_ego.add_argument("--no-alter-ties", action="store_true")
-    _add_threshold_args(p_ego)
-    _add_layout_args(p_ego)
-    _add_registry_args(p_ego)
-
-    p_export = sub.add_parser("export", parents=[common_ws], help="write the combined report")
-    p_export.add_argument("--focus", default=None)
-    _add_registry_args(p_export)
-
-    p_run = sub.add_parser("run", parents=[common_ws], help="full pipeline")
-    p_run.add_argument("--input", nargs="+", required=True)
-    p_run.add_argument("--format", choices=["tagged", "delimited"], default=None)
-    p_run.add_argument("--strict", action="store_true")
-    _add_threshold_args(p_run)
-    _add_layout_args(p_run)
-    p_run.add_argument("--size-min", type=float, default=None)
-    p_run.add_argument("--size-scale", type=float, default=None)
-    p_run.add_argument("--great-circle", action="store_true")
-    p_run.add_argument("--square-matrices", action="store_true")
-    p_run.add_argument("--core-k", type=int, default=None)
-    p_run.add_argument("--core-min-link-weight", type=int, default=None)
-    p_run.add_argument("--focus", default=None)
-    p_run.add_argument("--ego-min-link-weight", type=int, default=None)
-    p_run.add_argument("--no-alter-ties", action="store_true")
-    _add_registry_args(p_run)
-
+    for command, help_text in _COMMANDS.items():
+        _add_options(sub.add_parser(command, parents=[common_ws], help=help_text), command)
     return parser
 
 
-def _split_list(raw: str) -> list[str]:
-    return [item.strip().upper() for item in raw.split(",") if item.strip()]
-
-
-def _parse_fraction(value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not a number: {value!r}") from exc
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if getattr(args, "config", None):
+    """The config file's values, overridden by the flags given."""
+    cfg = RunConfig()
+    if args.config:
         config_path = Path(args.config)
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
-        base = json.loads(config_path.read_text(encoding="utf-8"))
+        try:
+            base = json.loads(config_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not JSON: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
-    cfg = RunConfig()
-    for key, value in base.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field: {key!r}")
-        if key == "min_node_fractional":
-            value = _parse_fraction(value)
-        setattr(cfg, key, value)
-
-    def take(attr: str, name: str, transform=None):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            value = getattr(args, name)
-            setattr(cfg, attr, transform(value) if transform else value)
-
-    take("inputs", "input", lambda v: list(v))
-    take("input_format", "format")
-    if getattr(args, "strict", False):
-        cfg.strict = True
-    take("registry_path", "registry")
-    take("aliases_path", "aliases")
-    take("min_node_fractional", "min_node_fractional", _parse_fraction)
-    take("min_edge_weight", "min_link_weight")
-    take("comparator", "comparator")
-    take("include_countries", "include_countries", _split_list)
-    take("exclude_countries", "exclude_countries", _split_list)
-    take("layout_transform", "layout_transform")
-    take("layout_weights", "layout_weights")
-    take("layout_diameter", "layout_diameter")
-    take("layout_spring", "layout_spring")
-    take("layout_tolerance", "layout_tolerance")
-    take("layout_max_iterations", "layout_max_iter")
-    take("layout_seed", "layout_seed")
-    take("size_attr", "size_attr")
-    take("size_min", "size_min")
-    take("size_scale", "size_scale")
-    if getattr(args, "great_circle", False):
-        cfg.great_circle = True
-    if getattr(args, "square_matrices", False):
-        cfg.square_matrices = True
-    take("core_k", "core_k")
-    take("core_min_edge_weight", "core_min_link_weight")
-    take("ego_focus", "focus")
-    take("ego_min_edge_weight", "ego_min_link_weight")
-    if getattr(args, "no_alter_ties", False):
-        cfg.ego_alter_ties = False
+        for key, raw in base.items():
+            if key not in _OPTION_BY_NAME:
+                raise ConfigError(f"unknown config field: {key!r}")
+            setattr(cfg, key, _OPTION_BY_NAME[key].coerce(raw))
+    for opt in OPTIONS:
+        raw = getattr(args, opt.name, None)
+        if raw is not None:
+            setattr(cfg, opt.name, opt.coerce(raw))
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         if args.command == "synth":
-            reg = registry_mod.load_registry(cfg.registry_path, cfg.aliases_path)
             text = synth.generate_corpus_text(
-                reg,
+                cfg.registry(),
                 n_docs=args.docs,
                 n_countries=args.countries,
                 intl_prob=args.intl_prob,
@@ -742,15 +734,13 @@ def main(argv: list[str] | None = None) -> int:
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(text, encoding="utf-8", newline="\n")
             return EXIT_OK
+        cfg.validate(require_inputs=args.command in ("ingest", "run"))
+        ws = Workspace(Path(args.workspace))
         if args.command == "run":
-            cfg.validate(require_inputs=True)
-            run_pipeline(cfg, Workspace(Path(args.workspace)))
-            return EXIT_OK
-        if args.command in _STAGE_FUNCS:
-            cfg.validate(require_inputs=args.command == "ingest")
-            _run_stage(args.command, cfg, Workspace(Path(args.workspace)))
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+            run_pipeline(cfg, ws)
+        else:
+            _run_stage(args.command, cfg, ws)
+        return EXIT_OK
     except ParseError as exc:
         print(f"collabmap: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,7 +11,7 @@ unknown token, but are documented data rather than omissions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -48,7 +48,6 @@ class Unrecognized:
 class CountryRegistry:
     entries: dict[str, CountryEntry]
     aliases: dict[str, str]
-    invalid_names: set[str] = field(default_factory=set)
 
     def validate(self) -> None:
         for name, entry in self.entries.items():
@@ -137,19 +136,17 @@ def load_registry(
         entries[name] = CountryEntry(name=name, iso3=row[1].strip().upper(), latitude=lat, longitude=lon)
 
     aliases: dict[str, str] = {}
-    invalid: set[str] = set()
     for row in _read_csv(aliases_path, ["alias", "canonical_name"]):
         if len(row) != 2:
             raise ConfigError(f"{aliases_path}: bad row {row!r}")
         alias = row[0].strip().upper()
         target = row[1].strip().upper()
         if not target:
-            invalid.add(alias)
             continue
         if alias in aliases and aliases[alias] != target:
             raise ConfigError(f"{aliases_path}: conflicting alias {alias!r}")
         aliases[alias] = target
 
-    registry = CountryRegistry(entries=entries, aliases=aliases, invalid_names=invalid)
+    registry = CountryRegistry(entries=entries, aliases=aliases)
     registry.validate()
     return registry

@@ -1,14 +1,13 @@
 """Participation counting over the document-country incidence matrix.
 
-Three credit schemes are computed from the same sparse matrix:
+Two credit schemes are computed from the same sparse matrix:
 
 * fractional: each paper distributes credit 1 over its countries in
   proportion to their address shares, in exact rational arithmetic, so
   the grand total equals the number of documents with zero drift;
 * integer (whole): each participating country earns credit 1 per paper,
-  i.e. the column count after binarizing the matrix;
-* binary: the per-document 0/1 participation view that underlies both
-  the integer counts and the co-occurrence products downstream.
+  i.e. the column count after binarizing the matrix. The same 0/1
+  participation view underlies the co-occurrence products downstream.
 
 Decimal rendering happens only at output time, half-even at a fixed
 number of places.
@@ -30,7 +29,6 @@ from collabmap.errors import DataError
 
 class CountScheme(Enum):
     INTEGER = "integer"
-    BINARY = "binary"
     FRACTIONAL = "fractional"
 
 
@@ -41,9 +39,6 @@ class IncidenceMatrix:
     doc_ids: list[str]
     countries: list[str]
     cells: dict[tuple[int, int], int]
-
-    def row(self, doc_index: int) -> dict[int, int]:
-        return {c: v for (d, c), v in self.cells.items() if d == doc_index}
 
     def row_sums(self) -> list[int]:
         sums = [0] * len(self.doc_ids)
@@ -139,27 +134,6 @@ def summarize(documents: list[Document], report: FilterReport) -> CorpusSummary:
         share_addresses_international=Fraction(addresses_intl, addresses_total),
         n_countries=len(countries),
     )
-
-
-def incidence_summary_stats(m: IncidenceMatrix) -> dict[str, int]:
-    """Summary numbers recomputed straight from the matrix.
-
-    Independent of :func:`summarize`; the two paths must agree on every
-    field they share.
-    """
-    per_doc_countries = [0] * len(m.doc_ids)
-    per_doc_addresses = [0] * len(m.doc_ids)
-    for (d, _c), v in m.cells.items():
-        per_doc_countries[d] += 1
-        per_doc_addresses[d] += v
-    intl = [d for d in range(len(m.doc_ids)) if per_doc_countries[d] >= 2]
-    return {
-        "n_documents": len(m.doc_ids),
-        "n_international_docs": len(intl),
-        "n_addresses_total": sum(per_doc_addresses),
-        "n_addresses_international": sum(per_doc_addresses[d] for d in intl),
-        "n_countries": len(m.countries),
-    }
 
 
 def mean_coauthorship_ratio(n_integer: int, n_fractional: Fraction) -> Fraction:

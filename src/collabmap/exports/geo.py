@@ -54,8 +54,6 @@ class GeoLink:
 class GeoMapSpec:
     nodes: list[GeoNode]
     links: list[GeoLink]
-    legend: list[str]
-    size_rule: SizeRule
 
 
 def build_geo_spec(
@@ -86,7 +84,7 @@ def build_geo_spec(
     links = []
     for (a, b), w in sorted(sub.edges.items()):
         links.append(GeoLink(country_a=a, country_b=b, weight=w, label=f"{a}–{b}: {w}"))
-    return GeoMapSpec(nodes=nodes, links=links, legend=[link.label for link in links], size_rule=rule)
+    return GeoMapSpec(nodes=nodes, links=links)
 
 
 def _to_cartesian(lat: float, lon: float) -> tuple[float, float, float]:

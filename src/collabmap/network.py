@@ -13,18 +13,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from collabmap.counting import CountScheme, CountVector, IncidenceMatrix
 from collabmap.errors import DataError
-
-
-class Provenance(Enum):
-    THRESHOLD = "threshold"
-    CORE = "core"
-    EGO = "ego"
-    EXPLICIT_LIST = "explicit_list"
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class Subnetwork:
     parent: CoauthNetwork
     nodes: list[str]
     edges: dict[tuple[str, str], int]
-    provenance: Provenance
 
     def node_info(self, country: str) -> NodeInfo:
         return self.parent.nodes[country]
@@ -175,32 +166,19 @@ def build_coauth_network(
     return CoauthNetwork(nodes=nodes, edges=edges)
 
 
-def cosine_similarity(m: IncidenceMatrix, binary: bool = True) -> SimilarityMatrix:
-    """Ochiai/cosine between country columns; binarized unless told otherwise."""
+def cosine_similarity(m: IncidenceMatrix) -> SimilarityMatrix:
+    """Ochiai/cosine between binarized country columns."""
     values: dict[tuple[str, str], float] = {}
     n = len(m.countries)
-    if binary:
-        doc_sets = m.column_doc_sets()
-        sizes = [len(s) for s in doc_sets]
-        for i in range(n):
-            ci = m.countries[i]
-            values[(ci, ci)] = 1.0 if sizes[i] else 0.0
-            for j in range(i + 1, n):
-                denom = math.sqrt(sizes[i] * sizes[j])
-                shared = len(doc_sets[i] & doc_sets[j])
-                values[(ci, m.countries[j])] = shared / denom if denom else 0.0
-    else:
-        columns: list[dict[int, int]] = [dict() for _ in range(n)]
-        for (d, c), v in m.cells.items():
-            columns[c][d] = v
-        norms = [math.sqrt(sum(v * v for v in col.values())) for col in columns]
-        for i in range(n):
-            ci = m.countries[i]
-            values[(ci, ci)] = 1.0 if norms[i] else 0.0
-            for j in range(i + 1, n):
-                denom = norms[i] * norms[j]
-                dot = sum(v * columns[j].get(d, 0) for d, v in columns[i].items())
-                values[(ci, m.countries[j])] = dot / denom if denom else 0.0
+    doc_sets = m.column_doc_sets()
+    sizes = [len(s) for s in doc_sets]
+    for i in range(n):
+        ci = m.countries[i]
+        values[(ci, ci)] = 1.0 if sizes[i] else 0.0
+        for j in range(i + 1, n):
+            denom = math.sqrt(sizes[i] * sizes[j])
+            shared = len(doc_sets[i] & doc_sets[j])
+            values[(ci, m.countries[j])] = shared / denom if denom else 0.0
     return SimilarityMatrix(countries=list(m.countries), values=values)
 
 
@@ -229,7 +207,7 @@ def threshold_network(
         for pair, w in net.edges.items()
         if pair[0] in kept and pair[1] in kept and _compare(w, min_edge_weight, comparator)
     }
-    return Subnetwork(parent=net, nodes=kept_nodes, edges=edges, provenance=Provenance.THRESHOLD)
+    return Subnetwork(parent=net, nodes=kept_nodes, edges=edges)
 
 
 def _connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> list[set[str]]:
@@ -277,7 +255,7 @@ def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> Subnetwork
             changed = True
 
     if not alive:
-        return Subnetwork(parent=net, nodes=[], edges={}, provenance=Provenance.CORE)
+        return Subnetwork(parent=net, nodes=[], edges={})
     components = _connected_components(alive, adjacency)
     components.sort(key=lambda comp: (-len(comp), min(comp)))
     core = components[0]
@@ -286,7 +264,7 @@ def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> Subnetwork
         for pair, w in net.edges.items()
         if w >= min_edge_weight and pair[0] in core and pair[1] in core
     }
-    return Subnetwork(parent=net, nodes=sorted(core), edges=edges, provenance=Provenance.CORE)
+    return Subnetwork(parent=net, nodes=sorted(core), edges=edges)
 
 
 def ego_network(
@@ -313,7 +291,7 @@ def ego_network(
         for pair, w in net.edges.items():
             if pair[0] in kept and pair[1] in kept and focus not in pair and w >= min_edge_weight:
                 edges[pair] = w
-    return Subnetwork(parent=net, nodes=sorted(kept), edges=edges, provenance=Provenance.EGO)
+    return Subnetwork(parent=net, nodes=sorted(kept), edges=edges)
 
 
 def subnetwork_by_list(
@@ -339,9 +317,7 @@ def subnetwork_by_list(
     edges = {
         pair: w for pair, w in net.edges.items() if pair[0] in kept and pair[1] in kept
     }
-    return Subnetwork(
-        parent=net, nodes=sorted(kept), edges=edges, provenance=Provenance.EXPLICIT_LIST
-    )
+    return Subnetwork(parent=net, nodes=sorted(kept), edges=edges)
 
 
 # ---------------------------------------------------------------------------

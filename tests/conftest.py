@@ -57,3 +57,29 @@ def fractional_tally(documents) -> dict[str, Fraction]:
         for country, count in doc.country_addresses.items():
             totals[country] = totals.get(country, Fraction(0)) + Fraction(count, total)
     return totals
+
+
+def incidence_row(m, doc_index: int) -> dict[int, int]:
+    """Country index -> address count for one document, read off the matrix."""
+    return {c: v for (d, c), v in m.cells.items() if d == doc_index}
+
+
+def incidence_summary_stats(m) -> dict[str, int]:
+    """Summary numbers recomputed straight from the matrix.
+
+    Independent of ``counting.summarize``; the two paths must agree on every
+    field they share.
+    """
+    per_doc_countries = [0] * len(m.doc_ids)
+    per_doc_addresses = [0] * len(m.doc_ids)
+    for (d, _c), v in m.cells.items():
+        per_doc_countries[d] += 1
+        per_doc_addresses[d] += v
+    intl = [d for d in range(len(m.doc_ids)) if per_doc_countries[d] >= 2]
+    return {
+        "n_documents": len(m.doc_ids),
+        "n_international_docs": len(intl),
+        "n_addresses_total": sum(per_doc_addresses),
+        "n_addresses_international": sum(per_doc_addresses[d] for d in intl),
+        "n_countries": len(m.countries),
+    }

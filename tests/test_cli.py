@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from collabmap.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARSE, main
+from collabmap.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_PARSE,
+    OPTIONS,
+    RunConfig,
+    _STAGE_FUNCS,
+    build_parser,
+    main,
+)
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -93,10 +103,29 @@ def test_bad_config_file_values_are_config_errors(tmp_path, corpus_file):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"comparator": "sideways"}))
-    assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG
-    config_path.write_text(json.dumps({"layout_transform": "banana"}))
-    assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG
+    for bad in (
+        {"comparator": "sideways"},
+        {"layout_transform": "banana"},
+        {"min_edge_weight": "x"},
+        {"layout_diameter": "big"},
+        {"layout_tolerance": float("nan")},
+    ):
+        config_path.write_text(json.dumps(bad))
+        assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG, bad
+
+
+def test_bad_layout_values_fail_before_any_write(tmp_path, corpus_file):
+    ws = tmp_path / "ws"
+    rc = main(["run", "--workspace", str(ws), "--input", str(corpus_file),
+               "--layout-tolerance", "-1"])
+    assert rc == EXIT_CONFIG
+    assert not ws.exists()
+
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["net", "--workspace", str(ws)]) == EXIT_OK
+    before = tree_bytes(ws)
+    assert main(["net", "--workspace", str(ws), "--layout-max-iter", "0"]) == EXIT_CONFIG
+    assert tree_bytes(ws) == before
 
 
 def test_failed_stage_leaves_no_partial_outputs(tmp_path, corpus_file):
@@ -160,7 +189,8 @@ def test_subcommand_chain_equals_monolithic_run(tmp_path, corpus_file):
 
 def test_config_file_drives_run(tmp_path, corpus_file):
     via_flags = tmp_path / "flags"
-    assert main(["run", "--workspace", str(via_flags), "--input", str(corpus_file)] + RUN_FLAGS) == EXIT_OK
+    flags = RUN_FLAGS + ["--exclude-countries", "Colombia"]
+    assert main(["run", "--workspace", str(via_flags), "--input", str(corpus_file)] + flags) == EXIT_OK
 
     config = {
         "inputs": [str(corpus_file)],
@@ -168,12 +198,12 @@ def test_config_file_drives_run(tmp_path, corpus_file):
         "min_edge_weight": 2,
         "core_k": 2,
         "core_min_edge_weight": 2,
+        "exclude_countries": ["colombia"],
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     via_config = tmp_path / "config-ws"
-    assert main(["--config", str(config_path), "run", "--workspace", str(via_config),
-                 "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["--config", str(config_path), "run", "--workspace", str(via_config)]) == EXIT_OK
     assert tree_bytes(via_config) == tree_bytes(via_flags)
 
 
@@ -200,6 +230,23 @@ def test_manifest_records_every_stage(tmp_path, corpus_file):
             assert len(digest) == 64
         for digest in stage["artifacts"].values():
             assert len(digest) == 64
+
+
+def test_every_accepted_flag_is_recorded_in_the_manifest():
+    """A subcommand accepts only flags whose value its stage records, so a
+    flag that is accepted and then ignored cannot come back."""
+    manifest_key = {opt.name: opt.key or opt.name for opt in OPTIONS}
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    for command, parser in subcommands.items():
+        if command == "synth":
+            continue
+        recorded = set()
+        for stage in _STAGE_FUNCS if command == "run" else [command]:
+            for key, value in RunConfig().stage_view(stage).items():
+                recorded |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+        for action in parser._actions:
+            if action.option_strings and action.dest not in ("help", "workspace"):
+                assert manifest_key[action.dest] in recorded, (command, action.option_strings)
 
 
 def test_net_example_thresholds(tmp_path, corpus_file):

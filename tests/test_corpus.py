@@ -158,6 +158,8 @@ def test_resolve_usa_state_zip(registry):
 def test_resolve_unrecognized_carries_token(registry):
     resolved = resolve_country("Atlantis Inst, Atlantis", registry)
     assert resolved == Unrecognized("ATLANTIS")
+    # an alias row with an empty target is skipped, not mapped
+    assert resolve_country("Inst Phys, Moscow, USSR", registry) == Unrecognized("USSR")
 
 
 def test_resolve_trailing_punctuation(registry):

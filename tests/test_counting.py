@@ -14,7 +14,6 @@ from collabmap.counting import (
     display_decimal,
     display_percent,
     fractional_counts,
-    incidence_summary_stats,
     integer_counts,
     mean_coauthorship_ratio,
     summarize,
@@ -22,7 +21,13 @@ from collabmap.counting import (
 )
 from collabmap.errors import DataError
 
-from conftest import DATA_DIR, fractional_tally, make_documents
+from conftest import (
+    DATA_DIR,
+    fractional_tally,
+    incidence_row,
+    incidence_summary_stats,
+    make_documents,
+)
 
 
 def doc(record_id, addresses, doc_type="Article"):
@@ -61,7 +66,7 @@ def test_synth20_fixture_matches_independent_tally(registry):
 
     # oracle: direct per-document tally, no matrix involved
     for d, document in enumerate(documents):
-        row = m.row(d)
+        row = incidence_row(m, d)
         tallied = {m.countries[c]: v for c, v in row.items()}
         assert tallied == document.country_addresses
     assert sorted({c for d in documents for c in d.country_addresses}) == m.countries
@@ -222,5 +227,4 @@ def test_summary_json_and_counts_csv(registry):
 
 def test_count_scheme_values():
     assert CountScheme.INTEGER.value == "integer"
-    assert CountScheme.BINARY.value == "binary"
     assert CountScheme.FRACTIONAL.value == "fractional"

@@ -12,7 +12,6 @@ from collabmap.errors import DataError
 from collabmap.network import (
     CoauthNetwork,
     NodeInfo,
-    Provenance,
     build_coauth_network,
     cooccurrence_triples_csv,
     cosine_similarity,
@@ -146,14 +145,10 @@ def test_ochiai_identity_against_incidence():
             assert sim.sim(a, b) == sim.sim(b, a)
 
 
-def test_raw_count_cosine_differs_when_multiplicities_do():
+def test_cosine_ignores_address_multiplicities():
     documents = [doc("d1", {"A": 4, "B": 1}), doc("d2", {"A": 1, "B": 1})]
-    m = build_incidence(documents)
-    binary = cosine_similarity(m, binary=True)
-    raw = cosine_similarity(m, binary=False)
-    assert binary.sim("A", "B") == pytest.approx(1.0)
-    expected = (4 * 1 + 1 * 1) / (math.sqrt(17) * math.sqrt(2))
-    assert raw.sim("A", "B") == pytest.approx(expected, abs=1e-12)
+    sim = cosine_similarity(build_incidence(documents))
+    assert sim.sim("A", "B") == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,6 @@ def test_zero_thresholds_identity():
     sub = threshold_network(net, 0, 0)
     assert sub.nodes == net.countries()
     assert sub.edges == net.edges
-    assert sub.provenance is Provenance.THRESHOLD
 
 
 def test_node_below_threshold_excluded():
