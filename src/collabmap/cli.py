@@ -17,8 +17,10 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, make_dataclass
+from collections import Counter
+from dataclasses import dataclass, field, make_dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
@@ -64,6 +66,15 @@ def _fraction(raw) -> Fraction:
     if isinstance(raw, bool):
         raise TypeError("not a number")
     return Fraction(str(raw))
+
+
+def _nonnegative(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def checked(raw):
+        value = parse(raw)
+        if value < 0:
+            raise ValueError("negative")
+        return value
+    return checked
 
 
 def _text(raw) -> str:
@@ -153,19 +164,19 @@ OPTIONS = (
            "override the bundled alias CSV", show=lambda cfg, _: _file_name(cfg.aliases_path)),
     Option("type_synonyms", None, None, _synonyms, ("ingest",),
            "lower-case document-type tag -> retained type"),
-    Option("min_node_fractional", "--min-node-fractional", Fraction(0), _fraction,
+    Option("min_node_fractional", "--min-node-fractional", Fraction(0), _nonnegative(_fraction),
            _THRESHOLD_USERS, "node threshold on fractionally counted papers",
            show=lambda cfg, _: str(cfg.min_node_fractional)),
-    Option("min_edge_weight", "--min-link-weight", 0, _integer, _THRESHOLD_USERS,
+    Option("min_edge_weight", "--min-link-weight", 0, _nonnegative(_integer), _THRESHOLD_USERS,
            "edge threshold on co-authored document counts"),
     Option("comparator", "--comparator", "ge", _text, _THRESHOLD_USERS,
            "threshold test: at least (ge) or above (gt)", choices=("ge", "gt")),
-    Option("core_k", "--core-k", None, _integer, ("core",), "k of the k-core"),
-    Option("core_min_edge_weight", "--core-min-link-weight", 1, _integer, ("core",),
+    Option("core_k", "--core-k", None, _nonnegative(_integer), ("core",), "k of the k-core"),
+    Option("core_min_edge_weight", "--core-min-link-weight", 1, _nonnegative(_integer), ("core",),
            "edge threshold applied before the k-core"),
     Option("ego_focus", "--focus", None, _text, ("ego", "export"),
            "focal country of the ego network"),
-    Option("ego_min_edge_weight", "--ego-min-link-weight", 1, _integer, ("ego",),
+    Option("ego_min_edge_weight", "--ego-min-link-weight", 1, _nonnegative(_integer), ("ego",),
            "edge threshold of the ego network"),
     Option("ego_alter_ties", "--no-alter-ties", True, _switch, ("ego",),
            "drop the ties among the focus's neighbours", store=False),
@@ -214,8 +225,6 @@ class _RunConfigBase:
             # the default (None for optional fields) is always allowed
             if opt.choices and value not in opt.choices + (opt.default,):
                 raise ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
-        if self.min_node_fractional < 0 or self.min_edge_weight < 0:
-            raise ConfigError("thresholds must be non-negative")
         try:
             self.layout_config()
         except DataError as exc:
@@ -280,6 +289,7 @@ class Workspace:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.written: list[Path] = []
+        self._corpus: Corpus | None = None
 
     def start_stage(self) -> None:
         self.written = []
@@ -306,6 +316,13 @@ class Workspace:
         if not path.is_file():
             raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
         return path.read_text(encoding="utf-8")
+
+    def corpus(self) -> Corpus:
+        """The corpus of documents.jsonl, reused while the file's digest holds."""
+        text = self.read_text("documents.jsonl")
+        if self._corpus is None or self._corpus.digest != _sha256_text(text):
+            self._corpus = Corpus(text)
+        return self._corpus
 
     def artifact_digests(self) -> dict[str, str]:
         return {
@@ -367,8 +384,7 @@ def documents_jsonl(documents: list[filtering.Document]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_documents(ws: Workspace) -> list[filtering.Document]:
-    text = ws.read_text("documents.jsonl")
+def load_documents(text: str) -> list[filtering.Document]:
     documents = []
     for line in text.splitlines():
         if not line.strip():
@@ -384,24 +400,21 @@ def load_documents(ws: Workspace) -> list[filtering.Document]:
     return documents
 
 
-def load_filter_report(ws: Workspace) -> filtering.FilterReport:
-    obj = json.loads(ws.read_text("filter-report.json"))
-    report = filtering.FilterReport(
-        n_records=obj["n_records"],
-        n_retained=obj["n_retained"],
-        n_dropped_type=obj["n_dropped_type"],
-        n_dropped_no_address=obj["n_dropped_no_address"],
-    )
-    report.unrecognized.update(obj.get("unrecognized", {}))
-    return report
+class Corpus:
+    """The documents of one documents.jsonl and the counts and network every
+    stage derives from them; cosine similarity is built on first use."""
 
+    def __init__(self, text: str):
+        self.digest = _sha256_text(text)
+        self.documents = load_documents(text)
+        self.matrix = counting.build_incidence(self.documents)
+        self.counts_int = counting.integer_counts(self.matrix)
+        self.counts_frac = counting.fractional_counts(self.matrix)
+        self.net = network.build_coauth_network(self.matrix, self.counts_int, self.counts_frac)
 
-def _build_network(documents: list[filtering.Document]):
-    matrix = counting.build_incidence(documents)
-    counts_int = counting.integer_counts(matrix)
-    counts_frac = counting.fractional_counts(matrix)
-    net = network.build_coauth_network(matrix, counts_int, counts_frac)
-    return matrix, counts_int, counts_frac, net
+    @cached_property
+    def cosine(self) -> network.SimilarityMatrix:
+        return network.cosine_similarity(self.matrix)
 
 
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
@@ -412,8 +425,8 @@ def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.Coa
         sub = network.subnetwork_by_list(net, cfg.include_countries, mode="include")
     else:
         sub = network.subnetwork_by_list(net, cfg.exclude_countries, mode="exclude")
-    kept = set(sub.nodes)
-    nodes = {c: info for c, info in net.nodes.items() if c in kept}
+    degree = Counter(c for pair in sub.edges for c in pair)
+    nodes = {c: replace(net.nodes[c], degree=degree[c]) for c in sub.nodes}
     return network.CoauthNetwork(nodes=nodes, edges=dict(sub.edges))
 
 
@@ -422,6 +435,7 @@ def _subnetwork_files(
     prefix: str,
     sub: network.Subnetwork,
     cfg: RunConfig,
+    corpus: Corpus,
     size_attr: str,
 ) -> None:
     """Write the shared artifact set for any extracted subnetwork."""
@@ -439,8 +453,7 @@ def _subnetwork_files(
     ws.write_text(f"{prefix}/stats.json", _json_artifact(stats.as_dict()))
 
     if cfg.layout_weights == "cosine":
-        matrix = counting.build_incidence(load_documents(ws))
-        sim = network.cosine_similarity(matrix)
+        sim = corpus.cosine
         edges = {pair: sim.sim(*pair) for pair in sub.edges}
     else:
         edges = {pair: float(w) for pair, w in sub.edges.items()}
@@ -488,26 +501,19 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def stage_summary(cfg: RunConfig, ws: Workspace) -> None:
-    inputs = {
-        "documents.jsonl": _sha256_text(ws.read_text("documents.jsonl")),
-        "filter-report.json": _sha256_text(ws.read_text("filter-report.json")),
-    }
-    documents = load_documents(ws)
-    report = load_filter_report(ws)
-    summary = counting.summarize(documents, report)
-    matrix = counting.build_incidence(documents)
-    counts_int = counting.integer_counts(matrix)
-    counts_frac = counting.fractional_counts(matrix)
-    ws.write_text("summary.json", counting.summary_json(summary))
-    ws.write_text("counts.csv", counting.counts_csv([counts_int, counts_frac], cfg.registry()))
+    corpus = ws.corpus()
+    report_text = ws.read_text("filter-report.json")
+    inputs = {"documents.jsonl": corpus.digest, "filter-report.json": _sha256_text(report_text)}
+    report = filtering.FilterReport(**json.loads(report_text))
+    ws.write_text("summary.json", counting.summary_json(counting.summarize(corpus.documents, report)))
+    counts = [corpus.counts_int, corpus.counts_frac]
+    ws.write_text("counts.csv", counting.counts_csv(counts, cfg.registry()))
     update_manifest(ws, "summary", cfg.stage_view("summary"), inputs)
 
 
 def stage_net(cfg: RunConfig, ws: Workspace) -> None:
-    inputs = {"documents.jsonl": _sha256_text(ws.read_text("documents.jsonl"))}
-    documents = load_documents(ws)
-    matrix, counts_int, counts_frac, net = _build_network(documents)
-    net = _restrict_network(cfg, net)
+    corpus = ws.corpus()
+    net = _restrict_network(cfg, corpus.net)
 
     ws.write_text("network/edges.csv", network.cooccurrence_triples_csv(net.edges))
     node_lines = ["country,integer_papers,fractional_papers,degree"]
@@ -517,67 +523,60 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> None:
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},{info.degree}"
         )
     ws.write_text("network/nodes.csv", "\n".join(node_lines) + "\n")
-    sim = network.cosine_similarity(matrix)
-    ws.write_text("network/cosine.csv", network.similarity_triples_csv(sim))
+    ws.write_text("network/cosine.csv", network.similarity_triples_csv(corpus.cosine))
     if cfg.square_matrices:
         ws.write_text("network/cooccurrence-square.csv", network.cooccurrence_square_csv(net))
-        ws.write_text("network/cosine-square.csv", network.similarity_square_csv(sim))
+        ws.write_text("network/cosine-square.csv", network.similarity_square_csv(corpus.cosine))
 
     sub = network.threshold_network(
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
-    _subnetwork_files(ws, "thresholded", sub, cfg, _size_attr(cfg, "net"))
-    update_manifest(ws, "net", cfg.stage_view("net"), inputs)
+    _subnetwork_files(ws, "thresholded", sub, cfg, corpus, _size_attr(cfg, "net"))
+    update_manifest(ws, "net", cfg.stage_view("net"), {"documents.jsonl": corpus.digest})
 
 
 def stage_geo(cfg: RunConfig, ws: Workspace) -> None:
-    inputs = {"documents.jsonl": _sha256_text(ws.read_text("documents.jsonl"))}
-    documents = load_documents(ws)
-    _matrix, _counts_int, counts_frac, net = _build_network(documents)
-    net = _restrict_network(cfg, net)
+    corpus = ws.corpus()
     sub = network.threshold_network(
-        net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
+        _restrict_network(cfg, corpus.net), cfg.min_node_fractional, cfg.min_edge_weight,
+        comparator=cfg.comparator,
     )
     rule = geo_export.SizeRule(s_min=cfg.size_min, s_scale=cfg.size_scale)
     doc, nodes, links = geo_export.export_geo(
-        sub, counts_frac, cfg.registry(), rule, great_circle=cfg.great_circle
+        sub, corpus.counts_frac, cfg.registry(), rule, great_circle=cfg.great_circle
     )
     ws.write_text("geo/map.geojson", doc)
     ws.write_text("geo/nodes.csv", nodes)
     ws.write_text("geo/links.csv", links)
-    update_manifest(ws, "geo", cfg.stage_view("geo"), inputs)
+    update_manifest(ws, "geo", cfg.stage_view("geo"), {"documents.jsonl": corpus.digest})
 
 
 def stage_core(cfg: RunConfig, ws: Workspace) -> None:
     if cfg.core_k is None:
         raise ConfigError("core stage needs --core-k")
-    inputs = {"documents.jsonl": _sha256_text(ws.read_text("documents.jsonl"))}
-    documents = load_documents(ws)
-    _matrix, _counts_int, _counts_frac, net = _build_network(documents)
-    net = _restrict_network(cfg, net)
+    corpus = ws.corpus()
+    net = _restrict_network(cfg, corpus.net)
     sub = network.extract_core(net, cfg.core_min_edge_weight, cfg.core_k)
-    _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
-    update_manifest(ws, "core", cfg.stage_view("core"), inputs)
+    _subnetwork_files(ws, "core", sub, cfg, corpus, _size_attr(cfg, "core"))
+    update_manifest(ws, "core", cfg.stage_view("core"), {"documents.jsonl": corpus.digest})
 
 
 def stage_ego(cfg: RunConfig, ws: Workspace) -> None:
     if not cfg.ego_focus:
         raise ConfigError("ego stage needs --focus")
-    inputs = {"documents.jsonl": _sha256_text(ws.read_text("documents.jsonl"))}
-    documents = load_documents(ws)
-    _matrix, counts_int, counts_frac, net = _build_network(documents)
-    net = _restrict_network(cfg, net)
+    corpus = ws.corpus()
+    net = _restrict_network(cfg, corpus.net)
     focus = cfg.ego_focus.strip().upper()
     sub = network.ego_network(
         net, focus, min_edge_weight=cfg.ego_min_edge_weight, include_alter_ties=cfg.ego_alter_ties
     )
     prefix = f"ego/{focus}"
-    _subnetwork_files(ws, prefix, sub, cfg, _size_attr(cfg, "ego"))
+    _subnetwork_files(ws, prefix, sub, cfg, corpus, _size_attr(cfg, "ego"))
     ws.write_text(
         f"{prefix}/focus.json",
-        _json_artifact(report_export.focus_stats(focus, counts_int, counts_frac)),
+        _json_artifact(report_export.focus_stats(focus, corpus.counts_int, corpus.counts_frac)),
     )
-    update_manifest(ws, "ego", cfg.stage_view("ego"), inputs)
+    update_manifest(ws, "ego", cfg.stage_view("ego"), {"documents.jsonl": corpus.digest})
 
 
 def stage_export(cfg: RunConfig, ws: Workspace) -> None:
@@ -587,24 +586,24 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> None:
         "summary.json": _sha256_text(summary_text),
         "thresholded/stats.json": _sha256_text(stats_text),
     }
-    documents = load_documents(ws)
-    report = load_filter_report(ws)
-    summary = counting.summarize(documents, report)
+    summary_obj = json.loads(summary_text)
+    summary = counting.CorpusSummary(**{
+        **summary_obj,
+        "share_international_docs": Fraction(summary_obj["share_international_docs"]),
+        "share_addresses_international": Fraction(summary_obj["share_addresses_international"]),
+    })
     stats_obj = json.loads(stats_text)
-    stats = network.NetworkStats(
-        n_nodes=stats_obj["n_nodes"],
-        n_edges=stats_obj["n_edges"],
-        n_parent_links=stats_obj["n_parent_links"],
-        possible_links=stats_obj["possible_links"],
-        n_connected_nodes=stats_obj["n_connected_nodes"],
-        degree_histogram={int(k): v for k, v in stats_obj["degree_histogram"].items()},
-    )
+    stats = network.NetworkStats(**{
+        **stats_obj,
+        "degree_histogram": {int(k): v for k, v in stats_obj["degree_histogram"].items()},
+    })
     focus = None
     if cfg.ego_focus:
-        focus_path = ws.root / "ego" / cfg.ego_focus.strip().upper() / "focus.json"
-        if focus_path.is_file():
-            focus = json.loads(focus_path.read_text(encoding="utf-8"))
-            inputs["focus.json"] = _sha256_file(focus_path)
+        focus_path = f"ego/{cfg.ego_focus.strip().upper()}/focus.json"
+        if (ws.root / focus_path).is_file():
+            focus_text = ws.read_text(focus_path)
+            focus = json.loads(focus_text)
+            inputs["focus.json"] = _sha256_text(focus_text)
     ws.write_text("report.json", report_export.export_report(summary, stats, focus))
     update_manifest(ws, "export", cfg.stage_view("export"), inputs)
 

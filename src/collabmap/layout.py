@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from collabmap.errors import DataError
+from collabmap.network import connected_components
 
 # Floor for transformed edge lengths; keeps ideal distances positive when a
 # similarity of exactly 1 would otherwise produce a zero-length edge.
@@ -364,22 +365,10 @@ def layout_components(
         if a in adjacency and b in adjacency:
             adjacency[a].add(b)
             adjacency[b].add(a)
-    components: list[list[str]] = []
-    unvisited = set(nodes)
-    while unvisited:
-        seed = min(unvisited)
-        stack = [seed]
-        unvisited.discard(seed)
-        component = [seed]
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency[current]:
-                if neighbor in unvisited:
-                    unvisited.discard(neighbor)
-                    component.append(neighbor)
-                    stack.append(neighbor)
-        components.append(sorted(component))
-    components.sort(key=lambda comp: (-len(comp), comp[0]))
+    components = sorted(
+        (sorted(comp) for comp in connected_components(set(nodes), adjacency)),
+        key=lambda comp: (-len(comp), comp[0]),
+    )
 
     gap = 0.25 * cfg.diameter
     coordinates: dict[str, tuple[float, float]] = {}

@@ -210,7 +210,8 @@ def threshold_network(
     return Subnetwork(parent=net, nodes=kept_nodes, edges=edges)
 
 
-def _connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> list[set[str]]:
+def connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> list[set[str]]:
+    """The node sets reachable from each other through ``adjacency``."""
     components: list[set[str]] = []
     unvisited = set(nodes)
     while unvisited:
@@ -256,7 +257,7 @@ def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> Subnetwork
 
     if not alive:
         return Subnetwork(parent=net, nodes=[], edges={})
-    components = _connected_components(alive, adjacency)
+    components = connected_components(alive, adjacency)
     components.sort(key=lambda comp: (-len(comp), min(comp)))
     core = components[0]
     edges = {

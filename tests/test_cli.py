@@ -1,10 +1,14 @@
+import importlib
+import importlib.util
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from collabmap import cli, counting, network
 from collabmap.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -12,7 +16,9 @@ from collabmap.cli import (
     EXIT_PARSE,
     OPTIONS,
     RunConfig,
+    Workspace,
     _STAGE_FUNCS,
+    _run_stage,
     build_parser,
     main,
 )
@@ -128,6 +134,20 @@ def test_bad_layout_values_fail_before_any_write(tmp_path, corpus_file):
     assert tree_bytes(ws) == before
 
 
+def test_negative_counts_are_config_errors(tmp_path, corpus_file):
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["net", "--workspace", str(ws)]) == EXIT_OK
+    before = (ws / "run-manifest.json").read_bytes()
+    for command, *flags in (
+        ["core", "--core-k", "-1"],
+        ["core", "--core-k", "2", "--core-min-link-weight", "-3"],
+        ["ego", "--focus", focus_country(ws), "--ego-min-link-weight", "-3"],
+    ):
+        assert main([command, "--workspace", str(ws)] + flags) == EXIT_CONFIG, flags
+    assert (ws / "run-manifest.json").read_bytes() == before
+
+
 def test_failed_stage_leaves_no_partial_outputs(tmp_path, corpus_file):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
@@ -185,6 +205,54 @@ def test_subcommand_chain_equals_monolithic_run(tmp_path, corpus_file):
     assert main(["export", "--workspace", str(chained), "--focus", focus]) == EXIT_OK
 
     assert tree_bytes(chained) == tree_bytes(monolithic)
+
+
+def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
+    probe = tmp_path / "probe"
+    assert main(["run", "--workspace", str(probe), "--input", str(corpus_file)] + RUN_FLAGS) == EXIT_OK
+    calls = Counter()
+
+    def count(module, name):
+        func = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "load_documents")
+    count(counting, "build_incidence")
+    count(counting, "fractional_counts")
+    count(network, "build_coauth_network")
+    count(network, "cosine_similarity")
+    flags = RUN_FLAGS + ["--focus", focus_country(probe), "--layout-weights", "cosine"]
+    assert main(["run", "--workspace", str(tmp_path / "ws"), "--input", str(corpus_file)] + flags) == EXIT_OK
+    assert calls["cosine_similarity"] <= 1
+    del calls["cosine_similarity"]
+    assert calls == dict.fromkeys(
+        ["load_documents", "build_incidence", "fractional_counts", "build_coauth_network"], 1
+    )
+
+
+def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_file, monkeypatch):
+    other = tmp_path / "other.txt"
+    assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
+                 "--intl-prob", "0.5", "--seed", "3"]) == EXIT_OK
+    loads = []
+    load = cli.load_documents
+    monkeypatch.setattr(cli, "load_documents", lambda text: loads.append(text) or load(text))
+
+    reused = Workspace(tmp_path / "reused")
+    for stage, path in (("ingest", corpus_file), ("net", None), ("ingest", other), ("net", None),
+                        ("geo", None)):
+        _run_stage(stage, RunConfig(inputs=[str(path)] if path else []), reused)
+    assert len(loads) == 2
+
+    fresh = Workspace(tmp_path / "fresh")
+    for stage in ("ingest", "net", "geo"):
+        _run_stage(stage, RunConfig(inputs=[str(other)]), fresh)
+    assert tree_bytes(reused.root) == tree_bytes(fresh.root)
 
 
 def test_config_file_drives_run(tmp_path, corpus_file):
@@ -320,3 +388,29 @@ def test_exclude_countries_flag(tmp_path, corpus_file):
     remaining = [line.split(",")[0] for line in (ws / "network" / "nodes.csv").read_text().splitlines()[1:]]
     assert victim not in remaining
     assert len(remaining) == len(all_nodes) - 1
+
+
+def test_restricted_network_degrees_count_kept_edges(tmp_path, corpus_file):
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["net", "--workspace", str(ws), "--exclude-countries", "COLOMBIA"]) == EXIT_OK
+    edge_rows = Counter()
+    for line in (ws / "network" / "edges.csv").read_text().splitlines()[1:]:
+        a, b, _weight = line.split(",")
+        edge_rows.update([a, b])
+    nodes = [line.split(",") for line in (ws / "network" / "nodes.csv").read_text().splitlines()[1:]]
+    assert "COLOMBIA" not in {row[0] for row in nodes}
+    for country, _int, _frac, degree in nodes:
+        assert int(degree) == edge_rows[country], country
+
+
+def test_benchmark_trace_targets_exist():
+    """perfbench/tracer.py wraps these names from outside the package, and
+    tier-1 never runs its trace mode, so a rename would go unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _span in tracer.WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+    assert set(_STAGE_FUNCS) == {"ingest", "summary", "net", "geo", "core", "ego", "export"}
