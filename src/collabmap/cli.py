@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, make_dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -238,6 +237,7 @@ class _RunConfigBase:
                 if not Path(path).is_file():
                     raise ConfigError(f"input file not found: {path}")
 
+    @cached_property
     def registry(self) -> registry_mod.CountryRegistry:
         return registry_mod.load_registry(self.registry_path, self.aliases_path)
 
@@ -425,8 +425,7 @@ def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.Coa
         sub = network.subnetwork_by_list(net, cfg.include_countries, mode="include")
     else:
         sub = network.subnetwork_by_list(net, cfg.exclude_countries, mode="exclude")
-    degree = Counter(c for pair in sub.edges for c in pair)
-    nodes = {c: replace(net.nodes[c], degree=degree[c]) for c in sub.nodes}
+    nodes = {c: replace(net.nodes[c], degree=sub.degrees[c]) for c in sub.nodes}
     return network.CoauthNetwork(nodes=nodes, edges=dict(sub.edges))
 
 
@@ -475,7 +474,7 @@ def _subnetwork_files(
 # ---------------------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
-    reg = cfg.registry()
+    reg = cfg.registry
     all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
     input_digests: dict[str, str] = {}
@@ -507,7 +506,7 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> None:
     report = filtering.FilterReport(**json.loads(report_text))
     ws.write_text("summary.json", counting.summary_json(counting.summarize(corpus.documents, report)))
     counts = [corpus.counts_int, corpus.counts_frac]
-    ws.write_text("counts.csv", counting.counts_csv(counts, cfg.registry()))
+    ws.write_text("counts.csv", counting.counts_csv(counts, cfg.registry))
     update_manifest(ws, "summary", cfg.stage_view("summary"), inputs)
 
 
@@ -543,7 +542,7 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> None:
     )
     rule = geo_export.SizeRule(s_min=cfg.size_min, s_scale=cfg.size_scale)
     doc, nodes, links = geo_export.export_geo(
-        sub, corpus.counts_frac, cfg.registry(), rule, great_circle=cfg.great_circle
+        sub, corpus.counts_frac, cfg.registry, rule, great_circle=cfg.great_circle
     )
     ws.write_text("geo/map.geojson", doc)
     ws.write_text("geo/nodes.csv", nodes)
@@ -723,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_args(args)
         if args.command == "synth":
             text = synth.generate_corpus_text(
-                cfg.registry(),
+                cfg.registry,
                 n_docs=args.docs,
                 n_countries=args.countries,
                 intl_prob=args.intl_prob,

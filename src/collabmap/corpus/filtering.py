@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from collabmap.corpus.records import RawRecord
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
 
-RETAINED_TYPES = ("Article", "Review", "Letter")
-
 # Raw document-type tag -> canonical retained type, matched after
 # lowercasing and stripping a leading "@" marker. Export variants differ
 # in capitalization and decoration, not in vocabulary.

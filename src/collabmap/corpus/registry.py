@@ -66,10 +66,6 @@ class CountryRegistry:
             if self.aliases.get(alias) != "UK":
                 raise ConfigError(f"registry: required alias {alias!r} -> UK is missing")
 
-    def centroid(self, name: str) -> tuple[float, float]:
-        entry = self.entries[name]
-        return entry.latitude, entry.longitude
-
 
 def _clean_token(token: str) -> str:
     return token.strip().rstrip(".;, \t").upper()

@@ -121,8 +121,20 @@ def _coord(lon: float, lat: float) -> list[float]:
     return [round(lon, 6), round(lat, 6)]
 
 
-def geojson_document(spec: GeoMapSpec, great_circle: bool = False) -> str:
+def _link_paths(spec: GeoMapSpec, great_circle: bool):
+    """Each link with its (lat, lon) path from one centroid to the other."""
     centroid = {node.country: (node.latitude, node.longitude) for node in spec.nodes}
+    for link in spec.links:
+        lat_a, lon_a = centroid[link.country_a]
+        lat_b, lon_b = centroid[link.country_b]
+        if great_circle:
+            path = great_circle_points(lat_a, lon_a, lat_b, lon_b)
+        else:
+            path = [(lat_a, lon_a), (lat_b, lon_b)]
+        yield link, path
+
+
+def geojson_document(spec: GeoMapSpec, great_circle: bool = False) -> str:
     features = []
     for node in spec.nodes:
         features.append(
@@ -137,13 +149,7 @@ def geojson_document(spec: GeoMapSpec, great_circle: bool = False) -> str:
                 },
             }
         )
-    for link in spec.links:
-        lat_a, lon_a = centroid[link.country_a]
-        lat_b, lon_b = centroid[link.country_b]
-        if great_circle:
-            path = great_circle_points(lat_a, lon_a, lat_b, lon_b)
-        else:
-            path = [(lat_a, lon_a), (lat_b, lon_b)]
+    for link, path in _link_paths(spec, great_circle):
         features.append(
             {
                 "type": "Feature",
@@ -169,15 +175,8 @@ def nodes_csv(spec: GeoMapSpec) -> str:
 
 
 def links_csv(spec: GeoMapSpec, great_circle: bool = False) -> str:
-    centroid = {node.country: (node.latitude, node.longitude) for node in spec.nodes}
     lines = ["type,latitude,longitude,name"]
-    for link in spec.links:
-        lat_a, lon_a = centroid[link.country_a]
-        lat_b, lon_b = centroid[link.country_b]
-        if great_circle:
-            path = great_circle_points(lat_a, lon_a, lat_b, lon_b)
-        else:
-            path = [(lat_a, lon_a), (lat_b, lon_b)]
+    for link, path in _link_paths(spec, great_circle):
         for lat, lon in path:
             lines.append(f'T,{format_fixed(lat)},{format_fixed(lon)},"{link.label}"')
     return "\n".join(lines) + "\n"

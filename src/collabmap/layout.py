@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from collabmap.errors import DataError
@@ -60,7 +60,6 @@ class Layout:
     coordinates: dict[str, tuple[float, float]]
     final_stress: float
     iterations_used: int
-    stress_history: list[float] = field(default_factory=list)
 
 
 def edge_length(weight: float, transform: EdgeLengthTransform) -> float:
@@ -208,10 +207,11 @@ def _node_hessian(i, positions, d, cfg):
     return hxx, hyy, hxy
 
 
-def _relax_node(i, positions, d, cfg) -> None:
-    """Drive node i's gradient below tolerance without raising its energy."""
+def _relax_node(i, gradient, positions, d, cfg) -> None:
+    """Drive node i's gradient, starting from ``gradient``, below tolerance
+    without raising its energy."""
+    gx, gy = gradient
     for _ in range(_MAX_INNER_STEPS):
-        gx, gy = _node_gradient(i, positions, d, cfg)
         if math.hypot(gx, gy) < cfg.tolerance:
             return
         hxx, hyy, hxy = _node_hessian(i, positions, d, cfg)
@@ -236,6 +236,7 @@ def _relax_node(i, positions, d, cfg) -> None:
             t *= 0.5
         if not moved:
             return
+        gx, gy = _node_gradient(i, positions, d, cfg)
 
 
 def _initial_positions(n: int, cfg: LayoutConfig) -> list[tuple[float, float]]:
@@ -304,7 +305,6 @@ def minimize_stress(
     positions = _initial_positions(n, cfg)
     max_outer = cfg.max_outer_iterations if cfg.max_outer_iterations is not None else 200 * max(n, 1)
 
-    history = [stress(positions, d, cfg)]
     iterations = 0
     for _ in range(max_outer):
         grads = stress_gradient(positions, d, cfg)
@@ -317,36 +317,15 @@ def minimize_stress(
                 worst = i
         if worst < 0 or worst_norm < cfg.tolerance:
             break
-        _relax_node(worst, positions, d, cfg)
+        _relax_node(worst, grads[worst], positions, d, cfg)
         iterations += 1
-        history.append(stress(positions, d, cfg))
 
     positions = _canonical_orientation(positions)
     return Layout(
         coordinates={nodes[i]: positions[i] for i in range(n)},
         final_stress=stress(positions, d, cfg),
         iterations_used=iterations,
-        stress_history=history,
     )
-
-
-def layout_graph(
-    nodes: list[str],
-    edges: dict[tuple[str, str], float],
-    cfg: LayoutConfig,
-) -> Layout:
-    """Ideal distances then stress minimization, for a connected graph."""
-    if not nodes:
-        return Layout(coordinates={}, final_stress=0.0, iterations_used=0, stress_history=[0.0])
-    if len(nodes) == 1:
-        return Layout(
-            coordinates={nodes[0]: (0.0, 0.0)},
-            final_stress=0.0,
-            iterations_used=0,
-            stress_history=[0.0],
-        )
-    d = ideal_distances(nodes, edges, cfg)
-    return minimize_stress(d, cfg, nodes=nodes)
 
 
 def layout_components(
@@ -374,14 +353,13 @@ def layout_components(
     coordinates: dict[str, tuple[float, float]] = {}
     total_stress = 0.0
     iterations = 0
-    history: list[float] = []
     x_cursor = 0.0
     for component in components:
         members = set(component)
         member_edges = {
             pair: w for pair, w in edges.items() if pair[0] in members and pair[1] in members
         }
-        part = layout_graph(component, member_edges, cfg)
+        part = minimize_stress(ideal_distances(component, member_edges, cfg), cfg, nodes=component)
         xs = [p[0] for p in part.coordinates.values()]
         ys = [p[1] for p in part.coordinates.values()]
         min_x, max_x = min(xs), max(xs)
@@ -392,15 +370,9 @@ def layout_components(
         x_cursor += (max_x - min_x) + gap
         total_stress += part.final_stress
         iterations += part.iterations_used
-        history.extend(part.stress_history)
 
     if coordinates:
         cx = sum(p[0] for p in coordinates.values()) / len(coordinates)
         cy = sum(p[1] for p in coordinates.values()) / len(coordinates)
         coordinates = {name: (x - cx, y - cy) for name, (x, y) in coordinates.items()}
-    return Layout(
-        coordinates=coordinates,
-        final_stress=total_stress,
-        iterations_used=iterations,
-        stress_history=history,
-    )
+    return Layout(coordinates=coordinates, final_stress=total_stress, iterations_used=iterations)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from collabmap.counting import CountScheme, CountVector, IncidenceMatrix
 from collabmap.errors import DataError
@@ -72,20 +74,20 @@ class Subnetwork:
     def node_info(self, country: str) -> NodeInfo:
         return self.parent.nodes[country]
 
+    @cached_property
+    def degrees(self) -> Counter[str]:
+        """Edge count per endpoint; countries without an edge are absent."""
+        return Counter(c for pair in self.edges for c in pair)
+
     def degree(self, country: str) -> int:
-        return sum(1 for pair in self.edges if country in pair)
+        return self.degrees[country]
 
     def connected_nodes(self) -> set[str]:
-        touched: set[str] = set()
-        for a, b in self.edges:
-            touched.add(a)
-            touched.add(b)
-        return touched
+        return set(self.degrees)
 
     def isolated_nodes(self) -> list[str]:
         """Retained nodes with no retained incident edge."""
-        touched = self.connected_nodes()
-        return [c for c in self.nodes if c not in touched]
+        return [c for c in self.nodes if c not in self.degrees]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from collabmap import cli, counting, network
+from collabmap import cli, counting, layout, network
+from collabmap.corpus import filtering, registry as registry_mod
 from collabmap.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -226,12 +228,14 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     count(counting, "fractional_counts")
     count(network, "build_coauth_network")
     count(network, "cosine_similarity")
+    count(registry_mod, "load_registry")
     flags = RUN_FLAGS + ["--focus", focus_country(probe), "--layout-weights", "cosine"]
     assert main(["run", "--workspace", str(tmp_path / "ws"), "--input", str(corpus_file)] + flags) == EXIT_OK
     assert calls["cosine_similarity"] <= 1
     del calls["cosine_similarity"]
     assert calls == dict.fromkeys(
-        ["load_documents", "build_incidence", "fractional_counts", "build_coauth_network"], 1
+        ["load_documents", "build_incidence", "fractional_counts", "build_coauth_network",
+         "load_registry"], 1
     )
 
 
@@ -414,3 +418,10 @@ def test_benchmark_trace_targets_exist():
     for module_name, attr, _span in tracer.WRAPPED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
     assert set(_STAGE_FUNCS) == {"ingest", "summary", "net", "geo", "core", "ego", "export"}
+    # result fields that the tracer's counters read
+    for cls, name in ((layout.Layout, "iterations_used"),
+                      (layout.LayoutConfig, "max_outer_iterations"),
+                      (filtering.FilterReport, "n_records"),
+                      (filtering.FilterReport, "n_retained"),
+                      (network.CoauthNetwork, "edges")):
+        assert name in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)

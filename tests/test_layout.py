@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from collabmap import layout as layout_mod
 from collabmap.errors import DataError
 from collabmap.layout import (
     DisconnectedGraphError,
@@ -11,7 +12,6 @@ from collabmap.layout import (
     edge_length,
     ideal_distances,
     layout_components,
-    layout_graph,
     minimize_stress,
     stress,
     stress_gradient,
@@ -33,6 +33,23 @@ def reference_stress(positions, d, spring_constant):
 
 def random_positions(rng, n, spread=1.0):
     return [(spread * (rng.random() - 0.5), spread * (rng.random() - 0.5)) for _ in range(n)]
+
+
+def record_outer_stress(monkeypatch) -> list[float]:
+    """Total stress before the first node relaxation and after each one.
+
+    Clear the returned list before each ``minimize_stress`` run."""
+    relax = layout_mod._relax_node
+    seen: list[float] = []
+
+    def recording(i, gradient, positions, d, cfg):
+        if not seen:
+            seen.append(stress(positions, d, cfg))
+        relax(i, gradient, positions, d, cfg)
+        seen.append(stress(positions, d, cfg))
+
+    monkeypatch.setattr(layout_mod, "_relax_node", recording)
+    return seen
 
 
 def random_distance_matrix(rng, n):
@@ -180,16 +197,27 @@ def test_equilateral_triangle_distances():
             assert dist == pytest.approx(1.0, abs=1e-3)
 
 
-def test_stress_non_increasing_every_outer_iteration():
+def test_stress_non_increasing_every_outer_iteration(monkeypatch):
+    history = record_outer_stress(monkeypatch)
     rng = random.Random(79)
     for _ in range(5):
         n = rng.randint(3, 9)
         d = random_distance_matrix(rng, n)
         cfg = LayoutConfig(seed=rng.randint(0, 10**6))
-        layout = minimize_stress(d, cfg)
-        history = layout.stress_history
+        history.clear()
+        minimize_stress(d, cfg)
+        assert len(history) >= 2
         for before, after in zip(history, history[1:]):
             assert after <= before + 1e-12
+
+
+def test_minimize_computes_stress_once(monkeypatch):
+    calls = []
+    total = layout_mod.stress
+    monkeypatch.setattr(layout_mod, "stress", lambda *args: calls.append(1) or total(*args))
+    layout = minimize_stress(random_distance_matrix(random.Random(83), 6), LayoutConfig())
+    assert layout.iterations_used > 1
+    assert len(calls) == 1
 
 
 def oracle_gradient_descent(d, spring_constant, rng, iterations=400):
@@ -264,11 +292,11 @@ def test_layout_deterministic_bit_identical():
     nodes = ["a", "b", "c", "d"]
     edges = {("a", "b"): 2.0, ("b", "c"): 1.0, ("c", "d"): 3.0, ("a", "d"): 1.0}
     cfg = LayoutConfig(seed=42)
-    one = layout_graph(nodes, edges, cfg)
-    two = layout_graph(nodes, edges, cfg)
+    one = layout_components(nodes, edges, cfg)
+    two = layout_components(nodes, edges, cfg)
     assert one.coordinates == two.coordinates
     assert one.final_stress == two.final_stress
-    different = layout_graph(nodes, edges, LayoutConfig(seed=43))
+    different = layout_components(nodes, edges, LayoutConfig(seed=43))
     assert different.coordinates != one.coordinates
 
 
@@ -332,3 +360,9 @@ def test_layout_components_packs_disconnected_graphs():
     # centred on the centroid
     assert sum(p[0] for p in layout.coordinates.values()) == pytest.approx(0.0, abs=1e-9)
     assert sum(p[1] for p in layout.coordinates.values()) == pytest.approx(0.0, abs=1e-9)
+    # a lone node and an empty graph go through the same path
+    single = layout_components(["a"], {}, cfg)
+    assert single.coordinates == {"a": (0.0, 0.0)}
+    assert single.final_stress == 0.0
+    assert single.iterations_used == 0
+    assert layout_components([], {}, cfg).coordinates == {}
