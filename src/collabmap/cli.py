@@ -1,6 +1,7 @@
 """Pipeline orchestration CLI.
 
-Each stage reads and writes files inside a workspace directory, so the
+Each stage reads a workspace directory and returns the files it produces;
+``_run_stage`` alone writes them, so a stage that fails writes nothing. The
 monolithic ``run`` command and a chain of per-stage subcommands produce
 identical artifact trees. Every stage records its resolved configuration,
 input digests, and artifact digests in ``run-manifest.json``; nothing
@@ -17,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, make_dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -284,32 +286,26 @@ RunConfig.__module__ = __name__
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """Artifact sink rooted at a directory, tracking writes per stage."""
+    """The artifact directory that stages read from and _run_stage writes to."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.written: list[Path] = []
         self._corpus: Corpus | None = None
 
-    def start_stage(self) -> None:
-        self.written = []
-
-    def write_text(self, relpath: str, text: str) -> Path:
-        path = self.root / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-        self.written.append(path)
-        return path
-
-    def rollback_stage(self) -> None:
-        for path in self.written:
-            if path.exists():
-                path.unlink()
-            parent = path.parent
-            while parent != self.root and parent.exists() and not any(parent.iterdir()):
-                parent.rmdir()
-                parent = parent.parent
-        self.written = []
+    def write_files(self, files: dict[str, str]) -> None:
+        """Write each relative path's text; if any write fails, remove the
+        files written so far and re-raise."""
+        written: list[Path] = []
+        try:
+            for relpath, text in files.items():
+                path = self.root / relpath
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8", newline="\n")
+                written.append(path)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
 
     def read_text(self, relpath: str) -> str:
         path = self.root / relpath
@@ -323,16 +319,6 @@ class Workspace:
         if self._corpus is None or self._corpus.digest != _sha256_text(text):
             self._corpus = Corpus(text)
         return self._corpus
-
-    def artifact_digests(self) -> dict[str, str]:
-        return {
-            str(path.relative_to(self.root)).replace("\\", "/"): _sha256_file(path)
-            for path in self.written
-        }
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _sha256_text(text: str) -> str:
@@ -349,7 +335,9 @@ def _json_artifact(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def update_manifest(ws: Workspace, stage: str, config_view: dict, inputs: dict[str, str]) -> None:
+def update_manifest(
+    ws: Workspace, stage: str, config_view: dict, inputs: dict[str, str], files: dict[str, str]
+) -> None:
     manifest_path = ws.root / MANIFEST_NAME
     manifest = {"stages": {}}
     if manifest_path.is_file():
@@ -357,7 +345,7 @@ def update_manifest(ws: Workspace, stage: str, config_view: dict, inputs: dict[s
     manifest.setdefault("stages", {})[stage] = {
         "config": config_view,
         "inputs": inputs,
-        "artifacts": ws.artifact_digests(),
+        "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest_path.write_text(_json_dumps(manifest), encoding="utf-8", newline="\n")
@@ -430,15 +418,14 @@ def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.Coa
 
 
 def _subnetwork_files(
-    ws: Workspace,
     prefix: str,
     sub: network.Subnetwork,
     cfg: RunConfig,
     corpus: Corpus,
     size_attr: str,
-) -> None:
-    """Write the shared artifact set for any extracted subnetwork."""
-    ws.write_text(f"{prefix}/edges.csv", network.cooccurrence_triples_csv(sub.edges))
+) -> dict[str, str]:
+    """The shared artifact set of any extracted subnetwork, by relative path."""
+    files = {f"{prefix}/edges.csv": network.cooccurrence_triples_csv(sub.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree,isolated"]
     isolated = set(sub.isolated_nodes())
     for country in sub.nodes:
@@ -447,9 +434,8 @@ def _subnetwork_files(
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},"
             f"{sub.degree(country)},{'yes' if country in isolated else 'no'}"
         )
-    ws.write_text(f"{prefix}/nodes.csv", "\n".join(node_lines) + "\n")
-    stats = network.network_stats(sub)
-    ws.write_text(f"{prefix}/stats.json", _json_artifact(stats.as_dict()))
+    files[f"{prefix}/nodes.csv"] = "\n".join(node_lines) + "\n"
+    files[f"{prefix}/stats.json"] = _json_artifact(network.network_stats(sub).as_dict())
 
     if cfg.layout_weights == "cosine":
         sim = corpus.cosine
@@ -461,26 +447,34 @@ def _subnetwork_files(
     for country in sub.nodes:
         x, y = layout.coordinates[country]
         layout_lines.append(f"{country},{counting.format_fixed(x)},{counting.format_fixed(y)}")
-    ws.write_text(f"{prefix}/layout.csv", "\n".join(layout_lines) + "\n")
+    files[f"{prefix}/layout.csv"] = "\n".join(layout_lines) + "\n"
 
-    ws.write_text(f"{prefix}/network.net", pajek.export_pajek(sub, layout))
+    files[f"{prefix}/network.net"] = pajek.export_pajek(sub, layout)
     map_text, net_text = vosviewer.export_vosviewer(sub, layout, size_attr=size_attr)
-    ws.write_text(f"{prefix}/vos-map.txt", map_text)
-    ws.write_text(f"{prefix}/vos-network.txt", net_text)
+    files[f"{prefix}/vos-map.txt"] = map_text
+    files[f"{prefix}/vos-network.txt"] = net_text
+    return files
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
+# (digest of each input read, text of each output by relative path)
+StageOutput = tuple[dict[str, str], dict[str, str]]
+
+
+def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     reg = cfg.registry
     all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
     input_digests: dict[str, str] = {}
     for path_str in cfg.inputs:
         path = Path(path_str)
-        data = path.read_text(encoding="utf-8")
+        try:
+            data = path.read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input file is not UTF-8 text: {path_str}: {exc}") from exc
         input_digests[path.name] = _sha256_text(data)
         recs, issues = records.parse_records(
             data, fmt=cfg.input_format, strict=cfg.strict, source_name=path.name
@@ -493,48 +487,50 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
             raise DataError(f"duplicate record id across inputs: {rec.record_id!r}")
         seen.add(rec.record_id)
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
-    ws.write_text("documents.jsonl", documents_jsonl(documents))
-    ws.write_text("filter-report.json", _json_artifact(report.as_dict()))
-    ws.write_text("parse-issues.json", _json_artifact(all_issues))
-    update_manifest(ws, "ingest", cfg.stage_view("ingest"), input_digests)
+    return input_digests, {
+        "documents.jsonl": documents_jsonl(documents),
+        "filter-report.json": _json_artifact(report.as_dict()),
+        "parse-issues.json": _json_artifact(all_issues),
+    }
 
 
-def stage_summary(cfg: RunConfig, ws: Workspace) -> None:
+def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
     corpus = ws.corpus()
     report_text = ws.read_text("filter-report.json")
     inputs = {"documents.jsonl": corpus.digest, "filter-report.json": _sha256_text(report_text)}
     report = filtering.FilterReport(**json.loads(report_text))
-    ws.write_text("summary.json", counting.summary_json(counting.summarize(corpus.documents, report)))
     counts = [corpus.counts_int, corpus.counts_frac]
-    ws.write_text("counts.csv", counting.counts_csv(counts, cfg.registry))
-    update_manifest(ws, "summary", cfg.stage_view("summary"), inputs)
+    return inputs, {
+        "summary.json": counting.summary_json(counting.summarize(corpus.documents, report)),
+        "counts.csv": counting.counts_csv(counts, cfg.registry),
+    }
 
 
-def stage_net(cfg: RunConfig, ws: Workspace) -> None:
+def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
     corpus = ws.corpus()
     net = _restrict_network(cfg, corpus.net)
 
-    ws.write_text("network/edges.csv", network.cooccurrence_triples_csv(net.edges))
+    files = {"network/edges.csv": network.cooccurrence_triples_csv(net.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree"]
     for country in net.countries():
         info = net.nodes[country]
         node_lines.append(
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},{info.degree}"
         )
-    ws.write_text("network/nodes.csv", "\n".join(node_lines) + "\n")
-    ws.write_text("network/cosine.csv", network.similarity_triples_csv(corpus.cosine))
+    files["network/nodes.csv"] = "\n".join(node_lines) + "\n"
+    files["network/cosine.csv"] = network.similarity_triples_csv(corpus.cosine)
     if cfg.square_matrices:
-        ws.write_text("network/cooccurrence-square.csv", network.cooccurrence_square_csv(net))
-        ws.write_text("network/cosine-square.csv", network.similarity_square_csv(corpus.cosine))
+        files["network/cooccurrence-square.csv"] = network.cooccurrence_square_csv(net)
+        files["network/cosine-square.csv"] = network.similarity_square_csv(corpus.cosine)
 
     sub = network.threshold_network(
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
-    _subnetwork_files(ws, "thresholded", sub, cfg, corpus, _size_attr(cfg, "net"))
-    update_manifest(ws, "net", cfg.stage_view("net"), {"documents.jsonl": corpus.digest})
+    files.update(_subnetwork_files("thresholded", sub, cfg, corpus, _size_attr(cfg, "net")))
+    return {"documents.jsonl": corpus.digest}, files
 
 
-def stage_geo(cfg: RunConfig, ws: Workspace) -> None:
+def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
     corpus = ws.corpus()
     sub = network.threshold_network(
         _restrict_network(cfg, corpus.net), cfg.min_node_fractional, cfg.min_edge_weight,
@@ -544,23 +540,21 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> None:
     doc, nodes, links = geo_export.export_geo(
         sub, corpus.counts_frac, cfg.registry, rule, great_circle=cfg.great_circle
     )
-    ws.write_text("geo/map.geojson", doc)
-    ws.write_text("geo/nodes.csv", nodes)
-    ws.write_text("geo/links.csv", links)
-    update_manifest(ws, "geo", cfg.stage_view("geo"), {"documents.jsonl": corpus.digest})
+    files = {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
+    return {"documents.jsonl": corpus.digest}, files
 
 
-def stage_core(cfg: RunConfig, ws: Workspace) -> None:
+def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
     if cfg.core_k is None:
         raise ConfigError("core stage needs --core-k")
     corpus = ws.corpus()
     net = _restrict_network(cfg, corpus.net)
     sub = network.extract_core(net, cfg.core_min_edge_weight, cfg.core_k)
-    _subnetwork_files(ws, "core", sub, cfg, corpus, _size_attr(cfg, "core"))
-    update_manifest(ws, "core", cfg.stage_view("core"), {"documents.jsonl": corpus.digest})
+    files = _subnetwork_files("core", sub, cfg, corpus, _size_attr(cfg, "core"))
+    return {"documents.jsonl": corpus.digest}, files
 
 
-def stage_ego(cfg: RunConfig, ws: Workspace) -> None:
+def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
     if not cfg.ego_focus:
         raise ConfigError("ego stage needs --focus")
     corpus = ws.corpus()
@@ -570,15 +564,14 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> None:
         net, focus, min_edge_weight=cfg.ego_min_edge_weight, include_alter_ties=cfg.ego_alter_ties
     )
     prefix = f"ego/{focus}"
-    _subnetwork_files(ws, prefix, sub, cfg, corpus, _size_attr(cfg, "ego"))
-    ws.write_text(
-        f"{prefix}/focus.json",
-        _json_artifact(report_export.focus_stats(focus, corpus.counts_int, corpus.counts_frac)),
+    files = _subnetwork_files(prefix, sub, cfg, corpus, _size_attr(cfg, "ego"))
+    files[f"{prefix}/focus.json"] = _json_artifact(
+        report_export.focus_stats(focus, corpus.counts_int, corpus.counts_frac)
     )
-    update_manifest(ws, "ego", cfg.stage_view("ego"), {"documents.jsonl": corpus.digest})
+    return {"documents.jsonl": corpus.digest}, files
 
 
-def stage_export(cfg: RunConfig, ws: Workspace) -> None:
+def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
     summary_text = ws.read_text("summary.json")
     stats_text = ws.read_text("thresholded/stats.json")
     inputs = {
@@ -603,8 +596,7 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> None:
             focus_text = ws.read_text(focus_path)
             focus = json.loads(focus_text)
             inputs["focus.json"] = _sha256_text(focus_text)
-    ws.write_text("report.json", report_export.export_report(summary, stats, focus))
-    update_manifest(ws, "export", cfg.stage_view("export"), inputs)
+    return inputs, {"report.json": report_export.export_report(summary, stats, focus)}
 
 
 _STAGE_FUNCS = {
@@ -630,12 +622,9 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
-    ws.start_stage()
-    try:
-        _STAGE_FUNCS[stage](cfg, ws)
-    except Exception:
-        ws.rollback_stage()
-        raise
+    inputs, files = _STAGE_FUNCS[stage](cfg, ws)
+    ws.write_files(files)
+    update_manifest(ws, stage, cfg.stage_view(stage), inputs, files)
 
 
 # ---------------------------------------------------------------------------
@@ -718,36 +707,41 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-        if args.command == "synth":
-            text = synth.generate_corpus_text(
-                cfg.registry,
-                n_docs=args.docs,
-                n_countries=args.countries,
-                intl_prob=args.intl_prob,
-                seed=args.seed,
-            )
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text, encoding="utf-8", newline="\n")
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"collabmap: warning: {message}", file=sys.stderr)
+        try:
+            cfg = config_from_args(args)
+            if args.command == "synth":
+                text = synth.generate_corpus_text(
+                    cfg.registry,
+                    n_docs=args.docs,
+                    n_countries=args.countries,
+                    intl_prob=args.intl_prob,
+                    seed=args.seed,
+                )
+                out = Path(args.out)
+                out.parent.mkdir(parents=True, exist_ok=True)
+                out.write_text(text, encoding="utf-8", newline="\n")
+                return EXIT_OK
+            cfg.validate(require_inputs=args.command in ("ingest", "run"))
+            root = Path(args.workspace)
+            if root.exists() and not root.is_dir():
+                raise ConfigError(f"workspace is not a directory: {args.workspace}")
+            ws = Workspace(root)
+            if args.command == "run":
+                run_pipeline(cfg, ws)
+            else:
+                _run_stage(args.command, cfg, ws)
             return EXIT_OK
-        cfg.validate(require_inputs=args.command in ("ingest", "run"))
-        ws = Workspace(Path(args.workspace))
-        if args.command == "run":
-            run_pipeline(cfg, ws)
-        else:
-            _run_stage(args.command, cfg, ws)
-        return EXIT_OK
-    except ParseError as exc:
-        print(f"collabmap: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"collabmap: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CollabmapError as exc:
-        print(f"collabmap: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        except ParseError as exc:
+            print(f"collabmap: parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except ConfigError as exc:
+            print(f"collabmap: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except CollabmapError as exc:
+            print(f"collabmap: error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

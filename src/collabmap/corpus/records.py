@@ -54,7 +54,7 @@ def parse_records(
     explicit id (``<source_name>#<ordinal>``).
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     if fmt == "tagged":
         records, issues = _parse_tagged(data, source_name)
     elif fmt == "delimited":

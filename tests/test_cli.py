@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -22,8 +23,10 @@ from collabmap.cli import (
     _STAGE_FUNCS,
     _run_stage,
     build_parser,
+    config_from_args,
     main,
 )
+from collabmap.errors import DataError
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -159,6 +162,105 @@ def test_failed_stage_leaves_no_partial_outputs(tmp_path, corpus_file):
     assert not (ws / "ego").exists()
 
 
+def test_failed_rerun_keeps_the_previous_state(tmp_path, corpus_file, monkeypatch):
+    """A stage that fails while computing writes nothing, so the earlier
+    good files stay and the manifest still matches them, even on Ctrl-C."""
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["net", "--workspace", str(ws)]) == EXIT_OK
+    before = tree_bytes(ws)
+    rerun = ["net", "--workspace", str(ws), "--min-link-weight", "3"]
+
+    def fail(*args, **kwargs):
+        raise DataError("layout failed")
+
+    monkeypatch.setattr(cli, "layout_components", fail)
+    assert main(rerun) == EXIT_DATA
+    assert tree_bytes(ws) == before
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "layout_components", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(rerun)
+    assert tree_bytes(ws) == before
+    for stage in json.loads(before["run-manifest.json"])["stages"].values():
+        for relpath, digest in stage["artifacts"].items():
+            assert hashlib.sha256((ws / relpath).read_bytes()).hexdigest() == digest, relpath
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_failed_write_removes_the_stage_files_written_before_it(tmp_path, corpus_file,
+                                                                 monkeypatch, error):
+    ws = Workspace(tmp_path / "ws")
+    write = Path.write_text
+    written = []
+
+    def write_until_second(path, *args, **kwargs):
+        written.append(path.name)
+        if len(written) == 2:
+            raise error
+        return write(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_until_second)
+    with pytest.raises(type(error)):
+        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+    assert written == ["documents.jsonl", "filter-report.json"]
+    assert not any(path.is_file() for path in ws.root.rglob("*"))
+
+
+def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
+    not_a_dir = tmp_path / "corpus.txt"
+    shutil.copy(corpus_file, not_a_dir)
+    before = not_a_dir.read_bytes()
+    for command, *flags in (["ingest", "--input", str(corpus_file)], ["net"],
+                            ["run", "--input", str(corpus_file)]):
+        assert main([command, "--workspace", str(not_a_dir)] + flags) == EXIT_CONFIG, command
+    assert not_a_dir.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# input encoding and warnings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, fmt", [("records_small.txt", "tagged"),
+                                       ("records_small.csv", "delimited")])
+def test_byte_order_mark_inputs_parse_like_plain_ones(tmp_path, name, fmt):
+    marked = tmp_path / "bom" / name
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / name).read_bytes())
+    trees = []
+    for label, path in (("plain", DATA_DIR / name), ("marked", marked)):
+        ws = tmp_path / label
+        assert main(["ingest", "--workspace", str(ws), "--input", str(path), "--format", fmt]) == EXIT_OK
+        trees.append(tree_bytes(ws))
+    assert trees[0]["documents.jsonl"]
+    for relpath in ("documents.jsonl", "parse-issues.json", "filter-report.json"):
+        assert trees[1][relpath] == trees[0][relpath], relpath
+
+
+def test_non_utf8_input_is_data_error_before_any_write(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    record = "PT J\nUT X1\nDT Article\nPY 2001\nC1 Univ Zürich, Zürich, Switzerland\nER\nEF\n"
+    latin1.write_bytes(record.encode("latin-1"))
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(latin1)]) == EXIT_DATA
+    assert str(latin1) in capsys.readouterr().err
+    assert not ws.exists()
+
+
+def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["net", "--workspace", str(ws), "--include-countries", "ATLANTIS,NARNIA"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "collabmap: warning: country not in network, skipped: ATLANTIS",
+        "collabmap: warning: country not in network, skipped: NARNIA",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # pipeline determinism and stage composition
 # ---------------------------------------------------------------------------
@@ -207,6 +309,26 @@ def test_subcommand_chain_equals_monolithic_run(tmp_path, corpus_file):
     assert main(["export", "--workspace", str(chained), "--focus", focus]) == EXIT_OK
 
     assert tree_bytes(chained) == tree_bytes(monolithic)
+
+
+def test_stages_return_their_files_and_write_nothing(tmp_path, corpus_file):
+    probe = tmp_path / "probe"
+    assert main(["run", "--workspace", str(probe), "--input", str(corpus_file)] + RUN_FLAGS) == EXIT_OK
+    ws = tmp_path / "ws"
+    argv = ["run", "--workspace", str(ws), "--input", str(corpus_file)] + RUN_FLAGS + [
+        "--focus", focus_country(probe)]
+    assert main(argv) == EXIT_OK
+    before = tree_bytes(ws)
+    manifest = json.loads(before["run-manifest.json"])["stages"]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    workspace = Workspace(ws)
+    for stage, stage_func in _STAGE_FUNCS.items():
+        inputs, files = stage_func(cfg, workspace)
+        assert inputs == manifest[stage]["inputs"], stage
+        assert set(files) == set(manifest[stage]["artifacts"]), stage
+        for relpath, text in files.items():
+            assert text.encode("utf-8") == before[relpath], relpath
+    assert tree_bytes(ws) == before
 
 
 def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):

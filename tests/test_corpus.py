@@ -137,6 +137,15 @@ def test_delimited_bad_header():
     assert issues and "header" in issues[0].message
 
 
+@pytest.mark.parametrize("name, fmt", [("records_small.txt", "tagged"),
+                                       ("records_small.csv", "delimited")])
+def test_bytes_with_byte_order_mark_parse_like_plain_text(name, fmt):
+    data = (DATA_DIR / name).read_bytes()
+    records, issues = parse_records(data.decode("utf-8"), fmt)
+    assert records
+    assert parse_records(b"\xef\xbb\xbf" + data, fmt) == (records, issues)
+
+
 # ---------------------------------------------------------------------------
 # registry and country resolution
 # ---------------------------------------------------------------------------
