@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, make_dataclass, replace
@@ -293,18 +294,22 @@ class Workspace:
         self._corpus: Corpus | None = None
 
     def write_files(self, files: dict[str, str]) -> None:
-        """Write each relative path's text; if any write fails, remove the
-        files written so far and re-raise."""
-        written: list[Path] = []
+        """Write each relative path's text to a temporary sibling, then move
+        every one into place; if a write fails, remove the temporaries and
+        re-raise, so the files already in place stay as they were."""
+        moves: list[tuple[Path, Path]] = []
         try:
             for relpath, text in files.items():
                 path = self.root / relpath
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text, encoding="utf-8", newline="\n")
-                written.append(path)
+                temp = path.with_name(path.name + ".tmp")
+                moves.append((temp, path))
+                temp.write_text(text, encoding="utf-8", newline="\n")
+            for temp, path in moves:
+                os.replace(temp, path)
         except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
+            for temp, _path in moves:
+                temp.unlink(missing_ok=True)
             raise
 
     def read_text(self, relpath: str) -> str:
@@ -347,8 +352,7 @@ def update_manifest(
         "inputs": inputs,
         "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(_json_dumps(manifest), encoding="utf-8", newline="\n")
+    ws.write_files({MANIFEST_NAME: _json_dumps(manifest)})
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +468,17 @@ def _subnetwork_files(
 StageOutput = tuple[dict[str, str], dict[str, str]]
 
 
+def _read_input(path: Path) -> tuple[str, str]:
+    """The sha256 of an input file's bytes, and its text decoded as UTF-8
+    (a leading byte-order mark dropped) with CRLF and CR line ends as LF."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
+    return hashlib.sha256(raw).hexdigest(), text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     reg = cfg.registry
     all_records: list[records.RawRecord] = []
@@ -471,11 +486,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     input_digests: dict[str, str] = {}
     for path_str in cfg.inputs:
         path = Path(path_str)
-        try:
-            data = path.read_text(encoding="utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input file is not UTF-8 text: {path_str}: {exc}") from exc
-        input_digests[path.name] = _sha256_text(data)
+        input_digests[path.name], data = _read_input(path)
         recs, issues = records.parse_records(
             data, fmt=cfg.input_format, strict=cfg.strict, source_name=path.name
         )

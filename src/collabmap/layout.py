@@ -5,8 +5,13 @@ distances: E = 1/2 * sum_{i<j} k_ij * (|p_i - p_j| - d_ij)^2 with spring
 stiffness k_ij = K / d_ij^2. Nodes are relaxed one at a time (always the
 one with the largest gradient norm) using damped 2x2 Newton steps with
 backtracking, which keeps total stress non-increasing across outer
-iterations. Output is gauge-fixed: centroid at the origin and the two
-farthest-apart nodes rotated onto the horizontal axis.
+iterations. As in Kamada & Kawai's node-by-node relaxation, every node's
+gradient is kept up to date after each move in O(n) rather than recomputed
+in O(n^2); the kept gradients only choose the next node, while relaxing and
+the stop test use the node's exact gradient, and all gradients are
+recomputed from scratch every n moves to bound floating-point drift. Output
+is gauge-fixed: centroid at the origin and the two farthest-apart nodes
+rotated onto the horizontal axis.
 """
 
 from __future__ import annotations
@@ -179,6 +184,25 @@ def _node_gradient(i, positions, d, cfg):
     return gx, gy
 
 
+def _update_gradients(grads, m, before, positions, d, cfg) -> None:
+    """Bring every kept gradient up to date after node m moved from ``before``
+    to ``positions[m]``: O(n) instead of a full O(n^2) recompute."""
+    jitter = 1e-9 * cfg.diameter
+    after = positions[m]
+    for i in range(len(positions)):
+        if i == m:
+            continue
+        dim = d[i][m]
+        k = cfg.spring_constant / (dim * dim)
+        dx0, dy0, r0 = _separation(positions[i], before, jitter)
+        dx1, dy1, r1 = _separation(positions[i], after, jitter)
+        f0 = k * (1.0 - dim / r0)
+        f1 = k * (1.0 - dim / r1)
+        gx, gy = grads[i]
+        grads[i] = (gx + (f1 * dx1 - f0 * dx0), gy + (f1 * dy1 - f0 * dy0))
+    grads[m] = _node_gradient(m, positions, d, cfg)
+
+
 def _node_energy(i, p, positions, d, cfg):
     jitter = 1e-9 * cfg.diameter
     total = 0.0
@@ -211,6 +235,7 @@ def _relax_node(i, gradient, positions, d, cfg) -> None:
     """Drive node i's gradient, starting from ``gradient``, below tolerance
     without raising its energy."""
     gx, gy = gradient
+    before = _node_energy(i, positions[i], positions, d, cfg)
     for _ in range(_MAX_INNER_STEPS):
         if math.hypot(gx, gy) < cfg.tolerance:
             return
@@ -224,13 +249,15 @@ def _relax_node(i, gradient, positions, d, cfg) -> None:
                 step_x, step_y = -gx, -gy
         else:
             step_x, step_y = -gx, -gy
-        before = _node_energy(i, positions[i], positions, d, cfg)
         t = 1.0
         moved = False
         while t > 1e-7:
             candidate = (positions[i][0] + t * step_x, positions[i][1] + t * step_y)
-            if _node_energy(i, candidate, positions, d, cfg) <= before:
+            energy = _node_energy(i, candidate, positions, d, cfg)
+            if energy <= before:
                 positions[i] = candidate
+                # the next step starts from this candidate, whose energy is known
+                before = energy
                 moved = True
                 break
             t *= 0.5
@@ -289,6 +316,16 @@ def minimize_stress(
     Deterministic for a given (d, cfg): the seed fixes the starting disc
     placement, node selection is by largest gradient norm with index
     tie-break, and every accepted step lowers (or keeps) total stress.
+
+    Each node's gradient is computed once and then kept up to date: when
+    node m moves from p to p', every other node i adds f(i, p') - f(i, p),
+    its spring force from m at the new place minus that at the old, and g_m
+    is recomputed exactly. Every n moves all gradients are recomputed
+    afresh. The kept gradients only choose the node: it is relaxed from its
+    exact gradient, and when that is below tolerance, or the kept ones say
+    stop while not fresh, all gradients are recomputed and the choice made
+    again. So a run differs from a full recompute before every move only if
+    drift in the last bits flips a near-tie for the largest gradient norm.
     """
     n = len(d)
     for i in range(n):
@@ -305,9 +342,10 @@ def minimize_stress(
     positions = _initial_positions(n, cfg)
     max_outer = cfg.max_outer_iterations if cfg.max_outer_iterations is not None else 200 * max(n, 1)
 
+    grads = stress_gradient(positions, d, cfg)
+    fresh = True
     iterations = 0
-    for _ in range(max_outer):
-        grads = stress_gradient(positions, d, cfg)
+    while iterations < max_outer:
         worst = -1
         worst_norm = 0.0
         for i, (gx, gy) in enumerate(grads):
@@ -315,10 +353,25 @@ def minimize_stress(
             if norm > worst_norm:
                 worst_norm = norm
                 worst = i
-        if worst < 0 or worst_norm < cfg.tolerance:
-            break
-        _relax_node(worst, grads[worst], positions, d, cfg)
+        # relaxing and stopping read the exact gradient, never the kept one
+        gradient = (0.0, 0.0)
+        if worst_norm >= cfg.tolerance:
+            gradient = _node_gradient(worst, positions, d, cfg)
+        if math.hypot(*gradient) < cfg.tolerance:
+            if fresh:
+                break
+            grads = stress_gradient(positions, d, cfg)
+            fresh = True
+            continue
+        before = positions[worst]
+        _relax_node(worst, gradient, positions, d, cfg)
         iterations += 1
+        if iterations % n == 0:
+            grads = stress_gradient(positions, d, cfg)
+            fresh = True
+        else:
+            _update_gradients(grads, worst, before, positions, d, cfg)
+            fresh = False
 
     positions = _canonical_orientation(positions)
     return Layout(

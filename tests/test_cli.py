@@ -191,9 +191,12 @@ def test_failed_rerun_keeps_the_previous_state(tmp_path, corpus_file, monkeypatc
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
-def test_failed_write_removes_the_stage_files_written_before_it(tmp_path, corpus_file,
-                                                                 monkeypatch, error):
+def test_failed_write_keeps_the_previous_files(tmp_path, corpus_file, monkeypatch, error):
+    """A rerun whose second write fails leaves the good files of the run
+    before it, and the manifest that lists them, byte-identical."""
     ws = Workspace(tmp_path / "ws")
+    _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+    before = tree_bytes(ws.root)
     write = Path.write_text
     written = []
 
@@ -205,9 +208,9 @@ def test_failed_write_removes_the_stage_files_written_before_it(tmp_path, corpus
 
     monkeypatch.setattr(Path, "write_text", write_until_second)
     with pytest.raises(type(error)):
-        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
-    assert written == ["documents.jsonl", "filter-report.json"]
-    assert not any(path.is_file() for path in ws.root.rglob("*"))
+        _run_stage("ingest", RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]), ws)
+    assert written == ["documents.jsonl.tmp", "filter-report.json.tmp"]
+    assert tree_bytes(ws.root) == before
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
@@ -238,6 +241,31 @@ def test_byte_order_mark_inputs_parse_like_plain_ones(tmp_path, name, fmt):
     assert trees[0]["documents.jsonl"]
     for relpath in ("documents.jsonl", "parse-issues.json", "filter-report.json"):
         assert trees[1][relpath] == trees[0][relpath], relpath
+
+
+def test_ingest_digest_is_of_the_input_bytes(tmp_path):
+    plain = DATA_DIR / "records_small.txt"
+    copies = {
+        "crlf": plain.read_bytes().replace(b"\n", b"\r\n"),
+        "cr": plain.read_bytes().replace(b"\n", b"\r"),
+        "marked": b"\xef\xbb\xbf" + plain.read_bytes(),
+    }
+    inputs = [("plain", plain)]
+    for label, data in copies.items():
+        path = tmp_path / label / plain.name
+        path.parent.mkdir()
+        path.write_bytes(data)
+        inputs.append((label, path))
+    documents = []
+    for label, path in inputs:
+        ws = tmp_path / label
+        assert main(["ingest", "--workspace", str(ws), "--input", str(path)]) == EXIT_OK
+        manifest = json.loads((ws / "run-manifest.json").read_text())
+        recorded = manifest["stages"]["ingest"]["inputs"][plain.name]
+        assert recorded == hashlib.sha256(path.read_bytes()).hexdigest(), label
+        documents.append((ws / "documents.jsonl").read_bytes())
+    assert documents[0]
+    assert documents == [documents[0]] * len(inputs)
 
 
 def test_non_utf8_input_is_data_error_before_any_write(tmp_path, capsys):

@@ -220,6 +220,71 @@ def test_minimize_computes_stress_once(monkeypatch):
     assert len(calls) == 1
 
 
+def full_recompute_layout(d, cfg):
+    """Reference outer loop: every node's gradient recomputed from scratch
+    before each move, then the node with the largest norm relaxed."""
+    n = len(d)
+    positions = layout_mod._initial_positions(n, cfg)
+    max_outer = cfg.max_outer_iterations if cfg.max_outer_iterations is not None else 200 * max(n, 1)
+    iterations = 0
+    for _ in range(max_outer):
+        grads = stress_gradient(positions, d, cfg)
+        worst = -1
+        worst_norm = 0.0
+        for i, (gx, gy) in enumerate(grads):
+            norm = math.hypot(gx, gy)
+            if norm > worst_norm:
+                worst_norm = norm
+                worst = i
+        if worst < 0 or worst_norm < cfg.tolerance:
+            break
+        layout_mod._relax_node(worst, grads[worst], positions, d, cfg)
+        iterations += 1
+    return layout_mod._canonical_orientation(positions), iterations
+
+
+def test_kept_gradients_match_full_recompute_oracle():
+    rng = random.Random(107)
+    capped = 0
+    for trial in range(20):
+        n = rng.randint(3, 40)
+        d = random_distance_matrix(rng, n)
+        cap = None if trial % 2 else rng.choice([n, 3 * n, 150])
+        cfg = LayoutConfig(seed=rng.randint(0, 10**6), max_outer_iterations=cap)
+        layout = minimize_stress(d, cfg)
+        positions, iterations = full_recompute_layout(d, cfg)
+        assert layout.iterations_used == iterations
+        assert list(layout.coordinates.values()) == positions
+        capped += iterations == cap
+    assert capped > 0
+
+
+def test_stale_kept_gradients_are_recomputed_before_stopping(monkeypatch):
+    def forget(grads, m, before, positions, d, cfg):
+        grads[:] = [(0.0, 0.0)] * len(grads)
+
+    monkeypatch.setattr(layout_mod, "_update_gradients", forget)
+    d = random_distance_matrix(random.Random(113), 12)
+    cfg = LayoutConfig()
+    layout = minimize_stress(d, cfg)
+    positions, iterations = full_recompute_layout(d, cfg)
+    assert layout.iterations_used == iterations > 12
+    assert list(layout.coordinates.values()) == positions
+
+
+def test_full_gradient_recompute_once_per_n_moves(monkeypatch):
+    calls = []
+    full = layout_mod.stress_gradient
+    monkeypatch.setattr(
+        layout_mod, "stress_gradient", lambda *args: calls.append(1) or full(*args)
+    )
+    n = 30
+    layout = minimize_stress(random_distance_matrix(random.Random(109), n), LayoutConfig())
+    moves = layout.iterations_used
+    assert moves >= 3 * n
+    assert len(calls) <= moves // n + 4
+
+
 def oracle_gradient_descent(d, spring_constant, rng, iterations=400):
     """Plain full-configuration descent with backtracking (restart oracle)."""
     n = len(d)
