@@ -377,36 +377,56 @@ def documents_jsonl(documents: list[filtering.Document]) -> str:
 
 
 def load_documents(text: str) -> list[filtering.Document]:
+    """The documents of documents.jsonl; a malformed line is a DataError
+    that names its line number."""
     documents = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        where = f"documents.jsonl line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: not a JSON object")
+        missing = [key for key in ("record_id", "doc_type", "country_addresses") if key not in obj]
+        if missing:
+            raise DataError(f"{where}: missing {', '.join(missing)}")
+        if not isinstance(obj["record_id"], str) or not isinstance(obj["doc_type"], str):
+            raise DataError(f"{where}: record_id or doc_type is not a string")
+        addresses = obj["country_addresses"]
+        if not isinstance(addresses, dict) or not addresses:
+            raise DataError(f"{where}: country_addresses is not a non-empty object")
+        bad = {c: n for c, n in addresses.items() if type(n) is not int or n < 1}
+        if bad:
+            raise DataError(f"{where}: address counts that are not positive integers: {bad}")
         documents.append(
             filtering.Document(
                 record_id=obj["record_id"],
                 doc_type=obj["doc_type"],
-                country_addresses={k: int(v) for k, v in obj["country_addresses"].items()},
+                country_addresses=addresses,
             )
         )
     return documents
 
 
 class Corpus:
-    """The documents of one documents.jsonl and the counts and network every
-    stage derives from them; cosine similarity is built on first use."""
+    """The documents of one documents.jsonl and the network, which carries
+    every country's counts, that every stage derives from them; cosine
+    similarity is built on first use."""
 
     def __init__(self, text: str):
         self.digest = _sha256_text(text)
         self.documents = load_documents(text)
-        self.matrix = counting.build_incidence(self.documents)
-        self.counts_int = counting.integer_counts(self.matrix)
-        self.counts_frac = counting.fractional_counts(self.matrix)
-        self.net = network.build_coauth_network(self.matrix, self.counts_int, self.counts_frac)
+        matrix = counting.build_incidence(self.documents)
+        self.net = network.build_coauth_network(
+            matrix, counting.integer_counts(matrix), counting.fractional_counts(matrix)
+        )
 
     @cached_property
     def cosine(self) -> network.SimilarityMatrix:
-        return network.cosine_similarity(self.matrix)
+        return network.cosine_similarity(self.net)
 
 
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
@@ -510,10 +530,9 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
     report_text = ws.read_text("filter-report.json")
     inputs = {"documents.jsonl": corpus.digest, "filter-report.json": _sha256_text(report_text)}
     report = filtering.FilterReport(**json.loads(report_text))
-    counts = [corpus.counts_int, corpus.counts_frac]
     return inputs, {
         "summary.json": counting.summary_json(counting.summarize(corpus.documents, report)),
-        "counts.csv": counting.counts_csv(counts, cfg.registry),
+        "counts.csv": counting.counts_csv(corpus.net, cfg.registry),
     }
 
 
@@ -548,9 +567,7 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
         comparator=cfg.comparator,
     )
     rule = geo_export.SizeRule(s_min=cfg.size_min, s_scale=cfg.size_scale)
-    doc, nodes, links = geo_export.export_geo(
-        sub, corpus.counts_frac, cfg.registry, rule, great_circle=cfg.great_circle
-    )
+    doc, nodes, links = geo_export.export_geo(sub, cfg.registry, rule, great_circle=cfg.great_circle)
     files = {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
     return {"documents.jsonl": corpus.digest}, files
 
@@ -576,9 +593,7 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
     )
     prefix = f"ego/{focus}"
     files = _subnetwork_files(prefix, sub, cfg, corpus, _size_attr(cfg, "ego"))
-    files[f"{prefix}/focus.json"] = _json_artifact(
-        report_export.focus_stats(focus, corpus.counts_int, corpus.counts_frac)
-    )
+    files[f"{prefix}/focus.json"] = _json_artifact(report_export.focus_stats(focus, corpus.net))
     return {"documents.jsonl": corpus.digest}, files
 
 

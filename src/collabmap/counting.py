@@ -19,45 +19,24 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from collabmap.corpus.filtering import Document, FilterReport
 from collabmap.corpus.registry import CountryRegistry
 from collabmap.errors import DataError
 
-
-class CountScheme(Enum):
-    INTEGER = "integer"
-    FRACTIONAL = "fractional"
+if TYPE_CHECKING:
+    from collabmap.network import CoauthNetwork
 
 
 @dataclass
 class IncidenceMatrix:
-    """Sparse document x country address-count matrix."""
+    """Sparse document x country address-count matrix, one row per document."""
 
     doc_ids: list[str]
     countries: list[str]
-    cells: dict[tuple[int, int], int]
-
-    def row_sums(self) -> list[int]:
-        sums = [0] * len(self.doc_ids)
-        for (d, _c), v in self.cells.items():
-            sums[d] += v
-        return sums
-
-    def column_doc_sets(self) -> list[set[int]]:
-        """Document-membership set per country (the binarized columns)."""
-        sets: list[set[int]] = [set() for _ in self.countries]
-        for (d, c), _v in self.cells.items():
-            sets[c].add(d)
-        return sets
-
-
-@dataclass(frozen=True)
-class CountVector:
-    scheme: CountScheme
-    values: dict
+    rows: list[dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -84,32 +63,33 @@ def build_incidence(documents: list[Document]) -> IncidenceMatrix:
         seen.add(doc.record_id)
     countries = sorted({c for doc in documents for c in doc.country_addresses})
     country_index = {c: i for i, c in enumerate(countries)}
-    cells: dict[tuple[int, int], int] = {}
-    for d, doc in enumerate(documents):
-        for country, count in doc.country_addresses.items():
-            cells[(d, country_index[country])] = count
     return IncidenceMatrix(
         doc_ids=[doc.record_id for doc in documents],
         countries=countries,
-        cells=cells,
+        rows=[
+            {country_index[country]: count for country, count in doc.country_addresses.items()}
+            for doc in documents
+        ],
     )
 
 
-def fractional_counts(m: IncidenceMatrix) -> CountVector:
+def fractional_counts(m: IncidenceMatrix) -> dict[str, Fraction]:
     """Per-country sum of per-paper address shares, exact in rationals."""
-    sums = m.row_sums()
-    totals: dict[str, Fraction] = {c: Fraction(0) for c in m.countries}
-    for (d, c), v in m.cells.items():
-        totals[m.countries[c]] += Fraction(v, sums[d])
-    return CountVector(CountScheme.FRACTIONAL, totals)
+    totals = [Fraction(0)] * len(m.countries)
+    for row in m.rows:
+        addresses = sum(row.values())
+        for c, v in row.items():
+            totals[c] += Fraction(v, addresses)
+    return dict(zip(m.countries, totals))
 
 
-def integer_counts(m: IncidenceMatrix) -> CountVector:
+def integer_counts(m: IncidenceMatrix) -> dict[str, int]:
     """Whole counting: documents in which each country participates."""
-    totals: dict[str, int] = {c: 0 for c in m.countries}
-    for (_d, c), _v in m.cells.items():
-        totals[m.countries[c]] += 1
-    return CountVector(CountScheme.INTEGER, totals)
+    totals = [0] * len(m.countries)
+    for row in m.rows:
+        for c in row:
+            totals[c] += 1
+    return dict(zip(m.countries, totals))
 
 
 def summarize(documents: list[Document], report: FilterReport) -> CorpusSummary:
@@ -165,17 +145,18 @@ def format_fixed(value, digits: int = 6) -> str:
     return f"{float(value):.{digits}f}"
 
 
-def counts_csv(vectors: list[CountVector], registry: CountryRegistry) -> str:
-    """CSV export ``country,iso3,scheme,value``; fractions at 6 decimals."""
+def counts_csv(net: CoauthNetwork, registry: CountryRegistry) -> str:
+    """CSV export ``country,iso3,scheme,value`` of the network's node counts:
+    every integer count, then every fractional one at 6 decimals."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["country", "iso3", "scheme", "value"])
-    for vector in vectors:
-        for country in sorted(vector.values):
-            value = vector.values[country]
-            rendered = format_fixed(value) if vector.scheme is CountScheme.FRACTIONAL else str(value)
-            iso3 = registry.entries[country].iso3 if country in registry.entries else ""
-            writer.writerow([country, iso3, vector.scheme.value, rendered])
+    countries = net.countries()
+    rows = [(c, "integer", str(net.nodes[c].integer_papers)) for c in countries]
+    rows += [(c, "fractional", format_fixed(net.nodes[c].fractional_papers)) for c in countries]
+    for country, scheme, rendered in rows:
+        iso3 = registry.entries[country].iso3 if country in registry.entries else ""
+        writer.writerow([country, iso3, scheme, rendered])
     return buf.getvalue()
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from collabmap.counting import CountScheme, CountVector, format_fixed
+from collabmap.counting import format_fixed
 from collabmap.corpus.registry import CountryRegistry
 from collabmap.errors import DataError
 from collabmap.network import Subnetwork
@@ -58,19 +58,16 @@ class GeoMapSpec:
 
 def build_geo_spec(
     sub: Subnetwork,
-    counts_frac: CountVector,
     registry: CountryRegistry,
     rule: SizeRule | None = None,
 ) -> GeoMapSpec:
-    if counts_frac.scheme is not CountScheme.FRACTIONAL:
-        raise DataError("geographic export needs the fractional count vector")
     rule = rule or SizeRule()
     nodes = []
     for country in sorted(sub.nodes):
         if country not in registry.entries:
             raise DataError(f"no centroid in registry for country: {country}")
         entry = registry.entries[country]
-        fractional = Fraction(counts_frac.values.get(country, 0))
+        fractional = sub.node_info(country).fractional_papers
         nodes.append(
             GeoNode(
                 country=country,
@@ -184,13 +181,12 @@ def links_csv(spec: GeoMapSpec, great_circle: bool = False) -> str:
 
 def export_geo(
     sub: Subnetwork,
-    counts_frac: CountVector,
     registry: CountryRegistry,
     rule: SizeRule | None = None,
     great_circle: bool = False,
 ) -> tuple[str, str, str]:
     """Return (GeoJSON document, nodes CSV, links CSV)."""
-    spec = build_geo_spec(sub, counts_frac, registry, rule)
+    spec = build_geo_spec(sub, registry, rule)
     return (
         geojson_document(spec, great_circle=great_circle),
         nodes_csv(spec),

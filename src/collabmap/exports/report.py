@@ -3,29 +3,24 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from collabmap.counting import (
     CorpusSummary,
-    CountScheme,
-    CountVector,
     display_decimal,
     display_percent,
     mean_coauthorship_ratio,
     summary_dict,
 )
 from collabmap.errors import DataError
-from collabmap.network import NetworkStats
+from collabmap.network import CoauthNetwork, NetworkStats
 
 
-def focus_stats(country: str, counts_int: CountVector, counts_frac: CountVector) -> dict:
+def focus_stats(country: str, net: CoauthNetwork) -> dict:
     """Per-country paper counts and the mean co-authorship multiplier."""
-    if counts_int.scheme is not CountScheme.INTEGER or counts_frac.scheme is not CountScheme.FRACTIONAL:
-        raise DataError("focus_stats expects integer and fractional count vectors")
-    if country not in counts_int.values:
+    if country not in net.nodes:
         raise DataError(f"unknown focus country: {country!r}")
-    n_integer = counts_int.values[country]
-    n_fractional = Fraction(counts_frac.values[country])
+    n_integer = net.nodes[country].integer_papers
+    n_fractional = net.nodes[country].fractional_papers
     ratio = mean_coauthorship_ratio(n_integer, n_fractional)
     return {
         "country": country,

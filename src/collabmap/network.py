@@ -5,7 +5,9 @@ country A and two in country B adds exactly 1 to the A-B edge, never the
 3 x 2 = 6 an affiliation cross-product would produce. Node profiles can
 additionally be compared by cosine (Ochiai) similarity over the binarized
 incidence columns, which captures shared collaboration patterns rather
-than direct tie strength.
+than direct tie strength. Under the single-relation rule a pair's shared
+document count is its edge weight and a column's size is the country's
+integer count, so cosine is read off the network itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from collabmap.counting import CountScheme, CountVector, IncidenceMatrix
+from collabmap.counting import IncidenceMatrix
 from collabmap.errors import DataError
 
 
@@ -124,29 +126,23 @@ def _compare(value, threshold, comparator: str) -> bool:
 
 def build_coauth_network(
     m: IncidenceMatrix,
-    counts_int: CountVector,
-    counts_frac: CountVector,
+    counts_int: dict[str, int],
+    counts_frac: dict[str, Fraction],
 ) -> CoauthNetwork:
     """Fold every document's country set into pairwise single relations."""
-    if counts_int.scheme is not CountScheme.INTEGER or counts_frac.scheme is not CountScheme.FRACTIONAL:
-        raise DataError("build_coauth_network expects integer and fractional count vectors")
     universe = set(m.countries)
-    for vector in (counts_int, counts_frac):
-        missing = universe ^ set(vector.values)
+    for name, counts in (("integer", counts_int), ("fractional", counts_frac)):
+        missing = universe ^ set(counts)
         if missing:
             raise DataError(
-                f"count vector ({vector.scheme.value}) disagrees with matrix countries: "
-                + ", ".join(sorted(missing))
+                f"{name} counts disagree with matrix countries: " + ", ".join(sorted(missing))
             )
 
-    per_doc: dict[int, list[int]] = {}
-    for (d, c), _v in m.cells.items():
-        per_doc.setdefault(d, []).append(c)
     edges: dict[tuple[str, str], int] = {}
-    for members in per_doc.values():
-        if len(members) < 2:
+    for row in m.rows:
+        if len(row) < 2:
             continue
-        members.sort()
+        members = sorted(row)
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 key = (m.countries[members[i]], m.countries[members[j]])
@@ -159,8 +155,8 @@ def build_coauth_network(
     nodes = {
         c: NodeInfo(
             country=c,
-            integer_papers=counts_int.values[c],
-            fractional_papers=Fraction(counts_frac.values[c]),
+            integer_papers=counts_int[c],
+            fractional_papers=Fraction(counts_frac[c]),
             degree=degrees[c],
         )
         for c in m.countries
@@ -168,20 +164,19 @@ def build_coauth_network(
     return CoauthNetwork(nodes=nodes, edges=edges)
 
 
-def cosine_similarity(m: IncidenceMatrix) -> SimilarityMatrix:
-    """Ochiai/cosine between binarized country columns."""
+def cosine_similarity(net: CoauthNetwork) -> SimilarityMatrix:
+    """Ochiai/cosine between binarized country columns: a pair's edge
+    weight over the geometric mean of the two integer counts."""
     values: dict[tuple[str, str], float] = {}
-    n = len(m.countries)
-    doc_sets = m.column_doc_sets()
-    sizes = [len(s) for s in doc_sets]
-    for i in range(n):
-        ci = m.countries[i]
+    countries = net.countries()
+    sizes = [net.nodes[c].integer_papers for c in countries]
+    for i, ci in enumerate(countries):
         values[(ci, ci)] = 1.0 if sizes[i] else 0.0
-        for j in range(i + 1, n):
+        for j in range(i + 1, len(countries)):
             denom = math.sqrt(sizes[i] * sizes[j])
-            shared = len(doc_sets[i] & doc_sets[j])
-            values[(ci, m.countries[j])] = shared / denom if denom else 0.0
-    return SimilarityMatrix(countries=list(m.countries), values=values)
+            shared = net.edges.get((ci, countries[j]), 0)
+            values[(ci, countries[j])] = shared / denom if denom else 0.0
+    return SimilarityMatrix(countries=countries, values=values)
 
 
 def threshold_network(

@@ -61,7 +61,18 @@ def fractional_tally(documents) -> dict[str, Fraction]:
 
 def incidence_row(m, doc_index: int) -> dict[int, int]:
     """Country index -> address count for one document, read off the matrix."""
-    return {c: v for (d, c), v in m.cells.items() if d == doc_index}
+    return dict(m.rows[doc_index])
+
+
+def column_doc_sets(m) -> list[set[int]]:
+    """Document-membership set per country (the binarized columns): the
+    Ochiai oracle, whose set intersections the network's edge weights and
+    cosine values must equal."""
+    sets: list[set[int]] = [set() for _ in m.countries]
+    for d, row in enumerate(m.rows):
+        for c in row:
+            sets[c].add(d)
+    return sets
 
 
 def incidence_summary_stats(m) -> dict[str, int]:
@@ -70,11 +81,8 @@ def incidence_summary_stats(m) -> dict[str, int]:
     Independent of ``counting.summarize``; the two paths must agree on every
     field they share.
     """
-    per_doc_countries = [0] * len(m.doc_ids)
-    per_doc_addresses = [0] * len(m.doc_ids)
-    for (d, _c), v in m.cells.items():
-        per_doc_countries[d] += 1
-        per_doc_addresses[d] += v
+    per_doc_countries = [len(row) for row in m.rows]
+    per_doc_addresses = [sum(row.values()) for row in m.rows]
     intl = [d for d in range(len(m.doc_ids)) if per_doc_countries[d] >= 2]
     return {
         "n_documents": len(m.doc_ids),

@@ -14,8 +14,6 @@ from pathlib import Path
 from collabmap.cli import EXIT_OK, main
 from collabmap.counting import (
     CorpusSummary,
-    CountScheme,
-    CountVector,
     build_incidence,
     fractional_counts,
     integer_counts,
@@ -32,6 +30,8 @@ from collabmap.layout import (
     stress_gradient,
 )
 from collabmap.network import (
+    CoauthNetwork,
+    NodeInfo,
     build_coauth_network,
     cosine_similarity,
     extract_core,
@@ -39,7 +39,7 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import DATA_DIR, GOLDEN_DIR, brute_force_edges, make_documents
+from conftest import DATA_DIR, GOLDEN_DIR, brute_force_edges, column_doc_sets, make_documents
 from test_cli import tree_bytes
 from test_export import validate_geojson
 from test_layout import random_distance_matrix, random_positions, record_outer_stress, reference_stress
@@ -59,7 +59,7 @@ def test_fractional_counting_conservation():
     for _ in range(100):
         n_docs = rng.randint(1, 5000)
         documents = make_documents(rng, n_docs, rng.randint(2, 50))
-        totals = fractional_counts(build_incidence(documents)).values
+        totals = fractional_counts(build_incidence(documents))
         exact = sum(totals.values())
         assert exact == n_docs, f"drift on corpus of {n_docs} documents"
     elapsed = time.perf_counter() - start
@@ -96,14 +96,14 @@ def test_ochiai_identity():
     for _ in range(50):
         documents = make_documents(rng, rng.randint(2, 400), rng.randint(2, 25), intl_prob=0.5)
         m = build_incidence(documents)
-        sim = cosine_similarity(m)
-        doc_sets = m.column_doc_sets()
-        index = {c: i for i, c in enumerate(m.countries)}
+        sim = cosine_similarity(build_coauth_network(m, integer_counts(m), fractional_counts(m)))
+        doc_sets = column_doc_sets(m)
         for i, a in enumerate(m.countries):
-            for b in m.countries[i + 1:]:
-                c_ab = len(doc_sets[index[a]] & doc_sets[index[b]])
-                c_aa = len(doc_sets[index[a]])
-                c_bb = len(doc_sets[index[b]])
+            for j in range(i + 1, len(m.countries)):
+                b = m.countries[j]
+                c_ab = len(doc_sets[i] & doc_sets[j])
+                c_aa = len(doc_sets[i])
+                c_bb = len(doc_sets[j])
                 expected = c_ab / math.sqrt(c_aa * c_bb) if c_aa and c_bb else 0.0
                 worst = max(worst, abs(sim.sim(a, b) - expected))
     announce("Ochiai identity", worst < 1e-12, f"50 corpora, max abs deviation {worst:.2e}")
@@ -124,11 +124,8 @@ def test_paper_arithmetic_reproduction():
     names = [f"C{i:03d}" for i in range(201)]
     net = fake_network({c: Fraction(1) for c in names}, {(names[0], names[1]): 1})
     stats = network_stats(threshold_network(net, 0, 0))
-    focus = focus_stats(
-        "INDONESIA",
-        CountVector(CountScheme.INTEGER, {"INDONESIA": 559}),
-        CountVector(CountScheme.FRACTIONAL, {"INDONESIA": Fraction(2279, 10)}),
-    )
+    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10), degree=0)
+    focus = focus_stats("INDONESIA", CoauthNetwork(nodes={"INDONESIA": indonesia}, edges={}))
     text = export_report(summary, stats, focus)
     checks = [
         '"share_international_docs_pct": 24.8' in text,
@@ -270,8 +267,7 @@ def test_format_fidelity(tmp_path):
         for doc in documents
     ]
     m = build_incidence(documents)
-    counts_int, counts_frac = integer_counts(m), fractional_counts(m)
-    net = build_coauth_network(m, counts_int, counts_frac)
+    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
     sub = threshold_network(net, 1, 1)
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
 
@@ -284,7 +280,7 @@ def test_format_fidelity(tmp_path):
     edge_ids = {int(v) for line in net_text.splitlines() for v in line.split("\t")[:2]}
     ok = ok and edge_ids <= map_ids and map_ids == set(range(1, len(sub.nodes) + 1))
 
-    doc, _nodes, _links = export_geo(sub, counts_frac, registry)
+    doc, _nodes, _links = export_geo(sub, registry)
     validate_geojson(doc)
 
     ws = tmp_path / "golden-check"

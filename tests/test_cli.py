@@ -278,6 +278,37 @@ def test_non_utf8_input_is_data_error_before_any_write(tmp_path, capsys):
     assert not ws.exists()
 
 
+@pytest.mark.parametrize("line", [
+    pytest.param('{"record_id": "X", "doc_type": "Article", ', id="not-json"),
+    pytest.param('{"record_id": "X", "country_addresses": {"CHILE": 1}}', id="missing-key"),
+    pytest.param('["X", "Article", {"CHILE": 1}]', id="not-an-object"),
+    pytest.param('{"country_addresses": {"CHILE": 1}, "doc_type": 7, "record_id": "X"}',
+                 id="numeric-doc-type"),
+    pytest.param('{"country_addresses": {"CHILE": 0}, "doc_type": "Article", "record_id": "X"}',
+                 id="zero-count"),
+    pytest.param('{"country_addresses": {"CHILE": -2}, "doc_type": "Article", "record_id": "X"}',
+                 id="negative-count"),
+    pytest.param('{"country_addresses": {"CHILE": 1.5}, "doc_type": "Article", "record_id": "X"}',
+                 id="fractional-count"),
+    pytest.param('{"country_addresses": {"CHILE": true}, "doc_type": "Article", "record_id": "X"}',
+                 id="boolean-count"),
+    pytest.param('{"country_addresses": {}, "doc_type": "Article", "record_id": "X"}',
+                 id="no-country"),
+])
+def test_malformed_documents_line_is_data_error_before_any_write(tmp_path, corpus_file, capsys, line):
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    documents = ws / "documents.jsonl"
+    lines = documents.read_text().splitlines()
+    lines[1] = line
+    documents.write_text("\n".join(lines) + "\n")
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
+    assert "documents.jsonl line 2:" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
 def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from collabmap.corpus import filter_documents, parse_records
 from collabmap.corpus.filtering import Document, FilterReport
 from collabmap.counting import (
-    CountScheme,
     build_incidence,
     counts_csv,
     display_decimal,
@@ -20,6 +19,7 @@ from collabmap.counting import (
     summary_json,
 )
 from collabmap.errors import DataError
+from collabmap.network import build_coauth_network
 
 from conftest import (
     DATA_DIR,
@@ -42,14 +42,12 @@ def test_single_document_matrix():
     m = build_incidence([doc("d1", {"UK": 2, "NETHERLANDS": 1})])
     assert m.doc_ids == ["d1"]
     assert m.countries == ["NETHERLANDS", "UK"]
-    assert m.cells == {(0, 0): 1, (0, 1): 2}
-    assert m.row_sums() == [3]
+    assert m.rows == [{0: 1, 1: 2}]
 
 
 def test_two_country_multiplicity_example():
     m = build_incidence([doc("d1", {"A": 3, "B": 2})])
-    assert m.cells[(0, 0)] == 3
-    assert m.cells[(0, 1)] == 2
+    assert m.rows[0] == {0: 3, 1: 2}
 
 
 def test_duplicate_record_id_rejected():
@@ -77,10 +75,10 @@ def test_matrix_permutation_invariance():
     documents = make_documents(rng, 40, 8)
     shuffled = list(documents)
     rng.shuffle(shuffled)
-    a_int = integer_counts(build_incidence(documents)).values
-    b_int = integer_counts(build_incidence(shuffled)).values
-    a_frac = fractional_counts(build_incidence(documents)).values
-    b_frac = fractional_counts(build_incidence(shuffled)).values
+    a_int = integer_counts(build_incidence(documents))
+    b_int = integer_counts(build_incidence(shuffled))
+    a_frac = fractional_counts(build_incidence(documents))
+    b_frac = fractional_counts(build_incidence(shuffled))
     assert a_int == b_int
     assert a_frac == b_frac
 
@@ -91,27 +89,27 @@ def test_matrix_permutation_invariance():
 
 def test_fractional_two_thirds_one_third():
     m = build_incidence([doc("d1", {"A": 2, "B": 1})])
-    values = fractional_counts(m).values
+    values = fractional_counts(m)
     assert values["A"] == Fraction(2, 3)
     assert values["B"] == Fraction(1, 3)
 
 
 def test_fractional_single_country_full_credit():
     m = build_incidence([doc("d1", {"A": 4})])
-    assert fractional_counts(m).values["A"] == Fraction(1)
+    assert fractional_counts(m)["A"] == Fraction(1)
 
 
 def test_fractional_sum_equals_document_count_fixture():
     rng = random.Random(11)
     documents = make_documents(rng, 200, 12)
-    totals = fractional_counts(build_incidence(documents)).values
+    totals = fractional_counts(build_incidence(documents))
     assert sum(totals.values()) == len(documents)
 
 
 def test_fractional_matches_per_document_oracle():
     rng = random.Random(13)
     documents = make_documents(rng, 120, 9)
-    computed = fractional_counts(build_incidence(documents)).values
+    computed = fractional_counts(build_incidence(documents))
     assert computed == fractional_tally(documents)
 
 
@@ -120,7 +118,7 @@ def test_fractional_matches_per_document_oracle():
 def test_fractional_conservation_property(seed, n_docs):
     rng = random.Random(seed)
     documents = make_documents(rng, n_docs, rng.randint(1, 20))
-    totals = fractional_counts(build_incidence(documents)).values
+    totals = fractional_counts(build_incidence(documents))
     assert sum(totals.values()) == n_docs
 
 
@@ -130,19 +128,19 @@ def test_fractional_conservation_property(seed, n_docs):
 
 def test_integer_counts_binarize():
     m = build_incidence([doc("d1", {"A": 3, "B": 2})])
-    values = integer_counts(m).values
+    values = integer_counts(m)
     assert values == {"A": 1, "B": 1}
 
 
 def test_absent_country_absent_from_vector():
     m = build_incidence([doc("d1", {"A": 1})])
-    assert "B" not in integer_counts(m).values
+    assert "B" not in integer_counts(m)
 
 
 def test_integer_counts_match_scan_oracle():
     rng = random.Random(17)
     documents = make_documents(rng, 150, 10)
-    computed = integer_counts(build_incidence(documents)).values
+    computed = integer_counts(build_incidence(documents))
     # oracle: per-country scan over documents
     for country in computed:
         expected = sum(1 for d in documents if country in d.country_addresses)
@@ -153,8 +151,8 @@ def test_count_ordering_invariants():
     rng = random.Random(19)
     documents = make_documents(rng, 180, 11)
     m = build_incidence(documents)
-    ints = integer_counts(m).values
-    fracs = fractional_counts(m).values
+    ints = integer_counts(m)
+    fracs = fractional_counts(m)
     for country in m.countries:
         assert ints[country] <= len(documents)
         assert fracs[country] <= ints[country]
@@ -217,7 +215,8 @@ def test_summary_json_and_counts_csv(registry):
     assert '"share_international_docs": "1/2"' in text
 
     m = build_incidence(documents)
-    csv_text = counts_csv([integer_counts(m), fractional_counts(m)], registry)
+    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    csv_text = counts_csv(net, registry)
     lines = csv_text.splitlines()
     assert lines[0] == "country,iso3,scheme,value"
     assert "NETHERLANDS,NLD,integer,1" in lines
@@ -225,6 +224,13 @@ def test_summary_json_and_counts_csv(registry):
     assert "UK,GBR,fractional,1.333333" in lines
 
 
-def test_count_scheme_values():
-    assert CountScheme.INTEGER.value == "integer"
-    assert CountScheme.FRACTIONAL.value == "fractional"
+def test_count_scheme_values(registry):
+    """counts.csv holds every integer count, then every fractional one."""
+    m = build_incidence([doc("d1", {"UK": 1, "SPAIN": 3}), doc("d2", {"CHILE": 1})])
+    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    rows = [line.split(",") for line in counts_csv(net, registry).splitlines()[1:]]
+    assert [(country, scheme) for country, _iso3, scheme, _value in rows] == [
+        (country, scheme)
+        for scheme in ("integer", "fractional")
+        for country in ("CHILE", "SPAIN", "UK")
+    ]

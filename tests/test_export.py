@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from collabmap.counting import CorpusSummary, CountScheme, CountVector, build_incidence, fractional_counts, integer_counts
+from collabmap.counting import CorpusSummary, build_incidence, fractional_counts, integer_counts
 from collabmap.corpus import load_registry
 from collabmap.errors import DataError
 from collabmap.exports.geo import SizeRule, build_geo_spec, export_geo, great_circle_points
@@ -13,7 +13,14 @@ from collabmap.exports.pajek import NetFileModel, NetVertex, build_net_model, ex
 from collabmap.exports.report import export_report, focus_stats, report_dict
 from collabmap.exports.vosviewer import export_vosviewer
 from collabmap.layout import Layout, LayoutConfig, layout_components
-from collabmap.network import NetworkStats, build_coauth_network, network_stats, threshold_network
+from collabmap.network import (
+    CoauthNetwork,
+    NodeInfo,
+    NetworkStats,
+    build_coauth_network,
+    network_stats,
+    threshold_network,
+)
 
 from conftest import make_documents
 from test_network import fake_network
@@ -189,8 +196,7 @@ def test_canada_sweden_link_label():
         {("CANADA", "SWEDEN"): 1401},
     )
     sub = threshold_network(net, 500, 500)
-    counts_frac = CountVector(CountScheme.FRACTIONAL, {"CANADA": Fraction(30000), "SWEDEN": Fraction(12000)})
-    doc, nodes_text, links_text = export_geo(sub, counts_frac, registry)
+    doc, nodes_text, links_text = export_geo(sub, registry)
     obj = validate_geojson(doc)
     labels = [
         f["properties"]["label"]
@@ -200,7 +206,7 @@ def test_canada_sweden_link_label():
     assert labels == ["CANADA–SWEDEN: 1401"]
     assert '"CANADA–SWEDEN: 1401"' in links_text
     assert nodes_text.splitlines()[0] == "type,latitude,longitude,name,desc"
-    assert "W,56.100000,-106.300000,CANADA" in nodes_text
+    assert 'W,56.100000,-106.300000,CANADA,"papers: 30000.000000"' in nodes_text.splitlines()
 
 
 def test_geojson_round_trips_with_identical_features():
@@ -214,10 +220,7 @@ def test_geojson_round_trips_with_identical_features():
                 edges[(names[i], names[j])] = rng.randint(1, 40)
     net = fake_network({c: Fraction(rng.randint(2, 500)) for c in names}, edges)
     sub = threshold_network(net, 0, 0)
-    counts_frac = CountVector(
-        CountScheme.FRACTIONAL, {c: net.nodes[c].fractional_papers for c in names}
-    )
-    doc, _nodes, _links = export_geo(sub, counts_frac, registry)
+    doc, _nodes, _links = export_geo(sub, registry)
     first = validate_geojson(doc)
     second = json.loads(json.dumps(first))
     assert second == first
@@ -231,9 +234,8 @@ def test_geo_missing_centroid_rejected():
     registry = load_registry()
     net = fake_network({"ATLANTIS": Fraction(10)}, {})
     sub = threshold_network(net, 0, 0)
-    counts_frac = CountVector(CountScheme.FRACTIONAL, {"ATLANTIS": Fraction(10)})
     with pytest.raises(DataError, match="ATLANTIS"):
-        export_geo(sub, counts_frac, registry)
+        export_geo(sub, registry)
 
 
 def test_links_csv_track_row_pairs():
@@ -243,8 +245,7 @@ def test_links_csv_track_row_pairs():
         {("CHILE", "SPAIN"): 9},
     )
     sub = threshold_network(net, 0, 0)
-    counts_frac = CountVector(CountScheme.FRACTIONAL, {"CHILE": Fraction(100), "SPAIN": Fraction(200)})
-    _doc, _nodes, links_text = export_geo(sub, counts_frac, registry)
+    _doc, _nodes, links_text = export_geo(sub, registry)
     lines = links_text.splitlines()
     assert lines[0] == "type,latitude,longitude,name"
     assert len(lines) == 3
@@ -267,8 +268,7 @@ def test_great_circle_interpolation():
         {("CHILE", "SPAIN"): 9},
     )
     sub = threshold_network(net, 0, 0)
-    counts_frac = CountVector(CountScheme.FRACTIONAL, {"CHILE": Fraction(100), "SPAIN": Fraction(200)})
-    doc, _nodes, links_text = export_geo(sub, counts_frac, registry, great_circle=True)
+    doc, _nodes, links_text = export_geo(sub, registry, great_circle=True)
     obj = validate_geojson(doc)
     line = next(f for f in obj["features"] if f["geometry"]["type"] == "LineString")
     assert len(line["geometry"]["coordinates"]) == 32
@@ -281,10 +281,7 @@ def test_node_ordering_and_fixed_decimals():
         {"SWEDEN": Fraction(1), "CANADA": Fraction(1), "BRAZIL": Fraction(1)}, {}
     )
     sub = threshold_network(net, 0, 0)
-    counts_frac = CountVector(
-        CountScheme.FRACTIONAL, {c: Fraction(1) for c in ("SWEDEN", "CANADA", "BRAZIL")}
-    )
-    _doc, nodes_text, _links = export_geo(sub, counts_frac, registry)
+    _doc, nodes_text, _links = export_geo(sub, registry)
     countries = [line.split(",")[3] for line in nodes_text.splitlines()[1:]]
     assert countries == ["BRAZIL", "CANADA", "SWEDEN"]
     for line in nodes_text.splitlines()[1:]:
@@ -333,9 +330,8 @@ def test_report_renders_paper_arithmetic():
 
 
 def test_report_focus_block_renders_ratio():
-    counts_int = CountVector(CountScheme.INTEGER, {"INDONESIA": 559})
-    counts_frac = CountVector(CountScheme.FRACTIONAL, {"INDONESIA": Fraction(2279, 10)})
-    focus = focus_stats("INDONESIA", counts_int, counts_frac)
+    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10), degree=0)
+    focus = focus_stats("INDONESIA", CoauthNetwork(nodes={"INDONESIA": indonesia}, edges={}))
     assert focus["mean_coauthorship_ratio"] == 2.5
     assert focus["fractional_papers_display"] == 227.9
     text = export_report(paper_summary(), full_parent_stats(), focus)

@@ -23,7 +23,7 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import brute_force_edges, make_documents
+from conftest import brute_force_edges, column_doc_sets, make_documents
 
 
 def doc(record_id, addresses):
@@ -88,31 +88,33 @@ def test_mismatched_universe_rejected():
 
 
 def test_edge_weights_equal_binarized_inner_products():
-    rng = random.Random(31)
-    documents = make_documents(rng, 80, 9, intl_prob=0.5)
-    m, net = network_from_documents(documents)
-    doc_sets = m.column_doc_sets()
-    index = {c: i for i, c in enumerate(m.countries)}
-    for i, a in enumerate(m.countries):
-        for b in m.countries[i + 1:]:
-            expected = len(doc_sets[index[a]] & doc_sets[index[b]])
-            assert net.weight(a, b) == expected
+    for seed in range(31, 36):
+        documents = make_documents(random.Random(seed), 80, 9, intl_prob=0.5)
+        m, net = network_from_documents(documents)
+        doc_sets = column_doc_sets(m)
+        for i, a in enumerate(m.countries):
+            assert net.nodes[a].integer_papers == len(doc_sets[i])
+            for j in range(i + 1, len(m.countries)):
+                assert net.weight(a, m.countries[j]) == len(doc_sets[i] & doc_sets[j])
 
 
 # ---------------------------------------------------------------------------
 # cosine similarity
 # ---------------------------------------------------------------------------
 
+def cosine_of(documents):
+    return cosine_similarity(network_from_documents(documents)[1])
+
+
 def test_cosine_identical_columns():
     documents = [doc("d1", {"A": 1, "B": 2}), doc("d2", {"A": 3, "B": 1})]
-    m = build_incidence(documents)
-    sim = cosine_similarity(m)
+    sim = cosine_of(documents)
     assert sim.sim("A", "B") == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal_columns():
     documents = [doc("d1", {"A": 1}), doc("d2", {"B": 1})]
-    sim = cosine_similarity(build_incidence(documents))
+    sim = cosine_of(documents)
     assert sim.sim("A", "B") == 0.0
 
 
@@ -123,31 +125,30 @@ def test_cosine_hand_computed_overlap():
         doc("d3", {"A": 1, "B": 1}),
         doc("d4", {"B": 1}),
     ]
-    sim = cosine_similarity(build_incidence(documents))
+    sim = cosine_of(documents)
     assert sim.sim("A", "B") == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_ochiai_identity_against_incidence():
-    rng = random.Random(37)
-    documents = make_documents(rng, 120, 12, intl_prob=0.5)
-    m = build_incidence(documents)
-    sim = cosine_similarity(m)
-    doc_sets = m.column_doc_sets()
-    index = {c: i for i, c in enumerate(m.countries)}
-    for i, a in enumerate(m.countries):
-        assert sim.sim(a, a) == 1.0
-        for b in m.countries[i + 1:]:
-            c_ab = len(doc_sets[index[a]] & doc_sets[index[b]])
-            c_aa = len(doc_sets[index[a]])
-            c_bb = len(doc_sets[index[b]])
-            assert abs(sim.sim(a, b) * math.sqrt(c_aa * c_bb) - c_ab) < 1e-12
-            assert 0.0 <= sim.sim(a, b) <= 1.0
-            assert sim.sim(a, b) == sim.sim(b, a)
+    for seed in range(37, 42):
+        documents = make_documents(random.Random(seed), 120, 12, intl_prob=0.5)
+        m, net = network_from_documents(documents)
+        sim = cosine_similarity(net)
+        doc_sets = column_doc_sets(m)
+        assert sim.countries == m.countries
+        for i, a in enumerate(m.countries):
+            assert sim.sim(a, a) == 1.0
+            for j in range(i + 1, len(m.countries)):
+                b = m.countries[j]
+                c_ab = len(doc_sets[i] & doc_sets[j])
+                assert sim.sim(a, b) == c_ab / math.sqrt(len(doc_sets[i]) * len(doc_sets[j]))
+                assert 0.0 <= sim.sim(a, b) <= 1.0
+                assert sim.sim(a, b) == sim.sim(b, a)
 
 
 def test_cosine_ignores_address_multiplicities():
     documents = [doc("d1", {"A": 4, "B": 1}), doc("d2", {"A": 1, "B": 1})]
-    sim = cosine_similarity(build_incidence(documents))
+    sim = cosine_of(documents)
     assert sim.sim("A", "B") == pytest.approx(1.0)
 
 
@@ -463,11 +464,11 @@ def test_stats_match_recount_oracle():
 
 def test_matrix_csv_exports():
     documents = [doc("d1", {"A": 1, "B": 2}), doc("d2", {"B": 1, "C": 1})]
-    m, net = network_from_documents(documents)
+    _m, net = network_from_documents(documents)
     triples = cooccurrence_triples_csv(net.edges)
     assert triples.splitlines()[0] == "country_a,country_b,value"
     assert "A,B,1" in triples
-    square = similarity_square_csv(cosine_similarity(m))
+    square = similarity_square_csv(cosine_similarity(net))
     lines = square.splitlines()
     assert lines[0] == ",A,B,C"
     assert lines[1].startswith("A,1.000000,")
