@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -295,22 +295,36 @@ class Workspace:
 
     def write_files(self, files: dict[str, str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
-        every one into place; if a write fails, remove the temporaries and
-        re-raise, so the files already in place stay as they were."""
-        moves: list[tuple[Path, Path]] = []
+        each existing target aside and the temporary into its place. If any
+        step fails, put the originals back, remove the new files and the
+        temporaries, and re-raise, so every file stays as it was."""
+        staged: list[tuple[Path, Path]] = []
+        moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
         try:
             for relpath, text in files.items():
                 path = self.root / relpath
                 path.parent.mkdir(parents=True, exist_ok=True)
                 temp = path.with_name(path.name + ".tmp")
-                moves.append((temp, path))
+                staged.append((temp, path))
                 temp.write_text(text, encoding="utf-8", newline="\n")
-            for temp, path in moves:
+            for temp, path in staged:
+                backup = path.with_name(path.name + ".bak") if path.exists() else None
+                if backup is not None:
+                    os.replace(path, backup)
+                moved.append((path, backup))
                 os.replace(temp, path)
         except BaseException:
-            for temp, _path in moves:
+            for path, backup in reversed(moved):
+                if backup is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    os.replace(backup, path)
+            for temp, _path in staged:
                 temp.unlink(missing_ok=True)
             raise
+        for _path, backup in moved:
+            if backup is not None:
+                backup.unlink()
 
     def read_text(self, relpath: str) -> str:
         path = self.root / relpath
@@ -321,9 +335,39 @@ class Workspace:
     def corpus(self) -> Corpus:
         """The corpus of documents.jsonl, reused while the file's digest holds."""
         text = self.read_text("documents.jsonl")
-        if self._corpus is None or self._corpus.digest != _sha256_text(text):
-            self._corpus = Corpus(text)
+        digest = _sha256_text(text)
+        if self._corpus is None or self._corpus.digest != digest:
+            self._corpus = Corpus(digest, load_documents(text))
         return self._corpus
+
+    def offer_corpus(self, text: str, documents: list[filtering.Document]) -> None:
+        """Keep the documents that ``text`` encodes, equal to what
+        load_documents(text) returns, for corpus(), which uses them only if
+        documents.jsonl on disk turns out to hold that text."""
+        self._corpus = Corpus(_sha256_text(text), documents)
+
+
+def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callable) -> tuple[str, Any]:
+    """The sha256 of a JSON intermediate's text and the ``cls`` dataclass it
+    holds, each field named in ``convert`` parsed back from its JSON form. A
+    file that is not such an object is a DataError that names the file."""
+    text = ws.read_text(relpath)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{relpath}: not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{relpath}: not a JSON object")
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
+    if unknown or missing:
+        raise DataError(f"{relpath}: unknown keys {unknown}, missing keys {missing}")
+    for name, parse in convert.items():
+        try:
+            obj[name] = parse(obj[name])
+        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise DataError(f"{relpath}: bad {name}: {exc}") from exc
+    return _sha256_text(text), cls(**obj)
 
 
 def _sha256_text(text: str) -> str:
@@ -342,7 +386,8 @@ def _json_artifact(obj) -> str:
 
 def update_manifest(
     ws: Workspace, stage: str, config_view: dict, inputs: dict[str, str], files: dict[str, str]
-) -> None:
+) -> str:
+    """The text of the workspace's manifest with the stage's entry replaced."""
     manifest_path = ws.root / MANIFEST_NAME
     manifest = {"stages": {}}
     if manifest_path.is_file():
@@ -352,35 +397,36 @@ def update_manifest(
         "inputs": inputs,
         "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
     }
-    ws.write_files({MANIFEST_NAME: _json_dumps(manifest)})
+    return _json_dumps(manifest)
 
 
 # ---------------------------------------------------------------------------
 # intermediate representations
 # ---------------------------------------------------------------------------
 
+# one encoder for every line; json.dumps with these arguments builds one per call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def documents_jsonl(documents: list[filtering.Document]) -> str:
-    lines = []
-    for doc in documents:
-        lines.append(
-            json.dumps(
-                {
-                    "record_id": doc.record_id,
-                    "doc_type": doc.doc_type,
-                    "country_addresses": doc.country_addresses,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
+    encode = _JSONL_ENCODER.encode
+    lines = [
+        encode({
+            "record_id": doc.record_id,
+            "doc_type": doc.doc_type,
+            "country_addresses": doc.country_addresses,
+        })
+        for doc in documents
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_documents(text: str) -> list[filtering.Document]:
     """The documents of documents.jsonl; a malformed line is a DataError
-    that names its line number."""
+    that names its line number. Lines end at "\n" only, as JSONL's do:
+    a record id may hold U+2028 or U+0085, which the writer leaves raw."""
     documents = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"documents.jsonl line {line_no}"
@@ -412,15 +458,19 @@ def load_documents(text: str) -> list[filtering.Document]:
 
 
 class Corpus:
-    """The documents of one documents.jsonl and the network, which carries
-    every country's counts, that every stage derives from them; cosine
-    similarity is built on first use."""
+    """The documents of the documents.jsonl text with sha256 ``digest``, and
+    the network, which carries every country's counts, that every stage
+    derives from them; the network and cosine similarity are built on first
+    use."""
 
-    def __init__(self, text: str):
-        self.digest = _sha256_text(text)
-        self.documents = load_documents(text)
+    def __init__(self, digest: str, documents: list[filtering.Document]):
+        self.digest = digest
+        self.documents = documents
+
+    @cached_property
+    def net(self) -> network.CoauthNetwork:
         matrix = counting.build_incidence(self.documents)
-        self.net = network.build_coauth_network(
+        return network.build_coauth_network(
             matrix, counting.integer_counts(matrix), counting.fractional_counts(matrix)
         )
 
@@ -518,8 +568,10 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
             raise DataError(f"duplicate record id across inputs: {rec.record_id!r}")
         seen.add(rec.record_id)
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
+    documents_text = documents_jsonl(documents)
+    ws.offer_corpus(documents_text, documents)
     return input_digests, {
-        "documents.jsonl": documents_jsonl(documents),
+        "documents.jsonl": documents_text,
         "filter-report.json": _json_artifact(report.as_dict()),
         "parse-issues.json": _json_artifact(all_issues),
     }
@@ -527,9 +579,8 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
     corpus = ws.corpus()
-    report_text = ws.read_text("filter-report.json")
-    inputs = {"documents.jsonl": corpus.digest, "filter-report.json": _sha256_text(report_text)}
-    report = filtering.FilterReport(**json.loads(report_text))
+    report_digest, report = _read_intermediate(ws, "filter-report.json", filtering.FilterReport)
+    inputs = {"documents.jsonl": corpus.digest, "filter-report.json": report_digest}
     return inputs, {
         "summary.json": counting.summary_json(counting.summarize(corpus.documents, report)),
         "counts.csv": counting.counts_csv(corpus.net, cfg.registry),
@@ -598,23 +649,15 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
-    summary_text = ws.read_text("summary.json")
-    stats_text = ws.read_text("thresholded/stats.json")
-    inputs = {
-        "summary.json": _sha256_text(summary_text),
-        "thresholded/stats.json": _sha256_text(stats_text),
-    }
-    summary_obj = json.loads(summary_text)
-    summary = counting.CorpusSummary(**{
-        **summary_obj,
-        "share_international_docs": Fraction(summary_obj["share_international_docs"]),
-        "share_addresses_international": Fraction(summary_obj["share_addresses_international"]),
-    })
-    stats_obj = json.loads(stats_text)
-    stats = network.NetworkStats(**{
-        **stats_obj,
-        "degree_histogram": {int(k): v for k, v in stats_obj["degree_histogram"].items()},
-    })
+    summary_digest, summary = _read_intermediate(
+        ws, "summary.json", counting.CorpusSummary,
+        share_international_docs=Fraction, share_addresses_international=Fraction,
+    )
+    stats_digest, stats = _read_intermediate(
+        ws, "thresholded/stats.json", network.NetworkStats,
+        degree_histogram=lambda histogram: {int(k): v for k, v in histogram.items()},
+    )
+    inputs = {"summary.json": summary_digest, "thresholded/stats.json": stats_digest}
     focus = None
     if cfg.ego_focus:
         focus_path = f"ego/{cfg.ego_focus.strip().upper()}/focus.json"
@@ -649,8 +692,9 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
 
 def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
     inputs, files = _STAGE_FUNCS[stage](cfg, ws)
-    ws.write_files(files)
-    update_manifest(ws, stage, cfg.stage_view(stage), inputs, files)
+    manifest = update_manifest(ws, stage, cfg.stage_view(stage), inputs, files)
+    # one batch, so the files and the manifest that lists them change together
+    ws.write_files({**files, MANIFEST_NAME: manifest})
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ def filter_documents(
     """
     report = FilterReport(n_records=len(records))
     documents: list[Document] = []
+    # resolve_country reads only the text after the last comma, so each
+    # distinct tail is resolved once
+    resolved_by_tail: dict[str, str | Unrecognized] = {}
     for rec in records:
         doc_type = canonical_doc_type(rec.doc_type, synonyms)
         if doc_type is None:
@@ -89,7 +92,10 @@ def filter_documents(
             continue
         counts: dict[str, int] = {}
         for line in rec.address_lines:
-            resolved = resolve_country(line, registry)
+            tail = line.rsplit(",", 1)[-1]
+            resolved = resolved_by_tail.get(tail)
+            if resolved is None:
+                resolved = resolved_by_tail[tail] = resolve_country(tail, registry)
             if isinstance(resolved, Unrecognized):
                 report.unrecognized[resolved.token] += 1
             else:

@@ -67,12 +67,6 @@ def parse_records(
     return records, issues
 
 
-def _is_tag_line(line: str) -> bool:
-    return len(line) >= 2 and line[:2].isalnum() and line[:2].isupper() and (
-        len(line) == 2 or line[2] == " "
-    )
-
-
 def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[ParseIssue]]:
     records: list[RawRecord] = []
     issues: list[ParseIssue] = []
@@ -110,7 +104,7 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
                 record_id=record_id,
                 doc_type=fields.get("DT", [""])[0].strip(),
                 pub_year=year,
-                address_lines=tuple(a for a in fields.get("C1", []) if a.strip()),
+                address_lines=tuple(filter(None, fields.get("C1", ()))),
                 title=title,
             )
         )
@@ -120,24 +114,26 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if line.startswith("   ") and in_record:
-            if current_tag is None:
-                issues.append(ParseIssue(line_no, "continuation line without a field"))
+        # a tag line opens with two upper-case letters or digits, alone or
+        # before a space, so it is never blank or a continuation line
+        tag = line[:2]
+        if not (len(tag) == 2 and tag.isalnum() and tag.isupper() and line[2:3] in ("", " ")):
+            stripped = line.strip()
+            if not stripped:
                 continue
-            # repeatable fields (C1) gain a new item; scalar fields (TI)
-            # are re-joined with spaces when the record closes
-            fields[current_tag].append(stripped)
-            continue
-        if not _is_tag_line(line):
-            if in_record:
+            if in_record and line.startswith("   "):
+                if current_tag is None:
+                    issues.append(ParseIssue(line_no, "continuation line without a field"))
+                else:
+                    # repeatable fields (C1) gain a new item; scalar fields
+                    # (TI) are re-joined with spaces when the record closes
+                    fields[current_tag].append(stripped)
+            elif in_record:
                 issues.append(ParseIssue(line_no, f"unparseable line inside record: {stripped!r}"))
             else:
                 issues.append(ParseIssue(line_no, f"content outside any record: {stripped!r}"))
             continue
-        tag, value = line[:2], line[3:].strip() if len(line) > 3 else ""
+        value = line[3:].strip()
         if tag == _RECORD_START:
             if in_record:
                 discard(line_no, "record not terminated by ER; span dropped")

@@ -74,13 +74,22 @@ def build_incidence(documents: list[Document]) -> IncidenceMatrix:
 
 
 def fractional_counts(m: IncidenceMatrix) -> dict[str, Fraction]:
-    """Per-country sum of per-paper address shares, exact in rationals."""
-    totals = [Fraction(0)] * len(m.countries)
+    """Per-country sum of per-paper address shares, exact in rationals.
+
+    Shares with the same denominator (a paper's address total) are summed
+    as integers first, so each country adds one Fraction per distinct
+    denominator rather than one per paper.
+    """
+    numerators: list[dict[int, int]] = [{} for _ in m.countries]
     for row in m.rows:
         addresses = sum(row.values())
         for c, v in row.items():
-            totals[c] += Fraction(v, addresses)
-    return dict(zip(m.countries, totals))
+            by_denominator = numerators[c]
+            by_denominator[addresses] = by_denominator.get(addresses, 0) + v
+    return {
+        country: sum((Fraction(n, d) for d, n in by_denominator.items()), Fraction(0))
+        for country, by_denominator in zip(m.countries, numerators)
+    }
 
 
 def integer_counts(m: IncidenceMatrix) -> dict[str, int]:

@@ -9,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabmap import cli, counting, layout, network
 from collabmap.corpus import filtering, registry as registry_mod
@@ -213,6 +215,36 @@ def test_failed_write_keeps_the_previous_files(tmp_path, corpus_file, monkeypatc
     assert tree_bytes(ws.root) == before
 
 
+@pytest.mark.parametrize("failing, fresh", [
+    pytest.param("filter-report.json", False, id="second-stage-file"),
+    pytest.param("run-manifest.json", False, id="manifest"),
+    pytest.param("run-manifest.json", True, id="manifest-of-a-first-run"),
+])
+def test_failed_move_restores_the_files_and_the_manifest(tmp_path, corpus_file, monkeypatch,
+                                                         failing, fresh):
+    """A rerun whose move of a new file into place fails, after earlier
+    moves succeeded, puts back every original and leaves no new file."""
+    ws = Workspace(tmp_path / "ws")
+    if not fresh:
+        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+    before = tree_bytes(ws.root)
+    replace = os.replace
+    placed = []
+
+    def fail_on_the_move_into(src, dst):
+        if Path(src).name.endswith(".tmp"):
+            placed.append(Path(dst).name)
+            if Path(dst).name == failing:
+                raise OSError("rename failed")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_the_move_into)
+    with pytest.raises(OSError, match="rename failed"):
+        _run_stage("ingest", RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]), ws)
+    assert placed[-1] == failing and len(placed) >= 2
+    assert tree_bytes(ws.root) == before
+
+
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
     not_a_dir = tmp_path / "corpus.txt"
     shutil.copy(corpus_file, not_a_dir)
@@ -309,6 +341,38 @@ def test_malformed_documents_line_is_data_error_before_any_write(tmp_path, corpu
     assert tree_bytes(ws) == before
 
 
+@pytest.fixture(scope="module")
+def net_workspace(tmp_path_factory, corpus_file) -> Path:
+    ws = tmp_path_factory.mktemp("net") / "ws"
+    for argv in (["ingest", "--input", str(corpus_file)], ["summary"], ["net"]):
+        assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_OK
+    return ws
+
+
+@pytest.mark.parametrize("relpath, stage", [
+    ("filter-report.json", "summary"),
+    ("summary.json", "export"),
+    ("thresholded/stats.json", "export"),
+])
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda obj: json.dumps(obj) + "x", id="not-json"),
+    pytest.param(lambda obj: '{"bogus": 1}', id="unknown-key"),
+    pytest.param(lambda obj: json.dumps(dict(list(obj.items())[1:])), id="missing-key"),
+    pytest.param(lambda obj: json.dumps(list(obj)), id="not-an-object"),
+])
+def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
+                                                               relpath, stage, edit):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    path = ws / relpath
+    path.write_text(edit(json.loads(path.read_text())))
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main([stage, "--workspace", str(ws)]) == EXIT_DATA
+    assert f"error: {relpath}: " in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
 def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
@@ -370,6 +434,46 @@ def test_subcommand_chain_equals_monolithic_run(tmp_path, corpus_file):
     assert tree_bytes(chained) == tree_bytes(monolithic)
 
 
+def test_line_separators_in_record_ids_run_like_the_chain(tmp_path, corpus_file):
+    """JSON leaves U+0085, U+2028 and U+2029 raw, so documents.jsonl lines
+    end at "\\n" alone: run, which takes the corpus from ingest, and the
+    chain, which reads documents.jsonl, agree on the exit code and tree."""
+    odd = tmp_path / "odd.txt"
+    seps = iter(["\u2028", "\u2029", "\x85"] * 3)
+    lines = corpus_file.read_text(encoding="utf-8").split("\n")
+    lines = [line + next(seps, "") + "x" if line.startswith("UT ") else line for line in lines]
+    odd.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    codes = {}
+    for label, argvs in (
+        ("run", [["run", "--input", str(odd)] + RUN_FLAGS]),
+        ("chain", [["ingest", "--input", str(odd)], ["summary"], ["net"] + RUN_FLAGS[:4],
+                   ["geo"] + RUN_FLAGS[:4], ["core"] + RUN_FLAGS[4:], ["export"]]),
+    ):
+        ws = tmp_path / label
+        codes[label] = [main([argv[0], "--workspace", str(ws)] + argv[1:]) for argv in argvs]
+    assert codes == {"run": [EXIT_OK], "chain": [EXIT_OK] * 6}
+    documents_text = (tmp_path / "run" / "documents.jsonl").read_text(encoding="utf-8")
+    assert "\u2028" in documents_text and "\x85" in documents_text
+    assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "chain")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        st.sampled_from(["Article", "Review", "Letter"]),
+        st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+                        st.integers(1, 9), min_size=1, max_size=3),
+    ),
+    max_size=6,
+))
+def test_documents_jsonl_reloads_the_documents_it_wrote(rows):
+    """The documents that ingest hands to the workspace equal what
+    load_documents reads back from the text ingest writes."""
+    docs = [filtering.Document(rid, dt, dict(sorted(ca.items()))) for rid, dt, ca in rows]
+    assert cli.load_documents(cli.documents_jsonl(docs)) == docs
+
+
 def test_stages_return_their_files_and_write_nothing(tmp_path, corpus_file):
     probe = tmp_path / "probe"
     assert main(["run", "--workspace", str(probe), "--input", str(corpus_file)] + RUN_FLAGS) == EXIT_OK
@@ -414,9 +518,10 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     assert main(["run", "--workspace", str(tmp_path / "ws"), "--input", str(corpus_file)] + flags) == EXIT_OK
     assert calls["cosine_similarity"] <= 1
     del calls["cosine_similarity"]
+    # run takes the corpus from ingest instead of re-reading documents.jsonl
+    assert calls["load_documents"] == 0
     assert calls == dict.fromkeys(
-        ["load_documents", "build_incidence", "fractional_counts", "build_coauth_network",
-         "load_registry"], 1
+        ["build_incidence", "fractional_counts", "build_coauth_network", "load_registry"], 1
     )
 
 
@@ -424,20 +529,60 @@ def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_fi
     other = tmp_path / "other.txt"
     assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
                  "--intl-prob", "0.5", "--seed", "3"]) == EXIT_OK
-    loads = []
-    load = cli.load_documents
-    monkeypatch.setattr(cli, "load_documents", lambda text: loads.append(text) or load(text))
+    builds = []
+    build = counting.build_incidence
+    monkeypatch.setattr(counting, "build_incidence", lambda docs: builds.append(docs) or build(docs))
 
     reused = Workspace(tmp_path / "reused")
     for stage, path in (("ingest", corpus_file), ("net", None), ("ingest", other), ("net", None),
                         ("geo", None)):
         _run_stage(stage, RunConfig(inputs=[str(path)] if path else []), reused)
-    assert len(loads) == 2
+    assert len(builds) == 2
 
     fresh = Workspace(tmp_path / "fresh")
     for stage in ("ingest", "net", "geo"):
         _run_stage(stage, RunConfig(inputs=[str(other)]), fresh)
     assert tree_bytes(reused.root) == tree_bytes(fresh.root)
+
+
+def test_documents_changed_after_ingest_are_read_from_disk(tmp_path, corpus_file, monkeypatch):
+    """The corpus that ingest hands on is dropped once documents.jsonl no
+    longer holds what ingest wrote."""
+    other = tmp_path / "other.txt"
+    assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
+                 "--intl-prob", "0.5", "--seed", "3"]) == EXIT_OK
+    other_ws = tmp_path / "other"
+    assert main(["ingest", "--workspace", str(other_ws), "--input", str(other)]) == EXIT_OK
+    assert main(["net", "--workspace", str(other_ws)]) == EXIT_OK
+    edited = (other_ws / "documents.jsonl").read_bytes()
+    loads = []
+    load = cli.load_documents
+    monkeypatch.setattr(cli, "load_documents", lambda text: loads.append(text) or load(text))
+
+    trees = []
+    for label in ("reused", "fresh"):
+        ws = Workspace(tmp_path / label)
+        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+        (ws.root / "documents.jsonl").write_bytes(edited)
+        if label == "fresh":
+            ws = Workspace(ws.root)
+        _run_stage("net", RunConfig(), ws)
+        trees.append(tree_bytes(ws.root))
+    assert [text.encode("utf-8") for text in loads] == [edited, edited]
+    assert trees[0] == trees[1]
+    assert trees[0]["network/nodes.csv"] == (other_ws / "network" / "nodes.csv").read_bytes()
+
+
+def test_documents_jsonl_lines_are_sorted_key_json():
+    docs = [
+        filtering.Document("Zürich \"1\"", "Article", {"CÔTE D'IVOIRE": 2, "BELGIUM": 1}),
+        filtering.Document("x\ty", "Letter", {"JAPAN": 1}),
+    ]
+    expected = "".join(
+        json.dumps(dataclasses.asdict(doc), sort_keys=True, ensure_ascii=False) + "\n" for doc in docs
+    )
+    assert cli.documents_jsonl(docs) == expected
+    assert cli.documents_jsonl([]) == ""
 
 
 def test_config_file_drives_run(tmp_path, corpus_file):

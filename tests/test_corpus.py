@@ -1,3 +1,4 @@
+import random
 import string
 
 import pytest
@@ -12,10 +13,11 @@ from collabmap.corpus import (
     resolve_country,
     write_tagged,
 )
+from collabmap.corpus import records as records_mod
 from collabmap.corpus.records import RawRecord, write_delimited
 from collabmap.errors import ConfigError, ParseError
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, _parse_tagged, reference_filter_documents
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +321,68 @@ def test_resolve_never_raises(lines):
     for line in lines:
         result = resolve_country(line, registry)
         assert isinstance(result, (str, Unrecognized))
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-line oracles in conftest
+# ---------------------------------------------------------------------------
+
+_SOUP_LINES = [
+    "PT J", "PT J", "ER", "ER", "EF", "UT A1", "UT A1", "UT A2", "UT ", "UT",
+    "DT Article", "DT Editorial Material", "PY 2011", "PY 20x1", "PY", "TI A study",
+    "C1 Univ Oslo, Oslo, Norway", "C1 ", "C1", "   continued text", "   ", "",
+    "stray text", "A", "AB", "ab cd", "A1 value", "\u00c4B umlaut tag", "PTJ", " PT J",
+    "ER trailing", "X1\tvalue", "  two spaces", "UT A1 ", "C1  ", "DT Article \t",
+]
+_soup_line = st.one_of(
+    st.sampled_from(_SOUP_LINES),
+    st.text(alphabet="PTEFRUCIDY1 ,\r\tab", max_size=8),
+)
+
+
+# a record span: PT, a few lines of any kind, and ER unless it is missing
+_soup_record = st.builds(
+    lambda body, closed: ["PT J", *body] + (["ER"] if closed else []),
+    st.lists(_soup_line, max_size=6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_soup_record, st.lists(_soup_line, max_size=2)),
+                          st.booleans()), max_size=12))
+def test_tagged_parser_equals_per_line_oracle(chunks):
+    text = "\n".join(line + ("\r" if cr else "") for lines, cr in chunks for line in lines)
+    assert records_mod._parse_tagged(text, "soup") == _parse_tagged(text, "soup")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA_DIR.iterdir()))
+def test_filter_equals_per_line_oracle_on_fixtures(registry, name):
+    fmt = "delimited" if name.endswith(".csv") else "tagged"
+    records, _ = parse_records((DATA_DIR / name).read_text(encoding="utf-8"), fmt, source_name=name)
+    assert records
+    assert filter_documents(records, registry) == reference_filter_documents(records, registry)
+
+
+def test_filter_equals_per_line_oracle_on_repeated_tails(registry):
+    tails = ["Moscow, USSR", "Brussels, Belgium.", "New York, NY 10012 USA", "Oslo, Norway",
+             "Leeds, England", "Atlantis", "", " ", "Lab, ", "Paris, France;", "Kyoto, JAPAN"]
+    rng = random.Random(5)
+
+    def tail():
+        # one line in four ends in a state and zip tail that seldom repeats
+        if rng.random() < 0.25:
+            return f"Boston, MA {rng.randrange(100000):05d} USA"
+        return rng.choice(tails)
+
+    records = [
+        RawRecord(f"g{i}", rng.choice(["Article", "Review", "Meeting Abstract"]), 2011,
+                  tuple(f"Univ {rng.randint(1, 3)}, {tail()}" for _ in range(rng.randint(0, 6))))
+        for i in range(400)
+    ]
+    docs, report = filter_documents(records, registry)
+    assert (docs, report) == reference_filter_documents(records, registry)
+    assert {"USSR", ""} <= set(report.unrecognized)
+    assert len({line for rec in records for line in rec.address_lines if "MA " in line}) > 100
+    assert {"BELGIUM", "USA"} <= {c for doc in docs for c in doc.country_addresses}
+

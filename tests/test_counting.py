@@ -120,6 +120,7 @@ def test_fractional_conservation_property(seed, n_docs):
     documents = make_documents(rng, n_docs, rng.randint(1, 20))
     totals = fractional_counts(build_incidence(documents))
     assert sum(totals.values()) == n_docs
+    assert totals == fractional_tally(documents)
 
 
 # ---------------------------------------------------------------------------
