@@ -330,7 +330,10 @@ class Workspace:
         path = self.root / relpath
         if not path.is_file():
             raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
 
     def corpus(self) -> Corpus:
         """The corpus of documents.jsonl, reused while the file's digest holds."""
@@ -347,17 +350,24 @@ class Workspace:
         self._corpus = Corpus(_sha256_text(text), documents)
 
 
-def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callable) -> tuple[str, Any]:
-    """The sha256 of a JSON intermediate's text and the ``cls`` dataclass it
-    holds, each field named in ``convert`` parsed back from its JSON form. A
-    file that is not such an object is a DataError that names the file."""
-    text = ws.read_text(relpath)
+def _json_object(relpath: str, text: str) -> dict:
+    """The JSON object that the text of ``relpath`` holds; text that is not
+    one is a DataError that names the file."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{relpath}: not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{relpath}: not a JSON object")
+    return obj
+
+
+def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callable) -> tuple[str, Any]:
+    """The sha256 of a JSON intermediate's text and the ``cls`` dataclass it
+    holds, each field named in ``convert`` parsed back from its JSON form. A
+    file that is not such an object is a DataError that names the file."""
+    text = ws.read_text(relpath)
+    obj = _json_object(relpath, text)
     names = {f.name for f in fields(cls)}
     unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
     if unknown or missing:
@@ -388,11 +398,13 @@ def update_manifest(
     ws: Workspace, stage: str, config_view: dict, inputs: dict[str, str], files: dict[str, str]
 ) -> str:
     """The text of the workspace's manifest with the stage's entry replaced."""
-    manifest_path = ws.root / MANIFEST_NAME
     manifest = {"stages": {}}
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest.setdefault("stages", {})[stage] = {
+    if (ws.root / MANIFEST_NAME).is_file():
+        manifest = _json_object(MANIFEST_NAME, ws.read_text(MANIFEST_NAME))
+    stages = manifest.setdefault("stages", {})
+    if not isinstance(stages, dict):
+        raise DataError(f"{MANIFEST_NAME}: stages is not a JSON object")
+    stages[stage] = {
         "config": config_view,
         "inputs": inputs,
         "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
@@ -617,8 +629,9 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
         _restrict_network(cfg, corpus.net), cfg.min_node_fractional, cfg.min_edge_weight,
         comparator=cfg.comparator,
     )
-    rule = geo_export.SizeRule(s_min=cfg.size_min, s_scale=cfg.size_scale)
-    doc, nodes, links = geo_export.export_geo(sub, cfg.registry, rule, great_circle=cfg.great_circle)
+    doc, nodes, links = geo_export.export_geo(
+        sub, cfg.registry, cfg.size_min, cfg.size_scale, cfg.great_circle
+    )
     files = {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
     return {"documents.jsonl": corpus.digest}, files
 
@@ -663,7 +676,7 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
         focus_path = f"ego/{cfg.ego_focus.strip().upper()}/focus.json"
         if (ws.root / focus_path).is_file():
             focus_text = ws.read_text(focus_path)
-            focus = json.loads(focus_text)
+            focus = _json_object(focus_path, focus_text)
             inputs["focus.json"] = _sha256_text(focus_text)
     return inputs, {"report.json": report_export.export_report(summary, stats, focus)}
 

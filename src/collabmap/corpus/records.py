@@ -212,12 +212,3 @@ def write_tagged(records: list[RawRecord]) -> str:
     lines.append("EF")
     return "\n".join(lines) + "\n"
 
-
-def write_delimited(records: list[RawRecord]) -> str:
-    """Serialize records as the delimited CSV fallback layout."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "doc_type", "year", "addresses"])
-    for rec in records:
-        writer.writerow([rec.record_id, rec.doc_type, rec.pub_year, "; ".join(rec.address_lines)])
-    return buf.getvalue()

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 class IncidenceMatrix:
     """Sparse document x country address-count matrix, one row per document."""
 
-    doc_ids: list[str]
     countries: list[str]
     rows: list[dict[int, int]]
 
@@ -64,7 +63,6 @@ def build_incidence(documents: list[Document]) -> IncidenceMatrix:
     countries = sorted({c for doc in documents for c in doc.country_addresses})
     country_index = {c: i for i, c in enumerate(countries)}
     return IncidenceMatrix(
-        doc_ids=[doc.record_id for doc in documents],
         countries=countries,
         rows=[
             {country_index[country]: count for country, count in doc.country_addresses.items()}

@@ -1,20 +1,14 @@
 """File-format exporters: geographic maps, Pajek NET, VOSViewer, reports."""
 
-from collabmap.exports.geo import GeoMapSpec, SizeRule, build_geo_spec, export_geo
-from collabmap.exports.pajek import NetFileModel, build_net_model, read_net, write_net
+from collabmap.exports.geo import export_geo
+from collabmap.exports.pajek import export_pajek
 from collabmap.exports.report import export_report, focus_stats
 from collabmap.exports.vosviewer import export_vosviewer
 
 __all__ = [
-    "GeoMapSpec",
-    "NetFileModel",
-    "SizeRule",
-    "build_geo_spec",
-    "build_net_model",
     "export_geo",
+    "export_pajek",
     "export_report",
     "export_vosviewer",
     "focus_stats",
-    "read_net",
-    "write_net",
 ]

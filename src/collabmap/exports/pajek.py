@@ -1,39 +1,18 @@
-"""Pajek NET reading and writing.
+"""Pajek NET writer.
 
-Output is normalized so that write -> read -> write is byte-identical:
-LF newlines, labels quoted with inner quotes doubled, undirected edges
-emitted once with the smaller vertex id first, coordinates at six
-decimals inside the unit box.
+Vertices are numbered 1..n in name order, labels are quoted with inner
+quotes doubled, and each vertex carries its layout coordinates mapped
+into the unit box at six decimals (z fixed at 0.5). Undirected edges are
+written once, smaller vertex id first, in ascending id-pair order. Lines
+end in LF.
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
 
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
 from collabmap.layout import Layout
 from collabmap.network import Subnetwork
-
-_VERTEX_RE = re.compile(
-    r'^(\d+) "((?:[^"]|"")*)"(?: (-?[0-9.]+) (-?[0-9.]+) (-?[0-9.]+))?$'
-)
-
-
-@dataclass(frozen=True)
-class NetVertex:
-    vid: int
-    label: str
-    x: float | None = None
-    y: float | None = None
-    z: float | None = None
-
-
-@dataclass
-class NetFileModel:
-    vertices: list[NetVertex]
-    edges: list[tuple[int, int, int]]
 
 
 def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:
@@ -50,102 +29,24 @@ def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[fl
     }
 
 
-def build_net_model(sub: Subnetwork, layout: Layout | None = None) -> NetFileModel:
-    """Vertices in name order with 1-based ids; edges by ascending id pair."""
+def export_pajek(sub: Subnetwork, layout: Layout) -> str:
+    """The NET file of ``sub`` with every vertex at its layout position."""
     names = sorted(sub.nodes)
+    missing = [name for name in names if name not in layout.coordinates]
+    if missing:
+        raise DataError(f"layout is missing coordinates for: {', '.join(missing)}")
+    boxed = _unit_box({name: layout.coordinates[name] for name in names})
     ids = {name: i + 1 for i, name in enumerate(names)}
-    boxed = None
-    if layout is not None:
-        missing = [name for name in names if name not in layout.coordinates]
-        if missing:
-            raise DataError(f"layout is missing coordinates for: {', '.join(missing)}")
-        boxed = _unit_box({name: layout.coordinates[name] for name in names})
-    vertices = []
+    lines = [f"*Vertices {len(names)}"]
     for name in names:
-        if boxed is None:
-            vertices.append(NetVertex(ids[name], name))
-        else:
-            x, y = boxed[name]
-            vertices.append(NetVertex(ids[name], name, x, y, 0.5))
-    edges = sorted(
-        (min(ids[a], ids[b]), max(ids[a], ids[b]), w) for (a, b), w in sub.edges.items()
-    )
-    return NetFileModel(vertices=vertices, edges=edges)
-
-
-def write_net(model: NetFileModel) -> str:
-    lines = [f"*Vertices {len(model.vertices)}"]
-    for v in model.vertices:
-        label = v.label.replace('"', '""')
-        if v.x is None:
-            lines.append(f'{v.vid} "{label}"')
-        else:
-            lines.append(
-                f'{v.vid} "{label}" {format_fixed(v.x)} {format_fixed(v.y)} {format_fixed(v.z)}'
-            )
+        x, y = boxed[name]
+        label = name.replace('"', '""')
+        lines.append(f'{ids[name]} "{label}" {format_fixed(x)} {format_fixed(y)} {format_fixed(0.5)}')
     lines.append("*Edges")
-    for a, b, w in model.edges:
-        lines.append(f"{a} {b} {w}")
+    lines.extend(
+        f"{a} {b} {w}"
+        for a, b, w in sorted(
+            (min(ids[p], ids[q]), max(ids[p], ids[q]), w) for (p, q), w in sub.edges.items()
+        )
+    )
     return "\n".join(lines) + "\n"
-
-
-def read_net(text: str) -> NetFileModel:
-    vertices: list[NetVertex] = []
-    edges: list[tuple[int, int, int]] = []
-    section = None
-    declared = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        lowered = line.lower()
-        if lowered.startswith("*vertices"):
-            section = "vertices"
-            parts = line.split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise DataError(f"line {line_no}: malformed *Vertices header")
-            declared = int(parts[1])
-            continue
-        if lowered.startswith("*edges"):
-            section = "edges"
-            continue
-        if lowered.startswith("*"):
-            raise DataError(f"line {line_no}: unsupported section {line!r}")
-        if section == "vertices":
-            match = _VERTEX_RE.match(line)
-            if not match:
-                raise DataError(f"line {line_no}: malformed vertex line {line!r}")
-            vid = int(match.group(1))
-            label = match.group(2).replace('""', '"')
-            if match.group(3) is None:
-                vertices.append(NetVertex(vid, label))
-            else:
-                vertices.append(
-                    NetVertex(
-                        vid,
-                        label,
-                        float(match.group(3)),
-                        float(match.group(4)),
-                        float(match.group(5)),
-                    )
-                )
-        elif section == "edges":
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"line {line_no}: malformed edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        else:
-            raise DataError(f"line {line_no}: content before any section")
-    if declared != len(vertices):
-        raise DataError(f"vertex count mismatch: declared {declared}, found {len(vertices)}")
-    ids = {v.vid for v in vertices}
-    if ids != set(range(1, len(vertices) + 1)):
-        raise DataError("vertex ids must be dense 1..n")
-    for a, b, _w in edges:
-        if a not in ids or b not in ids:
-            raise DataError(f"edge ({a}, {b}) references unknown vertex")
-    return NetFileModel(vertices=vertices, edges=edges)
-
-
-def export_pajek(sub: Subnetwork, layout: Layout | None = None) -> str:
-    return write_net(build_net_model(sub, layout))

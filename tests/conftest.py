@@ -1,4 +1,8 @@
+import csv
+import io
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +12,8 @@ from collabmap.corpus import load_registry
 from collabmap.corpus.filtering import Document, FilterReport, canonical_doc_type
 from collabmap.corpus.records import _FILE_END, _RECORD_END, _RECORD_START, ParseIssue, RawRecord
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
+from collabmap.counting import format_fixed
+from collabmap.errors import DataError
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,9 +91,9 @@ def incidence_summary_stats(m) -> dict[str, int]:
     """
     per_doc_countries = [len(row) for row in m.rows]
     per_doc_addresses = [sum(row.values()) for row in m.rows]
-    intl = [d for d in range(len(m.doc_ids)) if per_doc_countries[d] >= 2]
+    intl = [d for d in range(len(m.rows)) if per_doc_countries[d] >= 2]
     return {
-        "n_documents": len(m.doc_ids),
+        "n_documents": len(m.rows),
         "n_international_docs": len(intl),
         "n_addresses_total": sum(per_doc_addresses),
         "n_addresses_international": sum(per_doc_addresses[d] for d in intl),
@@ -229,3 +235,114 @@ def reference_filter_documents(
             )
         )
     return documents, report
+
+
+# ---------------------------------------------------------------------------
+# format oracles: a Pajek NET reader with the vertex/edge model it fills and
+# a writer for that model, and a writer of the delimited record layout;
+# export_pajek must survive write_net(read_net(...)) byte for byte, and
+# parse_records must read back what write_delimited writes
+# ---------------------------------------------------------------------------
+
+_VERTEX_RE = re.compile(
+    r'^(\d+) "((?:[^"]|"")*)"(?: (-?[0-9.]+) (-?[0-9.]+) (-?[0-9.]+))?$'
+)
+
+
+@dataclass(frozen=True)
+class NetVertex:
+    vid: int
+    label: str
+    x: float | None = None
+    y: float | None = None
+    z: float | None = None
+
+
+@dataclass
+class NetFileModel:
+    vertices: list[NetVertex]
+    edges: list[tuple[int, int, int]]
+
+
+def write_net(model: NetFileModel) -> str:
+    lines = [f"*Vertices {len(model.vertices)}"]
+    for v in model.vertices:
+        label = v.label.replace('"', '""')
+        if v.x is None:
+            lines.append(f'{v.vid} "{label}"')
+        else:
+            lines.append(
+                f'{v.vid} "{label}" {format_fixed(v.x)} {format_fixed(v.y)} {format_fixed(v.z)}'
+            )
+    lines.append("*Edges")
+    for a, b, w in model.edges:
+        lines.append(f"{a} {b} {w}")
+    return "\n".join(lines) + "\n"
+
+
+def read_net(text: str) -> NetFileModel:
+    vertices: list[NetVertex] = []
+    edges: list[tuple[int, int, int]] = []
+    section = None
+    declared = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        lowered = line.lower()
+        if lowered.startswith("*vertices"):
+            section = "vertices"
+            parts = line.split()
+            if len(parts) < 2 or not parts[1].isdigit():
+                raise DataError(f"line {line_no}: malformed *Vertices header")
+            declared = int(parts[1])
+            continue
+        if lowered.startswith("*edges"):
+            section = "edges"
+            continue
+        if lowered.startswith("*"):
+            raise DataError(f"line {line_no}: unsupported section {line!r}")
+        if section == "vertices":
+            match = _VERTEX_RE.match(line)
+            if not match:
+                raise DataError(f"line {line_no}: malformed vertex line {line!r}")
+            vid = int(match.group(1))
+            label = match.group(2).replace('""', '"')
+            if match.group(3) is None:
+                vertices.append(NetVertex(vid, label))
+            else:
+                vertices.append(
+                    NetVertex(
+                        vid,
+                        label,
+                        float(match.group(3)),
+                        float(match.group(4)),
+                        float(match.group(5)),
+                    )
+                )
+        elif section == "edges":
+            parts = line.split()
+            if len(parts) != 3:
+                raise DataError(f"line {line_no}: malformed edge line {line!r}")
+            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        else:
+            raise DataError(f"line {line_no}: content before any section")
+    if declared != len(vertices):
+        raise DataError(f"vertex count mismatch: declared {declared}, found {len(vertices)}")
+    ids = {v.vid for v in vertices}
+    if ids != set(range(1, len(vertices) + 1)):
+        raise DataError("vertex ids must be dense 1..n")
+    for a, b, _w in edges:
+        if a not in ids or b not in ids:
+            raise DataError(f"edge ({a}, {b}) references unknown vertex")
+    return NetFileModel(vertices=vertices, edges=edges)
+
+
+def write_delimited(records: list[RawRecord]) -> str:
+    """Serialize records as the delimited CSV fallback layout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "doc_type", "year", "addresses"])
+    for rec in records:
+        writer.writerow([rec.record_id, rec.doc_type, rec.pub_year, "; ".join(rec.address_lines)])
+    return buf.getvalue()

@@ -19,7 +19,7 @@ from collabmap.counting import (
     integer_counts,
 )
 from collabmap.exports.geo import export_geo
-from collabmap.exports.pajek import export_pajek, read_net, write_net
+from collabmap.exports.pajek import export_pajek
 from collabmap.exports.report import export_report, focus_stats
 from collabmap.exports.vosviewer import export_vosviewer
 from collabmap.corpus import load_registry
@@ -39,7 +39,15 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import DATA_DIR, GOLDEN_DIR, brute_force_edges, column_doc_sets, make_documents
+from conftest import (
+    DATA_DIR,
+    GOLDEN_DIR,
+    brute_force_edges,
+    column_doc_sets,
+    make_documents,
+    read_net,
+    write_net,
+)
 from test_cli import tree_bytes
 from test_export import validate_geojson
 from test_layout import random_distance_matrix, random_positions, record_outer_stress, reference_stress

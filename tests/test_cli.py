@@ -373,6 +373,43 @@ def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_wor
     assert tree_bytes(ws) == before
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b'{"country": 1}x', id="not-json"),
+    pytest.param(b'["country"]', id="not-an-object"),
+    pytest.param(b'\xff{}', id="not-utf8"),
+])
+def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_workspace, capsys, data):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    focus = focus_country(ws)
+    assert main(["ego", "--workspace", str(ws), "--focus", focus]) == EXIT_OK
+    relpath = f"ego/{focus}/focus.json"
+    (ws / relpath).write_bytes(data)
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["export", "--workspace", str(ws), "--focus", focus]) == EXIT_DATA
+    assert f"error: {relpath}: " in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b'{"stages": ', "not JSON", id="not-json"),
+    pytest.param(b"[1]", "not a JSON object", id="not-an-object"),
+    pytest.param(b'{"stages": [1]}', "stages is not a JSON object", id="stages-not-an-object"),
+    pytest.param(b'\xff{"stages": {}}', "not UTF-8 text", id="not-utf8"),
+])
+def test_malformed_manifest_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
+                                                          data, message):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    (ws / "run-manifest.json").write_bytes(data)
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
+    assert f"error: run-manifest.json: {message}" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
 def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK

@@ -14,10 +14,10 @@ from collabmap.corpus import (
     write_tagged,
 )
 from collabmap.corpus import records as records_mod
-from collabmap.corpus.records import RawRecord, write_delimited
+from collabmap.corpus.records import RawRecord
 from collabmap.errors import ConfigError, ParseError
 
-from conftest import DATA_DIR, _parse_tagged, reference_filter_documents
+from conftest import DATA_DIR, _parse_tagged, reference_filter_documents, write_delimited
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from collabmap.counting import CorpusSummary, build_incidence, fractional_counts, integer_counts
 from collabmap.corpus import load_registry
 from collabmap.errors import DataError
-from collabmap.exports.geo import SizeRule, build_geo_spec, export_geo, great_circle_points
-from collabmap.exports.pajek import NetFileModel, NetVertex, build_net_model, export_pajek, read_net, write_net
+from collabmap.exports.geo import display_size, export_geo, great_circle_points
+from collabmap.exports.pajek import export_pajek
 from collabmap.exports.report import export_report, focus_stats, report_dict
 from collabmap.exports.vosviewer import export_vosviewer
 from collabmap.layout import Layout, LayoutConfig, layout_components
@@ -22,7 +22,7 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import make_documents
+from conftest import make_documents, read_net, write_net
 from test_network import fake_network
 
 
@@ -51,13 +51,21 @@ def fixture_subnetwork():
 # ---------------------------------------------------------------------------
 
 def test_pajek_two_node_exact_bytes():
-    assert export_pajek(small_subnetwork()) == '*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 7\n'
+    # both nodes on one point: each flat axis maps to the middle of the box
+    layout = make_layout({"A": (3.0, 3.0), "B": (3.0, 3.0)})
+    assert export_pajek(small_subnetwork(), layout) == (
+        '*Vertices 2\n'
+        '1 "A" 0.500000 0.500000 0.500000\n'
+        '2 "B" 0.500000 0.500000 0.500000\n'
+        '*Edges\n'
+        '1 2 7\n'
+    )
 
 
 def test_pajek_empty_network():
     net = fake_network({}, {})
     sub = threshold_network(net, 0, 0)
-    assert export_pajek(sub) == "*Vertices 0\n*Edges\n"
+    assert export_pajek(sub, make_layout({})) == "*Vertices 0\n*Edges\n"
 
 
 def test_pajek_with_coordinates_in_unit_box():
@@ -84,8 +92,8 @@ def test_pajek_write_read_write_byte_identical():
 
 
 def test_pajek_reader_unescapes_labels():
-    model = NetFileModel(vertices=[NetVertex(1, 'He said "hi"')], edges=[])
-    text = write_net(model)
+    sub = threshold_network(fake_network({'He said "hi"': Fraction(1)}, {}), 0, 0)
+    text = export_pajek(sub, make_layout({'He said "hi"': (0.0, 0.0)}))
     assert '""hi""' in text
     assert read_net(text).vertices[0].label == 'He said "hi"'
 
@@ -98,7 +106,7 @@ def test_pajek_reader_rejects_bad_ids():
 def test_pajek_missing_layout_node_rejected():
     sub = small_subnetwork()
     with pytest.raises(DataError, match="B"):
-        build_net_model(sub, make_layout({"A": (0.0, 0.0)}))
+        export_pajek(sub, make_layout({"A": (0.0, 0.0)}))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +186,13 @@ def validate_geojson(text: str) -> dict:
 
 
 def test_display_size_log_rule():
-    rule = SizeRule(s_min=0.0, s_scale=1.0)
-    assert rule.display_size(Fraction(math.e ** 2).limit_denominator(10**12)) == pytest.approx(2.0, abs=1e-9)
+    size = display_size(Fraction(math.e ** 2).limit_denominator(10**12), 0.0, 1.0)
+    assert size == pytest.approx(2.0, abs=1e-9)
 
 
 def test_display_size_strictly_increasing_beyond_clamp():
-    rule = SizeRule(s_min=1.0, s_scale=2.0)
     values = [Fraction(3, 2), Fraction(2), Fraction(10), Fraction(500), Fraction(100000)]
-    sizes = [rule.display_size(v) for v in values]
+    sizes = [display_size(v, 1.0, 2.0) for v in values]
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
 

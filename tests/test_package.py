@@ -1,9 +1,11 @@
-"""Package-wide promises: the README's library example runs, and the only
-runtime dependency is the standard library."""
+"""Package-wide promises: the README's library example runs, the only
+runtime dependency is the standard library, and the benchmark's tracer
+still reaches every exporter."""
 
 import ast
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert namespace["documents"]
     assert json.loads(namespace["geojson"])["type"] == "FeatureCollection"
     assert set(namespace["sim"].countries) == set(namespace["net"].nodes)
+    assert namespace["pajek_net"].startswith("*Vertices ")
 
 
 def test_package_imports_only_the_standard_library():
@@ -45,3 +48,17 @@ def test_package_imports_only_the_standard_library():
                 if top != "collabmap" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def test_tracer_records_a_span_for_every_exporter(tmp_path):
+    """perfbench/tracer.py rebinds each exporter on its module; an exporter
+    renamed, or imported into the CLI by name, would escape its span."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), str(ROOT / "src"), "--",
+         "run", "--workspace", str(tmp_path / "ws"), "--input", str(DATA_DIR / "records_synth20.txt")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert {"exports.geo", "exports.pajek", "exports.vosviewer"} <= names
