@@ -404,6 +404,15 @@ def update_manifest(
     stages = manifest.setdefault("stages", {})
     if not isinstance(stages, dict):
         raise DataError(f"{MANIFEST_NAME}: stages is not a JSON object")
+    for name, entry in stages.items():
+        where = f"{MANIFEST_NAME}: stage {name!r}"
+        if not isinstance(entry, dict):
+            raise DataError(f"{where} is not a JSON object")
+        for key in ("config", "inputs", "artifacts"):
+            if not isinstance(entry.get(key), dict):
+                raise DataError(f"{where}: {key} is not a JSON object")
+            if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
+                raise DataError(f"{where}: {key} maps a name to a non-string")
     stages[stage] = {
         "config": config_view,
         "inputs": inputs,

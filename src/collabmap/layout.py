@@ -7,11 +7,12 @@ one with the largest gradient norm) using damped 2x2 Newton steps with
 backtracking, which keeps total stress non-increasing across outer
 iterations. As in Kamada & Kawai's node-by-node relaxation, every node's
 gradient is kept up to date after each move in O(n) rather than recomputed
-in O(n^2); the kept gradients only choose the next node, while relaxing and
-the stop test use the node's exact gradient, and all gradients are
-recomputed from scratch every n moves to bound floating-point drift. Output
-is gauge-fixed: centroid at the origin and the two farthest-apart nodes
-rotated onto the horizontal axis.
+in O(n^2), and the moved node keeps the exact gradient its relaxation ended
+with; the kept gradients only choose the next node, while relaxing and the
+stop test use the node's exact gradient, and all gradients are recomputed
+from scratch every n moves to bound floating-point drift. Output is
+gauge-fixed: centroid at the origin and the two farthest-apart nodes rotated
+onto the horizontal axis.
 """
 
 from __future__ import annotations
@@ -98,51 +99,44 @@ def ideal_distances(
         adjacency[index[a]].append((index[b], length))
         adjacency[index[b]].append((index[a], length))
 
-    dist = [[math.inf] * n for _ in range(n)]
-    for source in range(n):
-        row = dist[source]
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+    dist = [[inf] * n for _ in range(n)]
+    for source, row in enumerate(dist):
         row[source] = 0.0
         heap = [(0.0, source)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if d > row[u]:
                 continue
             for v, length in adjacency[u]:
                 nd = d + length
                 if nd < row[v]:
                     row[v] = nd
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
 
     longest = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.isinf(dist[i][j]):
-                raise DisconnectedGraphError(
-                    "graph is disconnected; lay out connected components separately"
-                )
-            # enforce exact symmetry (summation order can differ per source)
-            dist[j][i] = dist[i][j]
-            longest = max(longest, dist[i][j])
+    for i, row in enumerate(dist):
+        upper = row[i + 1:]
+        # reachability is symmetric, so a disconnected pair shows in its upper row
+        if inf in upper:
+            raise DisconnectedGraphError(
+                "graph is disconnected; lay out connected components separately"
+            )
+        if upper:
+            longest = max(longest, max(upper))
+        # enforce exact symmetry (summation order can differ per source)
+        for j, value in enumerate(upper, i + 1):
+            dist[j][i] = value
     if longest > 0:
         scale = cfg.diameter / longest
-        for i in range(n):
-            for j in range(n):
-                dist[i][j] *= scale
+        dist = [[value * scale for value in row] for row in dist]
     return dist
 
 
 # ---------------------------------------------------------------------------
-# stress, gradient, Hessian
+# stress, gradient, Hessian: each pair's separation is inlined, and two
+# coincident points are kept apart by a jitter along x
 # ---------------------------------------------------------------------------
-
-def _separation(p: tuple[float, float], q: tuple[float, float], jitter: float):
-    dx, dy = p[0] - q[0], p[1] - q[1]
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        dx, dy = jitter, 0.0
-        r = jitter
-    return dx, dy, r
-
 
 def stress(
     positions: list[tuple[float, float]],
@@ -150,14 +144,12 @@ def stress(
     cfg: LayoutConfig,
 ) -> float:
     """Total spring energy of a configuration (rigid-motion invariant)."""
-    n = len(positions)
-    jitter = 1e-9 * cfg.diameter
+    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = d[i][j]
-            _dx, _dy, r = _separation(positions[i], positions[j], jitter)
-            total += cfg.spring_constant / (dij * dij) * (r - dij) ** 2
+    for i, (xi, yi) in enumerate(positions):
+        for dij, (xj, yj) in zip(d[i][i + 1:], positions[i + 1:]):
+            r = hypot(xi - xj, yi - yj) or jitter
+            total += K / (dij * dij) * (r - dij) ** 2
     return 0.5 * total
 
 
@@ -171,59 +163,78 @@ def stress_gradient(
 
 
 def _node_gradient(i, positions, d, cfg):
-    jitter = 1e-9 * cfg.diameter
+    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
+    row = d[i]
+    xi, yi = positions[i]
     gx = gy = 0.0
-    for j in range(len(positions)):
+    for j, (xj, yj) in enumerate(positions):
         if j == i:
             continue
-        dij = d[i][j]
-        dx, dy, r = _separation(positions[i], positions[j], jitter)
-        factor = cfg.spring_constant / (dij * dij) * (1.0 - dij / r)
+        dij = row[j]
+        dx, dy = xi - xj, yi - yj
+        r = hypot(dx, dy)
+        if r == 0.0:
+            dx, dy, r = jitter, 0.0, jitter
+        factor = K / (dij * dij) * (1.0 - dij / r)
         gx += factor * dx
         gy += factor * dy
     return gx, gy
 
 
 def _update_gradients(grads, m, before, positions, d, cfg) -> None:
-    """Bring every kept gradient up to date after node m moved from ``before``
-    to ``positions[m]``: O(n) instead of a full O(n^2) recompute."""
-    jitter = 1e-9 * cfg.diameter
-    after = positions[m]
-    for i in range(len(positions)):
+    """Bring every other node's kept gradient up to date after node m moved
+    from ``before`` to ``positions[m]``: O(n) instead of a full O(n^2)
+    recompute. The caller stores g_m, which relaxing m has just computed."""
+    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
+    bx, by = before
+    ax, ay = positions[m]
+    for i, (xi, yi) in enumerate(positions):
         if i == m:
             continue
         dim = d[i][m]
-        k = cfg.spring_constant / (dim * dim)
-        dx0, dy0, r0 = _separation(positions[i], before, jitter)
-        dx1, dy1, r1 = _separation(positions[i], after, jitter)
+        k = K / (dim * dim)
+        dx0, dy0 = xi - bx, yi - by
+        r0 = hypot(dx0, dy0)
+        if r0 == 0.0:
+            dx0, dy0, r0 = jitter, 0.0, jitter
+        dx1, dy1 = xi - ax, yi - ay
+        r1 = hypot(dx1, dy1)
+        if r1 == 0.0:
+            dx1, dy1, r1 = jitter, 0.0, jitter
         f0 = k * (1.0 - dim / r0)
         f1 = k * (1.0 - dim / r1)
         gx, gy = grads[i]
         grads[i] = (gx + (f1 * dx1 - f0 * dx0), gy + (f1 * dy1 - f0 * dy0))
-    grads[m] = _node_gradient(m, positions, d, cfg)
 
 
 def _node_energy(i, p, positions, d, cfg):
-    jitter = 1e-9 * cfg.diameter
+    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
+    row = d[i]
+    px, py = p
     total = 0.0
-    for j in range(len(positions)):
+    for j, (xj, yj) in enumerate(positions):
         if j == i:
             continue
-        dij = d[i][j]
-        _dx, _dy, r = _separation(p, positions[j], jitter)
-        total += cfg.spring_constant / (dij * dij) * (r - dij) ** 2
+        dij = row[j]
+        r = hypot(px - xj, py - yj) or jitter
+        total += K / (dij * dij) * (r - dij) ** 2
     return 0.5 * total
 
 
 def _node_hessian(i, positions, d, cfg):
-    jitter = 1e-9 * cfg.diameter
+    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
+    row = d[i]
+    xi, yi = positions[i]
     hxx = hyy = hxy = 0.0
-    for j in range(len(positions)):
+    for j, (xj, yj) in enumerate(positions):
         if j == i:
             continue
-        dij = d[i][j]
-        k = cfg.spring_constant / (dij * dij)
-        dx, dy, r = _separation(positions[i], positions[j], jitter)
+        dij = row[j]
+        k = K / (dij * dij)
+        dx, dy = xi - xj, yi - yj
+        r = hypot(dx, dy)
+        if r == 0.0:
+            dx, dy, r = jitter, 0.0, jitter
         r3 = r * r * r
         hxx += k * (1.0 - dij * dy * dy / r3)
         hyy += k * (1.0 - dij * dx * dx / r3)
@@ -231,14 +242,14 @@ def _node_hessian(i, positions, d, cfg):
     return hxx, hyy, hxy
 
 
-def _relax_node(i, gradient, positions, d, cfg) -> None:
+def _relax_node(i, gradient, positions, d, cfg) -> tuple[float, float]:
     """Drive node i's gradient, starting from ``gradient``, below tolerance
-    without raising its energy."""
+    without raising its energy; return the exact gradient at its final place."""
     gx, gy = gradient
     before = _node_energy(i, positions[i], positions, d, cfg)
     for _ in range(_MAX_INNER_STEPS):
         if math.hypot(gx, gy) < cfg.tolerance:
-            return
+            break
         hxx, hyy, hxy = _node_hessian(i, positions, d, cfg)
         det = hxx * hyy - hxy * hxy
         if abs(det) > 1e-12:
@@ -262,8 +273,9 @@ def _relax_node(i, gradient, positions, d, cfg) -> None:
                 break
             t *= 0.5
         if not moved:
-            return
+            break
         gx, gy = _node_gradient(i, positions, d, cfg)
+    return gx, gy
 
 
 def _initial_positions(n: int, cfg: LayoutConfig) -> list[tuple[float, float]]:
@@ -288,10 +300,10 @@ def _canonical_orientation(positions: list[tuple[float, float]]) -> list[tuple[f
         return centered
     best = (0, 1)
     best_dist = -1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = centered[j][0] - centered[i][0]
-            dy = centered[j][1] - centered[i][1]
+    for i, (xi, yi) in enumerate(centered):
+        for j, (xj, yj) in enumerate(centered[i + 1:], i + 1):
+            dx = xj - xi
+            dy = yj - yi
             dist = dx * dx + dy * dy
             if dist > best_dist:
                 best_dist = dist
@@ -320,19 +332,21 @@ def minimize_stress(
     Each node's gradient is computed once and then kept up to date: when
     node m moves from p to p', every other node i adds f(i, p') - f(i, p),
     its spring force from m at the new place minus that at the old, and g_m
-    is recomputed exactly. Every n moves all gradients are recomputed
-    afresh. The kept gradients only choose the node: it is relaxed from its
-    exact gradient, and when that is below tolerance, or the kept ones say
-    stop while not fresh, all gradients are recomputed and the choice made
-    again. So a run differs from a full recompute before every move only if
+    is the exact gradient that relaxing m ended with. Every n moves all
+    gradients are recomputed afresh. The kept gradients only choose the
+    node: it is relaxed from its exact gradient, and when that is below
+    tolerance, or the kept ones say stop while not fresh, all gradients are
+    recomputed and the choice made again. So a run differs from a full recompute before every move only if
     drift in the last bits flips a near-tie for the largest gradient norm.
     """
     n = len(d)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not d[i][j] > 0:
+    if any(len(row) != n for row in d):
+        raise DataError("ideal distance matrix must be square")
+    for i, row in enumerate(d):
+        for j, (dij, other) in enumerate(zip(row, d)):
+            if i != j and not dij > 0:
                 raise DataError("ideal distances must be positive off the diagonal")
-            if abs(d[i][j] - d[j][i]) > 1e-12:
+            if abs(dij - other[i]) > 1e-12:
                 raise DataError("ideal distance matrix must be symmetric")
     if nodes is None:
         nodes = [str(i) for i in range(n)]
@@ -364,7 +378,7 @@ def minimize_stress(
             fresh = True
             continue
         before = positions[worst]
-        _relax_node(worst, gradient, positions, d, cfg)
+        grads[worst] = _relax_node(worst, gradient, positions, d, cfg)
         iterations += 1
         if iterations % n == 0:
             grads = stress_gradient(positions, d, cfg)
@@ -402,16 +416,20 @@ def layout_components(
         key=lambda comp: (-len(comp), comp[0]),
     )
 
+    # each component's edges in one pass, in the order ``edges`` holds them
+    component_of = {name: k for k, component in enumerate(components) for name in component}
+    grouped: list[dict[tuple[str, str], float]] = [{} for _ in components]
+    for pair, w in edges.items():
+        k = component_of.get(pair[0])
+        if k is not None and component_of.get(pair[1]) == k:
+            grouped[k][pair] = w
+
     gap = 0.25 * cfg.diameter
     coordinates: dict[str, tuple[float, float]] = {}
     total_stress = 0.0
     iterations = 0
     x_cursor = 0.0
-    for component in components:
-        members = set(component)
-        member_edges = {
-            pair: w for pair, w in edges.items() if pair[0] in members and pair[1] in members
-        }
+    for component, member_edges in zip(components, grouped):
         part = minimize_stress(ideal_distances(component, member_edges, cfg), cfg, nodes=component)
         xs = [p[0] for p in part.coordinates.values()]
         ys = [p[1] for p in part.coordinates.values()]

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ from collabmap.corpus.records import _FILE_END, _RECORD_END, _RECORD_START, Pars
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
+from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress
+from collabmap.network import connected_components
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -346,3 +349,147 @@ def write_delimited(records: list[RawRecord]) -> str:
     for rec in records:
         writer.writerow([rec.record_id, rec.doc_type, rec.pub_year, "; ".join(rec.address_lines)])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# layout oracles: the per-pair kernels with a _separation call for every pair,
+# the O(n) gradient upkeep that recomputes g_m, and layout_components with
+# one filter over all edges per component; the inlined kernels and the
+# one-pass grouping must equal them bit for bit
+# ---------------------------------------------------------------------------
+
+def _separation(p: tuple[float, float], q: tuple[float, float], jitter: float):
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        dx, dy = jitter, 0.0
+        r = jitter
+    return dx, dy, r
+
+
+def oracle_stress(
+    positions: list[tuple[float, float]],
+    d: list[list[float]],
+    cfg: LayoutConfig,
+) -> float:
+    """Total spring energy of a configuration (rigid-motion invariant)."""
+    n = len(positions)
+    jitter = 1e-9 * cfg.diameter
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = d[i][j]
+            _dx, _dy, r = _separation(positions[i], positions[j], jitter)
+            total += cfg.spring_constant / (dij * dij) * (r - dij) ** 2
+    return 0.5 * total
+
+
+def oracle_node_gradient(i, positions, d, cfg):
+    jitter = 1e-9 * cfg.diameter
+    gx = gy = 0.0
+    for j in range(len(positions)):
+        if j == i:
+            continue
+        dij = d[i][j]
+        dx, dy, r = _separation(positions[i], positions[j], jitter)
+        factor = cfg.spring_constant / (dij * dij) * (1.0 - dij / r)
+        gx += factor * dx
+        gy += factor * dy
+    return gx, gy
+
+
+def oracle_update_gradients(grads, m, before, positions, d, cfg) -> None:
+    """Bring every kept gradient up to date after node m moved from ``before``
+    to ``positions[m]``: O(n) instead of a full O(n^2) recompute."""
+    jitter = 1e-9 * cfg.diameter
+    after = positions[m]
+    for i in range(len(positions)):
+        if i == m:
+            continue
+        dim = d[i][m]
+        k = cfg.spring_constant / (dim * dim)
+        dx0, dy0, r0 = _separation(positions[i], before, jitter)
+        dx1, dy1, r1 = _separation(positions[i], after, jitter)
+        f0 = k * (1.0 - dim / r0)
+        f1 = k * (1.0 - dim / r1)
+        gx, gy = grads[i]
+        grads[i] = (gx + (f1 * dx1 - f0 * dx0), gy + (f1 * dy1 - f0 * dy0))
+    grads[m] = oracle_node_gradient(m, positions, d, cfg)
+
+
+def oracle_node_energy(i, p, positions, d, cfg):
+    jitter = 1e-9 * cfg.diameter
+    total = 0.0
+    for j in range(len(positions)):
+        if j == i:
+            continue
+        dij = d[i][j]
+        _dx, _dy, r = _separation(p, positions[j], jitter)
+        total += cfg.spring_constant / (dij * dij) * (r - dij) ** 2
+    return 0.5 * total
+
+
+def oracle_node_hessian(i, positions, d, cfg):
+    jitter = 1e-9 * cfg.diameter
+    hxx = hyy = hxy = 0.0
+    for j in range(len(positions)):
+        if j == i:
+            continue
+        dij = d[i][j]
+        k = cfg.spring_constant / (dij * dij)
+        dx, dy, r = _separation(positions[i], positions[j], jitter)
+        r3 = r * r * r
+        hxx += k * (1.0 - dij * dy * dy / r3)
+        hyy += k * (1.0 - dij * dx * dx / r3)
+        hxy += k * dij * dx * dy / r3
+    return hxx, hyy, hxy
+
+
+def oracle_layout_components(
+    nodes: list[str],
+    edges: dict[tuple[str, str], float],
+    cfg: LayoutConfig,
+) -> Layout:
+    """Lay out each connected component, then pack them left to right.
+
+    Components are ordered largest first (name tie-break) and separated by
+    a gap of a quarter diameter; the combined picture is recentred on its
+    centroid.
+    """
+    adjacency: dict[str, set[str]] = {c: set() for c in nodes}
+    for a, b in edges:
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    components = sorted(
+        (sorted(comp) for comp in connected_components(set(nodes), adjacency)),
+        key=lambda comp: (-len(comp), comp[0]),
+    )
+
+    gap = 0.25 * cfg.diameter
+    coordinates: dict[str, tuple[float, float]] = {}
+    total_stress = 0.0
+    iterations = 0
+    x_cursor = 0.0
+    for component in components:
+        members = set(component)
+        member_edges = {
+            pair: w for pair, w in edges.items() if pair[0] in members and pair[1] in members
+        }
+        part = minimize_stress(ideal_distances(component, member_edges, cfg), cfg, nodes=component)
+        xs = [p[0] for p in part.coordinates.values()]
+        ys = [p[1] for p in part.coordinates.values()]
+        min_x, max_x = min(xs), max(xs)
+        min_y = min(ys)
+        for name in component:
+            x, y = part.coordinates[name]
+            coordinates[name] = (x - min_x + x_cursor, y - min_y)
+        x_cursor += (max_x - min_x) + gap
+        total_stress += part.final_stress
+        iterations += part.iterations_used
+
+    if coordinates:
+        cx = sum(p[0] for p in coordinates.values()) / len(coordinates)
+        cy = sum(p[1] for p in coordinates.values()) / len(coordinates)
+        coordinates = {name: (x - cx, y - cy) for name, (x, y) in coordinates.items()}
+    return Layout(coordinates=coordinates, final_stress=total_stress, iterations_used=iterations)

@@ -397,6 +397,13 @@ def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_works
     pytest.param(b"[1]", "not a JSON object", id="not-an-object"),
     pytest.param(b'{"stages": [1]}', "stages is not a JSON object", id="stages-not-an-object"),
     pytest.param(b'\xff{"stages": {}}', "not UTF-8 text", id="not-utf8"),
+    pytest.param(b'{"stages": {"net": 1}}', "stage 'net' is not a JSON object", id="entry-not-an-object"),
+    pytest.param(b'{"stages": {"ingest": {"config": {}, "inputs": {}, "artifacts": "x"}}}',
+                 "stage 'ingest': artifacts is not a JSON object", id="artifacts-not-an-object"),
+    pytest.param(b'{"stages": {"ingest": {"inputs": {}, "artifacts": {}}}}',
+                 "stage 'ingest': config is not a JSON object", id="config-missing"),
+    pytest.param(b'{"stages": {"summary": {"config": {}, "inputs": {"a.txt": 7}, "artifacts": {}}}}',
+                 "stage 'summary': inputs maps a name to a non-string", id="input-digest-not-a-string"),
 ])
 def test_malformed_manifest_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
                                                           data, message):

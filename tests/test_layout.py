@@ -2,6 +2,14 @@ import math
 import random
 
 import pytest
+from conftest import (
+    oracle_layout_components,
+    oracle_node_energy,
+    oracle_node_gradient,
+    oracle_node_hessian,
+    oracle_stress,
+    oracle_update_gradients,
+)
 
 from collabmap import layout as layout_mod
 from collabmap.errors import DataError
@@ -45,8 +53,9 @@ def record_outer_stress(monkeypatch) -> list[float]:
     def recording(i, gradient, positions, d, cfg):
         if not seen:
             seen.append(stress(positions, d, cfg))
-        relax(i, gradient, positions, d, cfg)
+        relaxed = relax(i, gradient, positions, d, cfg)
         seen.append(stress(positions, d, cfg))
+        return relaxed
 
     monkeypatch.setattr(layout_mod, "_relax_node", recording)
     return seen
@@ -283,6 +292,131 @@ def test_full_gradient_recompute_once_per_n_moves(monkeypatch):
     moves = layout.iterations_used
     assert moves >= 3 * n
     assert len(calls) <= moves // n + 4
+
+
+def kernel_case(rng):
+    """Positions with some coincident pairs, a distance matrix that is
+    symmetric only to within 1e-12, and a non-default configuration."""
+    n = rng.randint(2, 40)
+    positions = random_positions(rng, n, spread=2.0)
+    for _ in range(rng.randint(1, 3)):
+        positions[rng.randrange(n)] = positions[rng.randrange(n)]
+    d = random_distance_matrix(rng, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[j][i] += rng.choice([-5e-13, 0.0, 5e-13])
+    cfg = LayoutConfig(spring_constant=rng.uniform(0.5, 2.0), diameter=rng.uniform(0.5, 3.0))
+    return positions, d, cfg
+
+
+def test_kernels_equal_the_per_pair_oracles():
+    rng = random.Random(127)
+    for _ in range(40):
+        positions, d, cfg = kernel_case(rng)
+        n = len(positions)
+        assert stress(positions, d, cfg) == oracle_stress(positions, d, cfg)
+        for i in range(n):
+            assert layout_mod._node_gradient(i, positions, d, cfg) == oracle_node_gradient(i, positions, d, cfg)
+            assert layout_mod._node_hessian(i, positions, d, cfg) == oracle_node_hessian(i, positions, d, cfg)
+            for p in (positions[i], positions[rng.randrange(n)], random_positions(rng, 1)[0]):
+                assert layout_mod._node_energy(i, p, positions, d, cfg) == oracle_node_energy(
+                    i, p, positions, d, cfg
+                )
+        m = rng.randrange(n)
+        before = positions[m]
+        positions[m] = rng.choice([positions[rng.randrange(n)], random_positions(rng, 1)[0]])
+        start = random_positions(rng, n)
+        kept, expected = list(start), list(start)
+        oracle_update_gradients(expected, m, before, positions, d, cfg)
+        layout_mod._update_gradients(kept, m, before, positions, d, cfg)
+        assert kept[:m] + kept[m + 1:] == expected[:m] + expected[m + 1:]
+        assert kept[m] == start[m]
+        assert expected[m] == layout_mod._node_gradient(m, positions, d, cfg)
+
+
+def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
+    def relax(positions, d, cfg, i=0):
+        start = list(positions)
+        relaxed = layout_mod._relax_node(i, layout_mod._node_gradient(i, positions, d, cfg), positions, d, cfg)
+        assert relaxed == layout_mod._node_gradient(i, positions, d, cfg)
+        return start, relaxed
+
+    rng = random.Random(131)
+    n = 8
+    d = random_distance_matrix(rng, n)
+    positions = random_positions(rng, n, spread=2.0)
+    gradient = layout_mod._node_gradient(0, positions, d, LayoutConfig())
+
+    # below tolerance on entry: nothing moves
+    cfg = LayoutConfig(tolerance=2.0 * math.hypot(*gradient))
+    start, relaxed = relax(positions, d, cfg)
+    assert positions == start and relaxed == gradient
+
+    # no accepted step: after the first move every candidate place costs more
+    energy = layout_mod._node_energy
+    place = positions[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(layout_mod, "_node_energy", lambda i, p, pos, d, cfg: (
+            energy(i, p, pos, d, cfg) if p is pos[i] or pos[i] == place else math.inf
+        ))
+        start, relaxed = relax(positions, d, LayoutConfig())
+    assert positions[0] != start[0] and positions[1:] == start[1:]
+    assert relaxed != gradient and math.hypot(*relaxed) >= LayoutConfig().tolerance
+    positions = start
+
+    # the inner-step cap: both allowed steps are taken and the node is still
+    # above tolerance
+    calls = []
+    node_gradient = layout_mod._node_gradient
+    monkeypatch.setattr(layout_mod, "_MAX_INNER_STEPS", 2)
+    monkeypatch.setattr(layout_mod, "_node_gradient", lambda *args: calls.append(1) or node_gradient(*args))
+    cfg = LayoutConfig(tolerance=1e-12)
+    start, relaxed = relax(positions, d, cfg)
+    assert len(calls) == 1 + 2 + 1  # start, one per accepted step, check
+    assert positions != start and math.hypot(*relaxed) >= cfg.tolerance
+
+    # and on whatever exits full runs take
+    monkeypatch.undo()
+    relax_node = layout_mod._relax_node
+
+    def checked(i, gradient, positions, d, cfg):
+        relaxed = relax_node(i, gradient, positions, d, cfg)
+        assert relaxed == layout_mod._node_gradient(i, positions, d, cfg)
+        return relaxed
+
+    monkeypatch.setattr(layout_mod, "_relax_node", checked)
+    for _ in range(5):
+        minimize_stress(random_distance_matrix(rng, rng.randint(3, 20)), LayoutConfig(seed=rng.randint(0, 99)))
+
+
+def test_layout_components_groups_edges_like_the_per_component_filter(monkeypatch):
+    rng = random.Random(137)
+    nodes = [f"N{i:02d}" for i in range(40)]
+    big, small = nodes[3:10], nodes[20:24]
+    edges = {}
+    for part in (big, small):
+        for a, b in zip(part, part[1:]):
+            edges[(a, b)] = rng.uniform(1.0, 5.0)
+        edges[(part[0], part[-1])] = rng.uniform(1.0, 5.0)
+    pairs = list(edges.items())
+    rng.shuffle(pairs)
+    # an edge to a node outside the map is ignored by both
+    edges = dict(pairs[:3] + [(("N05", "ELSEWHERE"), 2.0)] + pairs[3:])
+    cfg = LayoutConfig(transform=EdgeLengthTransform.INVERSE_LOG_WEIGHT, seed=7)
+    seen = []
+    distances = layout_mod.ideal_distances
+    with monkeypatch.context() as patch:
+        patch.setattr(layout_mod, "ideal_distances",
+                      lambda comp, member_edges, cfg: seen.append((comp, list(member_edges.items())))
+                      or distances(comp, member_edges, cfg))
+        layout = layout_components(nodes, edges, cfg)
+    assert len(seen) == 40 - 7 - 4 + 2
+    for comp, member_edges in seen:
+        assert member_edges == [(p, w) for p, w in edges.items() if p[0] in comp and p[1] in comp]
+    expected = oracle_layout_components(nodes, edges, cfg)
+    assert list(layout.coordinates.items()) == list(expected.coordinates.items())
+    assert layout.final_stress == expected.final_stress
+    assert layout.iterations_used == expected.iterations_used > 0
 
 
 def oracle_gradient_descent(d, spring_constant, rng, iterations=400):

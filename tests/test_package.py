@@ -1,14 +1,17 @@
 """Package-wide promises: the README's library example runs, the only
-runtime dependency is the standard library, and the benchmark's tracer
-still reaches every exporter."""
+runtime dependency is the standard library, the benchmark's tracer still
+reaches every exporter, and every supported interpreter writes the same
+bytes."""
 
 import ast
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import DATA_DIR
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +65,40 @@ def test_tracer_records_a_span_for_every_exporter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"exports.geo", "exports.pajek", "exports.vosviewer"} <= names
+
+
+def run_tree(python: str, workspace: Path) -> dict[str, bytes]:
+    """The files that ``collabmap run`` on the synth corpus writes under
+    ``python``, keyed by their path in the workspace."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [python, "-m", "collabmap.cli", "run", "--workspace", str(workspace),
+         "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2", "--focus", "USA"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        path.relative_to(workspace).as_posix(): path.read_bytes()
+        for path in sorted(workspace.rglob("*")) if path.is_file()
+    }
+
+
+def starts(python: str) -> bool:
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+    except OSError:
+        return False
+
+
+def test_other_interpreters_write_the_same_tree(tmp_path):
+    """requires-python is >=3.10: the layout's float kernels (math.hypot
+    among them) must give the same bytes on every version that is here."""
+    others = [
+        path for path in (shutil.which(f"python3.{minor}") for minor in (10, 12, 13))
+        if path and starts(path)
+    ]
+    if not others:
+        pytest.skip("no python3.10, python3.12 or python3.13 starts here")
+    expected = run_tree(sys.executable, tmp_path / "current")
+    for k, python in enumerate(others):
+        assert run_tree(python, tmp_path / f"other{k}") == expected, python
