@@ -291,7 +291,8 @@ class Workspace:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._corpus: Corpus | None = None
+        # relative path -> (sha256 of the file's text, what the text parses into)
+        self._parsed: dict[str, tuple[str, Any]] = {}
 
     def write_files(self, files: dict[str, str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
@@ -335,19 +336,29 @@ class Workspace:
         except UnicodeDecodeError as exc:
             raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
 
-    def corpus(self) -> Corpus:
-        """The corpus of documents.jsonl, reused while the file's digest holds."""
-        text = self.read_text("documents.jsonl")
+    def parsed(self, relpath: str, parse: Callable[[str], Any]) -> tuple[str, Any]:
+        """The sha256 of the file's text and ``parse(text)``, which is reused
+        while the file's digest holds."""
+        text = self.read_text(relpath)
         digest = _sha256_text(text)
-        if self._corpus is None or self._corpus.digest != digest:
-            self._corpus = Corpus(digest, load_documents(text))
-        return self._corpus
+        held = self._parsed.get(relpath)
+        if held is None or held[0] != digest:
+            held = self._parsed[relpath] = (digest, parse(text))
+        return held
 
-    def offer_corpus(self, text: str, documents: list[filtering.Document]) -> None:
-        """Keep the documents that ``text`` encodes, equal to what
-        load_documents(text) returns, for corpus(), which uses them only if
-        documents.jsonl on disk turns out to hold that text."""
-        self._corpus = Corpus(_sha256_text(text), documents)
+    def offer(self, relpath: str, text: str, value: Any) -> None:
+        """Keep ``value``, equal to what parsing ``text`` returns, for
+        parsed(), which uses it only if the file on disk turns out to hold
+        that text."""
+        self._parsed[relpath] = (_sha256_text(text), value)
+
+    def network(self) -> tuple[str, network.CoauthNetwork]:
+        """The digest and network of network.json; a network without
+        countries, which ingest writes for zero documents, is a DataError."""
+        digest, net = self.parsed("network.json", network.load_network)
+        if not net.nodes:
+            raise DataError("network.json: the network has no countries; ingest retained no documents")
+        return digest, net
 
 
 def _json_object(relpath: str, text: str) -> dict:
@@ -478,26 +489,15 @@ def load_documents(text: str) -> list[filtering.Document]:
     return documents
 
 
-class Corpus:
-    """The documents of the documents.jsonl text with sha256 ``digest``, and
-    the network, which carries every country's counts, that every stage
-    derives from them; the network and cosine similarity are built on first
-    use."""
-
-    def __init__(self, digest: str, documents: list[filtering.Document]):
-        self.digest = digest
-        self.documents = documents
-
-    @cached_property
-    def net(self) -> network.CoauthNetwork:
-        matrix = counting.build_incidence(self.documents)
-        return network.build_coauth_network(
-            matrix, counting.integer_counts(matrix), counting.fractional_counts(matrix)
-        )
-
-    @cached_property
-    def cosine(self) -> network.SimilarityMatrix:
-        return network.cosine_similarity(self.net)
+def _build_network(documents: list[filtering.Document]) -> network.CoauthNetwork:
+    """The network, which carries every country's counts, of the retained
+    documents; empty for zero documents."""
+    if not documents:
+        return network.CoauthNetwork(nodes={}, edges={})
+    matrix = counting.build_incidence(documents)
+    return network.build_coauth_network(
+        matrix, counting.integer_counts(matrix), counting.fractional_counts(matrix)
+    )
 
 
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
@@ -516,7 +516,6 @@ def _subnetwork_files(
     prefix: str,
     sub: network.Subnetwork,
     cfg: RunConfig,
-    corpus: Corpus,
     size_attr: str,
 ) -> dict[str, str]:
     """The shared artifact set of any extracted subnetwork, by relative path."""
@@ -533,8 +532,11 @@ def _subnetwork_files(
     files[f"{prefix}/stats.json"] = _json_artifact(network.network_stats(sub).as_dict())
 
     if cfg.layout_weights == "cosine":
-        sim = corpus.cosine
-        edges = {pair: sim.sim(*pair) for pair in sub.edges}
+        nodes = sub.parent.nodes
+        edges = {
+            (a, b): network.ochiai(w, nodes[a].integer_papers, nodes[b].integer_papers)
+            for (a, b), w in sub.edges.items()
+        }
     else:
         edges = {pair: float(w) for pair, w in sub.edges.items()}
     layout = layout_components(list(sub.nodes), edges, cfg.layout_config())
@@ -590,27 +592,36 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
         seen.add(rec.record_id)
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
     documents_text = documents_jsonl(documents)
-    ws.offer_corpus(documents_text, documents)
+    ws.offer("documents.jsonl", documents_text, documents)
+    net = _build_network(documents)
+    network_text = network.network_json(net)
+    ws.offer("network.json", network_text, net)
     return input_digests, {
         "documents.jsonl": documents_text,
         "filter-report.json": _json_artifact(report.as_dict()),
         "parse-issues.json": _json_artifact(all_issues),
+        "network.json": network_text,
     }
 
 
 def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
-    corpus = ws.corpus()
+    documents_digest, documents = ws.parsed("documents.jsonl", load_documents)
+    network_digest, net = ws.network()
     report_digest, report = _read_intermediate(ws, "filter-report.json", filtering.FilterReport)
-    inputs = {"documents.jsonl": corpus.digest, "filter-report.json": report_digest}
+    inputs = {
+        "documents.jsonl": documents_digest,
+        "network.json": network_digest,
+        "filter-report.json": report_digest,
+    }
     return inputs, {
-        "summary.json": counting.summary_json(counting.summarize(corpus.documents, report)),
-        "counts.csv": counting.counts_csv(corpus.net, cfg.registry),
+        "summary.json": counting.summary_json(counting.summarize(documents, report)),
+        "counts.csv": counting.counts_csv(net, cfg.registry),
     }
 
 
 def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
-    corpus = ws.corpus()
-    net = _restrict_network(cfg, corpus.net)
+    digest, full = ws.network()
+    net = _restrict_network(cfg, full)
 
     files = {"network/edges.csv": network.cooccurrence_triples_csv(net.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree"]
@@ -620,54 +631,55 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},{info.degree}"
         )
     files["network/nodes.csv"] = "\n".join(node_lines) + "\n"
-    files["network/cosine.csv"] = network.similarity_triples_csv(corpus.cosine)
+    # cosine over every country, whatever the country list keeps
+    cosine = network.cosine_similarity(full)
+    files["network/cosine.csv"] = network.similarity_triples_csv(cosine)
     if cfg.square_matrices:
         files["network/cooccurrence-square.csv"] = network.cooccurrence_square_csv(net)
-        files["network/cosine-square.csv"] = network.similarity_square_csv(corpus.cosine)
+        files["network/cosine-square.csv"] = network.similarity_square_csv(cosine)
 
     sub = network.threshold_network(
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
-    files.update(_subnetwork_files("thresholded", sub, cfg, corpus, _size_attr(cfg, "net")))
-    return {"documents.jsonl": corpus.digest}, files
+    files.update(_subnetwork_files("thresholded", sub, cfg, _size_attr(cfg, "net")))
+    return {"network.json": digest}, files
 
 
 def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
-    corpus = ws.corpus()
+    digest, net = ws.network()
     sub = network.threshold_network(
-        _restrict_network(cfg, corpus.net), cfg.min_node_fractional, cfg.min_edge_weight,
+        _restrict_network(cfg, net), cfg.min_node_fractional, cfg.min_edge_weight,
         comparator=cfg.comparator,
     )
     doc, nodes, links = geo_export.export_geo(
         sub, cfg.registry, cfg.size_min, cfg.size_scale, cfg.great_circle
     )
     files = {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
-    return {"documents.jsonl": corpus.digest}, files
+    return {"network.json": digest}, files
 
 
 def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
     if cfg.core_k is None:
         raise ConfigError("core stage needs --core-k")
-    corpus = ws.corpus()
-    net = _restrict_network(cfg, corpus.net)
-    sub = network.extract_core(net, cfg.core_min_edge_weight, cfg.core_k)
-    files = _subnetwork_files("core", sub, cfg, corpus, _size_attr(cfg, "core"))
-    return {"documents.jsonl": corpus.digest}, files
+    digest, net = ws.network()
+    sub = network.extract_core(_restrict_network(cfg, net), cfg.core_min_edge_weight, cfg.core_k)
+    files = _subnetwork_files("core", sub, cfg, _size_attr(cfg, "core"))
+    return {"network.json": digest}, files
 
 
 def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
     if not cfg.ego_focus:
         raise ConfigError("ego stage needs --focus")
-    corpus = ws.corpus()
-    net = _restrict_network(cfg, corpus.net)
+    digest, net = ws.network()
     focus = cfg.ego_focus.strip().upper()
     sub = network.ego_network(
-        net, focus, min_edge_weight=cfg.ego_min_edge_weight, include_alter_ties=cfg.ego_alter_ties
+        _restrict_network(cfg, net), focus, min_edge_weight=cfg.ego_min_edge_weight,
+        include_alter_ties=cfg.ego_alter_ties,
     )
     prefix = f"ego/{focus}"
-    files = _subnetwork_files(prefix, sub, cfg, corpus, _size_attr(cfg, "ego"))
-    files[f"{prefix}/focus.json"] = _json_artifact(report_export.focus_stats(focus, corpus.net))
-    return {"documents.jsonl": corpus.digest}, files
+    files = _subnetwork_files(prefix, sub, cfg, _size_attr(cfg, "ego"))
+    files[f"{prefix}/focus.json"] = _json_artifact(report_export.focus_stats(focus, net))
+    return {"network.json": digest}, files
 
 
 def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from collabmap.counting import format_fixed
 from collabmap.corpus.registry import CountryRegistry
@@ -55,8 +56,11 @@ def great_circle_points(
     return points
 
 
-def _coord(lon: float, lat: float) -> list[float]:
-    return [round(lon, 6), round(lat, 6)]
+def _coordinates(lon: float, lat: float, indent: str) -> str:
+    """A ``[lon, lat]`` pair at 6 decimals, laid out as json.dumps(indent=2)
+    lays it out with its opening bracket at ``indent``. Registry centroids
+    and great-circle points are finite, so repr writes what json.dumps does."""
+    return f"[\n{indent}  {round(lon, 6)!r},\n{indent}  {round(lat, 6)!r}\n{indent}]"
 
 
 def export_geo(
@@ -66,7 +70,10 @@ def export_geo(
     s_scale: float = 1.0,
     great_circle: bool = False,
 ) -> tuple[str, str, str]:
-    """Return (GeoJSON document, nodes CSV, links CSV)."""
+    """Return (GeoJSON document, nodes CSV, links CSV).
+
+    The GeoJSON text is the bytes of ``json.dumps(document, indent=2,
+    ensure_ascii=False)``, written from its fixed schema."""
     features = []
     node_lines = ["type,latitude,longitude,name,desc"]
     centroid: dict[str, tuple[float, float]] = {}
@@ -78,16 +85,14 @@ def export_geo(
         centroid[country] = (lat, lon)
         fractional = sub.node_info(country).fractional_papers
         features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": _coord(lon, lat)},
-                "properties": {
-                    "country": country,
-                    "iso3": entry.iso3,
-                    "fractional_papers": round(float(fractional), 6),
-                    "display_size": round(display_size(fractional, s_min, s_scale), 6),
-                },
-            }
+            '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "Point",\n'
+            f'        "coordinates": {_coordinates(lon, lat, "        ")}\n      }},\n'
+            f'      "properties": {{\n        "country": {encode_basestring(country)},\n'
+            f'        "iso3": {encode_basestring(entry.iso3)},\n'
+            f'        "fractional_papers": {round(float(fractional), 6)!r},\n'
+            # a large --size-scale can overflow to inf, which json.dumps writes as Infinity
+            f'        "display_size": {json.dumps(round(display_size(fractional, s_min, s_scale), 6))}\n'
+            '      }\n    }'
         )
         node_lines.append(
             f'W,{format_fixed(lat)},{format_fixed(lon)},{country},"papers: {format_fixed(fractional)}"'
@@ -100,20 +105,17 @@ def export_geo(
         else:
             path = [(lat_a, lon_a), (lat_b, lon_b)]
         label = f"{a}–{b}: {w}"
+        points = ",\n".join("          " + _coordinates(lon, lat, "          ") for lat, lon in path)
         features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [_coord(lon, lat) for lat, lon in path],
-                },
-                "properties": {"weight": w, "label": label},
-            }
+            '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "LineString",\n'
+            f'        "coordinates": [\n{points}\n        ]\n      }},\n'
+            f'      "properties": {{\n        "weight": {w},\n        "label": {encode_basestring(label)}\n'
+            '      }\n    }'
         )
         link_lines.extend(f'T,{format_fixed(lat)},{format_fixed(lon)},"{label}"' for lat, lon in path)
-    document = {"type": "FeatureCollection", "features": features}
+    body = "[\n" + ",\n".join(features) + "\n  ]" if features else "[]"
     return (
-        json.dumps(document, indent=2, ensure_ascii=False) + "\n",
+        '{\n  "type": "FeatureCollection",\n  "features": ' + body + "\n}\n",
         "\n".join(node_lines) + "\n",
         "\n".join(link_lines) + "\n",
     )

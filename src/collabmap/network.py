@@ -12,6 +12,7 @@ integer count, so cosine is read off the network itself.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from collections import Counter
@@ -164,6 +165,13 @@ def build_coauth_network(
     return CoauthNetwork(nodes=nodes, edges=edges)
 
 
+def ochiai(shared: int, size_a: int, size_b: int) -> float:
+    """Cosine of two binarized columns: their shared documents over the
+    geometric mean of their sizes (0 when either column is empty)."""
+    denom = math.sqrt(size_a * size_b)
+    return shared / denom if denom else 0.0
+
+
 def cosine_similarity(net: CoauthNetwork) -> SimilarityMatrix:
     """Ochiai/cosine between binarized country columns: a pair's edge
     weight over the geometric mean of the two integer counts."""
@@ -173,9 +181,8 @@ def cosine_similarity(net: CoauthNetwork) -> SimilarityMatrix:
     for i, ci in enumerate(countries):
         values[(ci, ci)] = 1.0 if sizes[i] else 0.0
         for j in range(i + 1, len(countries)):
-            denom = math.sqrt(sizes[i] * sizes[j])
             shared = net.edges.get((ci, countries[j]), 0)
-            values[(ci, countries[j])] = shared / denom if denom else 0.0
+            values[(ci, countries[j])] = ochiai(shared, sizes[i], sizes[j])
     return SimilarityMatrix(countries=countries, values=values)
 
 
@@ -319,8 +326,79 @@ def subnetwork_by_list(
 
 
 # ---------------------------------------------------------------------------
-# matrix serialization
+# serialization
 # ---------------------------------------------------------------------------
+
+def network_json(net: CoauthNetwork) -> str:
+    """The exact text of network.json: each node as ``[country,
+    integer_papers, "p/q"]`` in the network's order, each edge as ``[a, b,
+    weight]`` in the order the build inserted it, on one line."""
+    nodes = [
+        [c, info.integer_papers, f"{info.fractional_papers.numerator}/{info.fractional_papers.denominator}"]
+        for c, info in net.nodes.items()
+    ]
+    edges = [[a, b, w] for (a, b), w in net.edges.items()]
+    # no indent, so the C encoder writes it
+    return json.dumps({"nodes": nodes, "edges": edges}, ensure_ascii=False) + "\n"
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def load_network(text: str) -> CoauthNetwork:
+    """The network whose network_json text ``text`` is, degrees counted from
+    its edges. Text of any other shape is a DataError that names the file."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"network.json: not JSON: {exc}") from exc
+    if (not isinstance(obj, dict) or obj.keys() != {"nodes", "edges"}
+            or not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list)):
+        raise DataError("network.json: not an object of a nodes list and an edges list")
+    counts: dict[str, tuple[int, Fraction]] = {}
+    for entry in obj["nodes"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[2], str)):
+            raise DataError(f"network.json: node {entry!r} is not [country, integer, \"p/q\"]")
+        country, integer, ratio = entry
+        if country in counts:
+            raise DataError(f"network.json: duplicate country {country!r}")
+        if not _positive_int(integer):
+            raise DataError(f"network.json: integer count of {country!r} is not a positive integer")
+        try:
+            fractional = Fraction(ratio)
+        except (ValueError, ZeroDivisionError):
+            fractional = None
+        if (fractional is None or fractional <= 0
+                or ratio != f"{fractional.numerator}/{fractional.denominator}"):
+            raise DataError(f"network.json: fractional count of {country!r} is not a positive \"p/q\" "
+                            f"in lowest terms: {ratio!r}")
+        counts[country] = (integer, fractional)
+    edges: dict[tuple[str, str], int] = {}
+    degrees = dict.fromkeys(counts, 0)
+    for entry in obj["edges"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise DataError(f"network.json: edge {entry!r} is not [country, country, weight]")
+        a, b, w = entry
+        if a not in degrees or b not in degrees:
+            raise DataError(f"network.json: edge {entry!r} names an unknown country")
+        if not a < b:
+            raise DataError(f"network.json: edge {entry!r} is not in ascending country order")
+        if (a, b) in edges:
+            raise DataError(f"network.json: duplicate edge {entry!r}")
+        if not _positive_int(w):
+            raise DataError(f"network.json: edge {entry!r} has a weight that is not a positive integer")
+        edges[(a, b)] = w
+        degrees[a] += 1
+        degrees[b] += 1
+    nodes = {
+        c: NodeInfo(country=c, integer_papers=integer, fractional_papers=fractional, degree=degrees[c])
+        for c, (integer, fractional) in counts.items()
+    }
+    return CoauthNetwork(nodes=nodes, edges=edges)
+
 
 def cooccurrence_triples_csv(edges: dict[tuple[str, str], int]) -> str:
     lines = ["country_a,country_b,value"]

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import random
 import re
@@ -349,6 +350,43 @@ def write_delimited(records: list[RawRecord]) -> str:
     for rec in records:
         writer.writerow([rec.record_id, rec.doc_type, rec.pub_year, "; ".join(rec.address_lines)])
     return buf.getvalue()
+
+
+def oracle_geojson(sub, registry, s_min=1.0, s_scale=1.0, great_circle=False) -> str:
+    """The GeoJSON document of export_geo built as a dict and written by
+    json.dumps(indent=2), whose bytes export_geo's direct text must equal."""
+    from collabmap.exports.geo import display_size, great_circle_points
+
+    def coord(lon, lat):
+        return [round(lon, 6), round(lat, 6)]
+
+    features = []
+    for country in sorted(sub.nodes):
+        entry = registry.entries[country]
+        fractional = sub.node_info(country).fractional_papers
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": coord(entry.longitude, entry.latitude)},
+            "properties": {
+                "country": country,
+                "iso3": entry.iso3,
+                "fractional_papers": round(float(fractional), 6),
+                "display_size": round(display_size(fractional, s_min, s_scale), 6),
+            },
+        })
+    for (a, b), w in sorted(sub.edges.items()):
+        ea, eb = registry.entries[a], registry.entries[b]
+        if great_circle:
+            path = great_circle_points(ea.latitude, ea.longitude, eb.latitude, eb.longitude)
+        else:
+            path = [(ea.latitude, ea.longitude), (eb.latitude, eb.longitude)]
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [coord(lon, lat) for lat, lon in path]},
+            "properties": {"weight": w, "label": f"{a}–{b}: {w}"},
+        })
+    document = {"type": "FeatureCollection", "features": features}
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import shutil
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +418,91 @@ def test_malformed_manifest_is_data_error_before_any_write(tmp_path, net_workspa
     assert tree_bytes(ws) == before
 
 
+def _set_first(key: str, position: int, value) -> Callable[[dict], str]:
+    """An edit of network.json that sets field ``position`` of its first node
+    or edge to ``value``."""
+    def edit(obj):
+        obj[key][0][position] = value
+        return json.dumps(obj)
+    return edit
+
+
+def _doubled_first_fraction(obj):
+    p, q = obj["nodes"][0][2].split("/")
+    obj["nodes"][0][2] = f"{2 * int(p)}/{2 * int(q)}"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda obj: json.dumps(obj) + "x", id="not-json"),
+    pytest.param(lambda obj: json.dumps(obj["nodes"]), id="not-an-object"),
+    pytest.param(lambda obj: json.dumps({"nodes": obj["nodes"]}), id="missing-key"),
+    pytest.param(lambda obj: json.dumps({**obj, "cosine": []}), id="unknown-key"),
+    pytest.param(lambda obj: json.dumps({"nodes": {}, "edges": obj["edges"]}), id="nodes-not-a-list"),
+    pytest.param(_set_first("nodes", 0, 7), id="country-not-a-string"),
+    pytest.param(lambda obj: json.dumps({**obj, "nodes": ["CHILE"] + obj["nodes"]}), id="node-not-a-list"),
+    pytest.param(lambda obj: json.dumps({**obj, "nodes": [obj["nodes"][0][:2]] + obj["nodes"][1:]}),
+                 id="node-too-short"),
+    pytest.param(_set_first("nodes", 1, 0), id="integer-zero"),
+    pytest.param(_set_first("nodes", 1, -3), id="integer-negative"),
+    pytest.param(_set_first("nodes", 1, 2.0), id="integer-float"),
+    pytest.param(_set_first("nodes", 1, True), id="integer-boolean"),
+    pytest.param(_set_first("nodes", 2, "many"), id="fraction-not-a-ratio"),
+    pytest.param(_set_first("nodes", 2, "1/0"), id="fraction-zero-denominator"),
+    pytest.param(_set_first("nodes", 2, "0/1"), id="fraction-zero"),
+    pytest.param(_set_first("nodes", 2, "-1/2"), id="fraction-negative"),
+    pytest.param(_set_first("nodes", 2, "1.5"), id="fraction-decimal"),
+    pytest.param(_set_first("nodes", 2, 1.5), id="fraction-a-number"),
+    pytest.param(_doubled_first_fraction, id="fraction-not-in-lowest-terms"),
+    pytest.param(lambda obj: json.dumps({**obj, "nodes": obj["nodes"] + obj["nodes"][:1]}),
+                 id="duplicate-country"),
+    pytest.param(_set_first("edges", 0, "AAA ATLANTIS"), id="unknown-country"),
+    pytest.param(lambda obj: json.dumps({**obj, "edges": [obj["edges"][0][1::-1] + obj["edges"][0][2:]]
+                                         + obj["edges"][1:]}), id="pair-out-of-order"),
+    pytest.param(lambda obj: json.dumps({**obj, "edges": [[obj["edges"][0][0]] * 2 + [1]]}),
+                 id="self-pair"),
+    pytest.param(lambda obj: json.dumps({**obj, "edges": obj["edges"] + obj["edges"][:1]}),
+                 id="duplicate-pair"),
+    pytest.param(_set_first("edges", 2, 0), id="weight-zero"),
+    pytest.param(_set_first("edges", 2, -1), id="weight-negative"),
+    pytest.param(_set_first("edges", 2, 1.5), id="weight-float"),
+    pytest.param(lambda obj: json.dumps({**obj, "edges": [obj["edges"][0] + [1]]}), id="edge-too-long"),
+])
+def test_malformed_network_json_is_data_error_before_any_write(tmp_path, net_workspace, capsys, edit):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    focus = focus_country(ws)
+    path = ws / "network.json"
+    path.write_text(edit(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+    before = tree_bytes(ws)
+    for argv in (["summary"], ["net"], ["geo"], ["core", "--core-k", "2"], ["ego", "--focus", focus]):
+        capsys.readouterr()
+        assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_DATA, argv
+        assert "error: network.json: " in capsys.readouterr().err, argv
+    assert tree_bytes(ws) == before
+
+
+def test_zero_documents_ingest_and_every_network_reader_exits_4(tmp_path, capsys):
+    """ingest keeps zero documents as an empty network; every stage that
+    reads the network then refuses it, writing nothing."""
+    dropped = tmp_path / "dropped.txt"
+    dropped.write_text("PT J\nUT X1\nDT Meeting Abstract\nPY 2001\n"
+                       "C1 Univ Zurich, Zurich, Switzerland\nER\nEF\n", encoding="utf-8")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(dropped)]) == EXIT_OK
+    assert (ws / "documents.jsonl").read_text(encoding="utf-8") == ""
+    assert (ws / "network.json").read_text(encoding="utf-8") == '{"nodes": [], "edges": []}\n'
+    before = tree_bytes(ws)
+    for argv in (["summary"], ["net"], ["geo"], ["core", "--core-k", "2"], ["ego", "--focus", "CHILE"]):
+        capsys.readouterr()
+        assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_DATA, argv
+        assert "error: network.json: the network has no countries" in capsys.readouterr().err, argv
+    assert tree_bytes(ws) == before
+    run = tmp_path / "run"
+    assert main(["run", "--workspace", str(run), "--input", str(dropped)]) == EXIT_DATA
+    assert tree_bytes(run) == before
+
+
 def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
@@ -476,6 +562,48 @@ def test_subcommand_chain_equals_monolithic_run(tmp_path, corpus_file):
     assert main(["export", "--workspace", str(chained), "--focus", focus]) == EXIT_OK
 
     assert tree_bytes(chained) == tree_bytes(monolithic)
+
+
+def test_subcommand_chain_equals_run_with_cosine_layouts_and_great_circles(tmp_path, corpus_file):
+    thresholds = ["--min-node-fractional", "2", "--min-link-weight", "2"]
+    cosine = ["--layout-weights", "cosine"]
+    chained = tmp_path / "chain"
+    assert main(["ingest", "--workspace", str(chained), "--input", str(corpus_file)]) == EXIT_OK
+    assert main(["summary", "--workspace", str(chained)]) == EXIT_OK
+    assert main(["net", "--workspace", str(chained)] + thresholds + cosine) == EXIT_OK
+    focus = focus_country(chained)
+    assert main(["geo", "--workspace", str(chained), "--great-circle"] + thresholds) == EXIT_OK
+    assert main(["core", "--workspace", str(chained), "--core-k", "2",
+                 "--core-min-link-weight", "2"] + cosine) == EXIT_OK
+    assert main(["ego", "--workspace", str(chained), "--focus", focus] + cosine) == EXIT_OK
+    assert main(["export", "--workspace", str(chained), "--focus", focus]) == EXIT_OK
+
+    monolithic = tmp_path / "mono"
+    assert main(["run", "--workspace", str(monolithic), "--input", str(corpus_file), "--focus", focus,
+                 "--great-circle"] + RUN_FLAGS + cosine) == EXIT_OK
+    tree = tree_bytes(chained)
+    assert tree == tree_bytes(monolithic)
+    assert f"ego/{focus}/layout.csv" in tree
+
+
+def test_cosine_layouts_weight_edges_as_the_dense_matrix(tmp_path, corpus_file, monkeypatch):
+    """Each laid-out edge weighs its per-edge Ochiai value, which is the
+    dense cosine matrix's float for that pair, bit for bit."""
+    laid_out = []
+    lay_out = cli.layout_components
+
+    def record(nodes, edges, cfg):
+        laid_out.append(edges)
+        return lay_out(nodes, edges, cfg)
+
+    monkeypatch.setattr(cli, "layout_components", record)
+    ws = tmp_path / "ws"
+    assert main(["run", "--workspace", str(ws), "--input", str(corpus_file), "--layout-weights", "cosine",
+                 "--exclude-countries", "COLOMBIA"] + RUN_FLAGS) == EXIT_OK
+    sim = network.cosine_similarity(network.load_network((ws / "network.json").read_text(encoding="utf-8")))
+    assert len(laid_out) == 2 and all(laid_out)
+    for edges in laid_out:
+        assert edges == {(a, b): sim.sim(a, b) for a, b in edges}
 
 
 def test_line_separators_in_record_ids_run_like_the_chain(tmp_path, corpus_file):
@@ -557,16 +685,59 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     count(counting, "fractional_counts")
     count(network, "build_coauth_network")
     count(network, "cosine_similarity")
+    count(network, "load_network")
     count(registry_mod, "load_registry")
     flags = RUN_FLAGS + ["--focus", focus_country(probe), "--layout-weights", "cosine"]
     assert main(["run", "--workspace", str(tmp_path / "ws"), "--input", str(corpus_file)] + flags) == EXIT_OK
     assert calls["cosine_similarity"] <= 1
     del calls["cosine_similarity"]
-    # run takes the corpus from ingest instead of re-reading documents.jsonl
+    # run takes the documents and the network from ingest instead of
+    # re-reading documents.jsonl and network.json
     assert calls["load_documents"] == 0
+    assert calls["load_network"] == 0
     assert calls == dict.fromkeys(
         ["build_incidence", "fractional_counts", "build_coauth_network", "load_registry"], 1
     )
+
+
+def test_only_ingest_builds_and_only_summary_loads_documents(tmp_path, corpus_file, monkeypatch):
+    """In a chain of stage processes, ingest alone folds the documents into
+    the network, summary alone reads documents.jsonl back, each later stage
+    loads network.json once, and only net builds the dense cosine matrix."""
+    calls: dict[str, Counter] = {}
+    running = [""]
+
+    def count(module, name):
+        func = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(running[0], Counter())[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "load_documents")
+    count(counting, "build_incidence")
+    count(network, "build_coauth_network")
+    count(network, "load_network")
+    count(network, "cosine_similarity")
+    ws = tmp_path / "ws"
+    cosine = ["--layout-weights", "cosine"]
+    chain = [["ingest", "--input", str(corpus_file)], ["summary"], ["net"] + cosine, ["geo"],
+             ["core", "--core-k", "2"] + cosine, ["ego", "--focus", None] + cosine, ["export"]]
+    for argv in chain:
+        if argv[0] == "ego":
+            argv[2] = focus_country(ws)
+        running[0] = argv[0]
+        assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_OK, argv
+    assert calls == {
+        "ingest": {"build_incidence": 1, "build_coauth_network": 1},
+        "summary": {"load_documents": 1, "load_network": 1},
+        "net": {"load_network": 1, "cosine_similarity": 1},
+        "geo": {"load_network": 1},
+        "core": {"load_network": 1},
+        "ego": {"load_network": 1},
+    }
 
 
 def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_file, monkeypatch):
@@ -589,8 +760,8 @@ def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_fi
     assert tree_bytes(reused.root) == tree_bytes(fresh.root)
 
 
-def test_documents_changed_after_ingest_are_read_from_disk(tmp_path, corpus_file, monkeypatch):
-    """The corpus that ingest hands on is dropped once documents.jsonl no
+def test_network_changed_after_ingest_is_read_from_disk(tmp_path, corpus_file, monkeypatch):
+    """The network that ingest hands on is dropped once network.json no
     longer holds what ingest wrote."""
     other = tmp_path / "other.txt"
     assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
@@ -598,16 +769,16 @@ def test_documents_changed_after_ingest_are_read_from_disk(tmp_path, corpus_file
     other_ws = tmp_path / "other"
     assert main(["ingest", "--workspace", str(other_ws), "--input", str(other)]) == EXIT_OK
     assert main(["net", "--workspace", str(other_ws)]) == EXIT_OK
-    edited = (other_ws / "documents.jsonl").read_bytes()
+    edited = (other_ws / "network.json").read_bytes()
     loads = []
-    load = cli.load_documents
-    monkeypatch.setattr(cli, "load_documents", lambda text: loads.append(text) or load(text))
+    load = network.load_network
+    monkeypatch.setattr(network, "load_network", lambda text: loads.append(text) or load(text))
 
     trees = []
     for label in ("reused", "fresh"):
         ws = Workspace(tmp_path / label)
         _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
-        (ws.root / "documents.jsonl").write_bytes(edited)
+        (ws.root / "network.json").write_bytes(edited)
         if label == "fresh":
             ws = Workspace(ws.root)
         _run_stage("net", RunConfig(), ws)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from collabmap.counting import CorpusSummary, build_incidence, fractional_counts, integer_counts
-from collabmap.corpus import load_registry
+from collabmap.corpus import CountryEntry, CountryRegistry, load_registry
 from collabmap.errors import DataError
 from collabmap.exports.geo import display_size, export_geo, great_circle_points
 from collabmap.exports.pajek import export_pajek
@@ -22,7 +22,7 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import make_documents, read_net, write_net
+from conftest import make_documents, oracle_geojson, read_net, write_net
 from test_network import fake_network
 
 
@@ -294,6 +294,65 @@ def test_node_ordering_and_fixed_decimals():
     for line in nodes_text.splitlines()[1:]:
         lat = line.split(",")[1]
         assert len(lat.split(".")[1]) == 6
+
+
+ODD_NAMES = ['A "QUOTED" LAND', "BACK\\SLASH", "TAB\tNEW\nLINE\x01", "CÔTE D’IVOIRE", "日本",
+             "LINE\u2028SEP", "PLAIN"]
+
+
+@pytest.mark.parametrize("great_circle", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_geojson_text_equals_the_json_dumps_oracle(seed, great_circle):
+    rng = random.Random(seed)
+    entries = {
+        name: CountryEntry(name, f'I"{i}\\', rng.choice([0.0, -0.0, 90.0, -90.0, rng.uniform(-90, 90)]),
+                           rng.choice([0.0, 180.0, -180.0, rng.uniform(-180, 180)]))
+        for i, name in enumerate(ODD_NAMES)
+    }
+    registry = CountryRegistry(entries=entries, aliases={})
+    edges = {
+        (a, b): rng.randint(1, 10**6)
+        for i, a in enumerate(sorted(ODD_NAMES)) for b in sorted(ODD_NAMES)[i + 1:]
+        if rng.random() < 0.7
+    }
+    net = fake_network({c: Fraction(rng.randint(1, 10**5), rng.randint(1, 97)) for c in ODD_NAMES}, edges)
+    sub = threshold_network(net, 0, 0)
+    s_min, s_scale = rng.uniform(-5, 5), rng.uniform(0, 3)
+    doc, _nodes, _links = export_geo(sub, registry, s_min, s_scale, great_circle)
+    assert doc == oracle_geojson(sub, registry, s_min, s_scale, great_circle)
+
+
+@pytest.mark.parametrize("great_circle", [False, True])
+def test_geojson_text_of_real_countries_equals_the_oracle(great_circle):
+    registry = load_registry()
+    _m, _net, sub = fixture_subnetwork()
+    names = sorted(registry.entries)
+    renamed = dict(zip(sorted(sub.parent.nodes), names[::7]))
+    net = fake_network(
+        {renamed[c]: info.fractional_papers for c, info in sub.parent.nodes.items()},
+        {(renamed[a], renamed[b]): w for (a, b), w in sub.edges.items()},
+    )
+    sub = threshold_network(net, 1, 1)
+    assert sub.edges
+    doc, _nodes, _links = export_geo(sub, registry, great_circle=great_circle)
+    assert doc == oracle_geojson(sub, registry, great_circle=great_circle)
+
+
+def test_geojson_text_of_an_overflowing_marker_size_equals_the_oracle():
+    registry = load_registry()
+    sub = threshold_network(fake_network({"CHILE": Fraction(300), "SPAIN": Fraction(2)},
+                                         {("CHILE", "SPAIN"): 4}), 0, 0)
+    doc, _nodes, _links = export_geo(sub, registry, 1.0, 1e308)
+    assert '"display_size": Infinity' in doc
+    assert doc == oracle_geojson(sub, registry, 1.0, 1e308)
+
+
+def test_geojson_text_of_an_empty_subnetwork_equals_the_oracle():
+    registry = load_registry()
+    sub = threshold_network(fake_network({"CHILE": Fraction(3)}, {}), 10, 10)
+    assert sub.nodes == []
+    doc, _nodes, _links = export_geo(sub, registry)
+    assert doc == oracle_geojson(sub, registry) == '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
 
 
 # ---------------------------------------------------------------------------

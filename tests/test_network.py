@@ -17,7 +17,10 @@ from collabmap.network import (
     cosine_similarity,
     ego_network,
     extract_core,
+    load_network,
+    network_json,
     network_stats,
+    ochiai,
     similarity_square_csv,
     subnetwork_by_list,
     threshold_network,
@@ -144,6 +147,17 @@ def test_ochiai_identity_against_incidence():
                 assert sim.sim(a, b) == c_ab / math.sqrt(len(doc_sets[i]) * len(doc_sets[j]))
                 assert 0.0 <= sim.sim(a, b) <= 1.0
                 assert sim.sim(a, b) == sim.sim(b, a)
+
+
+def test_per_edge_ochiai_equals_the_dense_matrix():
+    """Layouts weight each edge by ochiai() alone; its floats are the dense
+    matrix's, bit for bit."""
+    for seed in range(43, 48):
+        _m, net = network_from_documents(make_documents(random.Random(seed), 150, 14, intl_prob=0.6))
+        sim = cosine_similarity(net)
+        for (a, b), w in net.edges.items():
+            assert ochiai(w, net.nodes[a].integer_papers, net.nodes[b].integer_papers) == sim.sim(a, b)
+    assert ochiai(0, 0, 5) == 0.0
 
 
 def test_cosine_ignores_address_multiplicities():
@@ -489,3 +503,29 @@ def test_network_permutation_invariance(seed):
     _m2, net2 = network_from_documents(shuffled)
     assert net1.edges == net2.edges
     assert net1.nodes == net2.nodes
+
+
+# ---------------------------------------------------------------------------
+# network.json
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(20))
+def test_network_json_loads_back_the_network(seed):
+    rng = random.Random(seed)
+    documents = make_documents(rng, rng.randint(1, 120), rng.randint(1, 15), intl_prob=rng.random())
+    _m, net = network_from_documents(documents)
+    loaded = load_network(network_json(net))
+    assert loaded.nodes == net.nodes
+    assert list(loaded.edges.items()) == list(net.edges.items())
+    assert list(loaded.nodes) == list(net.nodes)
+
+
+def test_network_json_writes_exact_fractions_in_node_order():
+    documents = [doc("d1", {"A": 1, "B": 2}), doc("d2", {"B": 1, "C": 1}), doc("d3", {"A": 5})]
+    _m, net = network_from_documents(documents)
+    assert network_json(net) == (
+        '{"nodes": [["A", 2, "4/3"], ["B", 2, "7/6"], ["C", 1, "1/2"]], '
+        '"edges": [["A", "B", 1], ["B", "C", 1]]}\n'
+    )
+    assert network_json(CoauthNetwork(nodes={}, edges={})) == '{"nodes": [], "edges": []}\n'
+    assert load_network('{"nodes": [], "edges": []}') == CoauthNetwork(nodes={}, edges={})
