@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -502,19 +502,16 @@ def _build_network(documents: list[filtering.Document]) -> network.CoauthNetwork
 
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
     """Apply the include/exclude country list before thresholding."""
-    if not cfg.include_countries and not cfg.exclude_countries:
-        return net
     if cfg.include_countries:
-        sub = network.subnetwork_by_list(net, cfg.include_countries, mode="include")
-    else:
-        sub = network.subnetwork_by_list(net, cfg.exclude_countries, mode="exclude")
-    nodes = {c: replace(net.nodes[c], degree=sub.degrees[c]) for c in sub.nodes}
-    return network.CoauthNetwork(nodes=nodes, edges=dict(sub.edges))
+        return network.subnetwork_by_list(net, cfg.include_countries, mode="include")
+    if cfg.exclude_countries:
+        return network.subnetwork_by_list(net, cfg.exclude_countries, mode="exclude")
+    return net
 
 
 def _subnetwork_files(
     prefix: str,
-    sub: network.Subnetwork,
+    sub: network.CoauthNetwork,
     cfg: RunConfig,
     size_attr: str,
 ) -> dict[str, str]:
@@ -522,8 +519,7 @@ def _subnetwork_files(
     files = {f"{prefix}/edges.csv": network.cooccurrence_triples_csv(sub.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree,isolated"]
     isolated = set(sub.isolated_nodes())
-    for country in sub.nodes:
-        info = sub.node_info(country)
+    for country, info in sub.nodes.items():
         node_lines.append(
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},"
             f"{sub.degree(country)},{'yes' if country in isolated else 'no'}"
@@ -532,9 +528,8 @@ def _subnetwork_files(
     files[f"{prefix}/stats.json"] = _json_artifact(network.network_stats(sub).as_dict())
 
     if cfg.layout_weights == "cosine":
-        nodes = sub.parent.nodes
         edges = {
-            (a, b): network.ochiai(w, nodes[a].integer_papers, nodes[b].integer_papers)
+            (a, b): network.ochiai(w, sub.nodes[a].integer_papers, sub.nodes[b].integer_papers)
             for (a, b), w in sub.edges.items()
         }
     else:
@@ -613,8 +608,13 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
         "network.json": network_digest,
         "filter-report.json": report_digest,
     }
+    summary = counting.summarize(documents, report)
+    # each document's fractional credits sum to exactly 1
+    if (summary.n_countries != len(net.nodes)
+            or summary.n_documents != sum(info.fractional_papers for info in net.nodes.values())):
+        raise DataError("documents.jsonl and network.json describe different corpora; run ingest again")
     return inputs, {
-        "summary.json": counting.summary_json(counting.summarize(documents, report)),
+        "summary.json": counting.summary_json(summary),
         "counts.csv": counting.counts_csv(net, cfg.registry),
     }
 
@@ -628,7 +628,8 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
     for country in net.countries():
         info = net.nodes[country]
         node_lines.append(
-            f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},{info.degree}"
+            f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},"
+            f"{net.degree(country)}"
         )
     files["network/nodes.csv"] = "\n".join(node_lines) + "\n"
     # cosine over every country, whatever the country list keeps

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring
 from collabmap.counting import format_fixed
 from collabmap.corpus.registry import CountryRegistry
 from collabmap.errors import DataError
-from collabmap.network import Subnetwork
+from collabmap.network import CoauthNetwork
 
 GREAT_CIRCLE_POINTS = 32
 
@@ -31,28 +31,25 @@ def _to_cartesian(lat: float, lon: float) -> tuple[float, float, float]:
     return (math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi))
 
 
-def _to_geographic(x: float, y: float, z: float) -> tuple[float, float]:
-    return math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x))
-
-
 def great_circle_points(
     lat_a: float, lon_a: float, lat_b: float, lon_b: float, n: int = GREAT_CIRCLE_POINTS
 ) -> list[tuple[float, float]]:
     """n points (endpoints inclusive) along the shorter great-circle arc."""
-    va = _to_cartesian(lat_a, lon_a)
-    vb = _to_cartesian(lat_b, lon_b)
-    dot = max(-1.0, min(1.0, sum(p * q for p, q in zip(va, vb))))
-    omega = math.acos(dot)
-    if math.sin(omega) < 1e-9:
+    xa, ya, za = _to_cartesian(lat_a, lon_a)
+    xb, yb, zb = _to_cartesian(lat_b, lon_b)
+    # sum(), not chained +: from Python 3.12 sum() adds floats with compensation
+    omega = math.acos(max(-1.0, min(1.0, sum((xa * xb, ya * yb, za * zb)))))
+    sin_omega = math.sin(omega)
+    if sin_omega < 1e-9:
         return [(lat_a, lon_a), (lat_b, lon_b)]
+    sin, asin, atan2, degrees = math.sin, math.asin, math.atan2, math.degrees
     points = []
     for step in range(n):
         t = step / (n - 1)
-        fa = math.sin((1.0 - t) * omega) / math.sin(omega)
-        fb = math.sin(t * omega) / math.sin(omega)
-        points.append(
-            _to_geographic(*(fa * pa + fb * pb for pa, pb in zip(va, vb)))
-        )
+        fa = sin((1.0 - t) * omega) / sin_omega
+        fb = sin(t * omega) / sin_omega
+        x, y, z = fa * xa + fb * xb, fa * ya + fb * yb, fa * za + fb * zb
+        points.append((degrees(asin(max(-1.0, min(1.0, z)))), degrees(atan2(y, x))))
     return points
 
 
@@ -64,7 +61,7 @@ def _coordinates(lon: float, lat: float, indent: str) -> str:
 
 
 def export_geo(
-    sub: Subnetwork,
+    sub: CoauthNetwork,
     registry: CountryRegistry,
     s_min: float = 1.0,
     s_scale: float = 1.0,
@@ -83,7 +80,7 @@ def export_geo(
             raise DataError(f"no centroid in registry for country: {country}")
         lat, lon = entry.latitude, entry.longitude
         centroid[country] = (lat, lon)
-        fractional = sub.node_info(country).fractional_papers
+        fractional = sub.nodes[country].fractional_papers
         features.append(
             '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "Point",\n'
             f'        "coordinates": {_coordinates(lon, lat, "        ")}\n      }},\n'

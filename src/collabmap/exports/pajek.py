@@ -12,7 +12,7 @@ from __future__ import annotations
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
 from collabmap.layout import Layout
-from collabmap.network import Subnetwork
+from collabmap.network import CoauthNetwork
 
 
 def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:
@@ -29,7 +29,7 @@ def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[fl
     }
 
 
-def export_pajek(sub: Subnetwork, layout: Layout) -> str:
+def export_pajek(sub: CoauthNetwork, layout: Layout) -> str:
     """The NET file of ``sub`` with every vertex at its layout position."""
     names = sorted(sub.nodes)
     missing = [name for name in names if name not in layout.coordinates]

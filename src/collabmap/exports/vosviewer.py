@@ -5,20 +5,20 @@ from __future__ import annotations
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
 from collabmap.layout import Layout
-from collabmap.network import Subnetwork
+from collabmap.network import CoauthNetwork
 
 SIZE_ATTRS = ("integer_papers", "fractional_papers", "degree")
 
 
 def export_vosviewer(
-    sub: Subnetwork,
+    sub: CoauthNetwork,
     layout: Layout,
     size_attr: str = "fractional_papers",
 ) -> tuple[str, str]:
     """Return (map file, network file) sharing one dense id assignment.
 
     The map's weight column carries the chosen node-size attribute; degree
-    is the in-subnetwork degree, papers come from the parent node profile.
+    is counted from the subnetwork's own edges.
     """
     if size_attr not in SIZE_ATTRS:
         raise DataError(f"size_attr must be one of {SIZE_ATTRS}, got {size_attr!r}")
@@ -34,9 +34,9 @@ def export_vosviewer(
         if size_attr == "degree":
             weight = str(sub.degree(name))
         elif size_attr == "integer_papers":
-            weight = str(sub.node_info(name).integer_papers)
+            weight = str(sub.nodes[name].integer_papers)
         else:
-            weight = format_fixed(sub.node_info(name).fractional_papers)
+            weight = format_fixed(sub.nodes[name].fractional_papers)
         map_lines.append(f"{ids[name]}\t{name}\t{format_fixed(x)}\t{format_fixed(y)}\t{weight}")
 
     net_lines = [

@@ -29,15 +29,17 @@ class NodeInfo:
     country: str
     integer_papers: int
     fractional_papers: Fraction
-    degree: int
 
 
 @dataclass
 class CoauthNetwork:
-    """Symmetric weighted country graph plus per-node paper counts."""
+    """Symmetric weighted country graph plus per-node paper counts. An
+    extracted subnetwork is one too, with the network it came from as
+    ``parent``. A node's degree is counted from ``edges``, never stored."""
 
     nodes: dict[str, NodeInfo]
     edges: dict[tuple[str, str], int]
+    parent: CoauthNetwork | None = None
 
     def countries(self) -> list[str]:
         return sorted(self.nodes)
@@ -54,6 +56,19 @@ class CoauthNetwork:
                 out[a] = w
         return out
 
+    @cached_property
+    def degrees(self) -> Counter[str]:
+        """Edge count per endpoint, counted from ``edges``; countries without
+        an edge are absent."""
+        return Counter(c for pair in self.edges for c in pair)
+
+    def degree(self, country: str) -> int:
+        return self.degrees[country]
+
+    def isolated_nodes(self) -> list[str]:
+        """Nodes with no incident edge."""
+        return [c for c in self.nodes if c not in self.degrees]
+
 
 @dataclass
 class SimilarityMatrix:
@@ -66,31 +81,6 @@ class SimilarityMatrix:
         if a == b:
             return self.values.get((a, a), 0.0)
         return self.values.get(_pair(a, b), 0.0)
-
-
-@dataclass
-class Subnetwork:
-    parent: CoauthNetwork
-    nodes: list[str]
-    edges: dict[tuple[str, str], int]
-
-    def node_info(self, country: str) -> NodeInfo:
-        return self.parent.nodes[country]
-
-    @cached_property
-    def degrees(self) -> Counter[str]:
-        """Edge count per endpoint; countries without an edge are absent."""
-        return Counter(c for pair in self.edges for c in pair)
-
-    def degree(self, country: str) -> int:
-        return self.degrees[country]
-
-    def connected_nodes(self) -> set[str]:
-        return set(self.degrees)
-
-    def isolated_nodes(self) -> list[str]:
-        """Retained nodes with no retained incident edge."""
-        return [c for c in self.nodes if c not in self.degrees]
 
 
 @dataclass(frozen=True)
@@ -115,6 +105,11 @@ class NetworkStats:
 
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
+
+
+def _extract(net: CoauthNetwork, kept, edges: dict[tuple[str, str], int]) -> CoauthNetwork:
+    """``net``'s subnetwork of ``edges`` on the countries ``kept``, sorted."""
+    return CoauthNetwork({c: net.nodes[c] for c in sorted(kept)}, edges, parent=net)
 
 
 def _compare(value, threshold, comparator: str) -> bool:
@@ -149,16 +144,11 @@ def build_coauth_network(
                 key = (m.countries[members[i]], m.countries[members[j]])
                 edges[key] = edges.get(key, 0) + 1
 
-    degrees: dict[str, int] = {c: 0 for c in m.countries}
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
     nodes = {
         c: NodeInfo(
             country=c,
             integer_papers=counts_int[c],
             fractional_papers=Fraction(counts_frac[c]),
-            degree=degrees[c],
         )
         for c in m.countries
     }
@@ -191,7 +181,7 @@ def threshold_network(
     min_node_fractional,
     min_edge_weight: int,
     comparator: str = "ge",
-) -> Subnetwork:
+) -> CoauthNetwork:
     """Keep sufficiently productive nodes, then sufficiently heavy edges.
 
     Nodes passing the fractional-paper threshold stay even when all their
@@ -201,17 +191,16 @@ def threshold_network(
     min_node = Fraction(min_node_fractional)
     if min_node < 0 or min_edge_weight < 0:
         raise DataError("thresholds must be non-negative")
-    kept_nodes = [
-        c for c in net.countries()
-        if _compare(net.nodes[c].fractional_papers, min_node, comparator)
-    ]
-    kept = set(kept_nodes)
+    kept = {
+        c for c, info in net.nodes.items()
+        if _compare(info.fractional_papers, min_node, comparator)
+    }
     edges = {
         pair: w
         for pair, w in net.edges.items()
         if pair[0] in kept and pair[1] in kept and _compare(w, min_edge_weight, comparator)
     }
-    return Subnetwork(parent=net, nodes=kept_nodes, edges=edges)
+    return _extract(net, kept, edges)
 
 
 def connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> list[set[str]]:
@@ -234,7 +223,7 @@ def connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> lis
     return components
 
 
-def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> Subnetwork:
+def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> CoauthNetwork:
     """Edge-thresholded k-core, then its largest connected component.
 
     ``k=1`` degenerates to the plain largest component of the thresholded
@@ -259,17 +248,14 @@ def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> Subnetwork
                 alive.discard(c)
             changed = True
 
-    if not alive:
-        return Subnetwork(parent=net, nodes=[], edges={})
     components = connected_components(alive, adjacency)
-    components.sort(key=lambda comp: (-len(comp), min(comp)))
-    core = components[0]
+    core = min(components, key=lambda comp: (-len(comp), min(comp)), default=set())
     edges = {
         pair: w
         for pair, w in net.edges.items()
         if w >= min_edge_weight and pair[0] in core and pair[1] in core
     }
-    return Subnetwork(parent=net, nodes=sorted(core), edges=edges)
+    return _extract(net, core, edges)
 
 
 def ego_network(
@@ -277,7 +263,7 @@ def ego_network(
     focus: str,
     min_edge_weight: int = 1,
     include_alter_ties: bool = True,
-) -> Subnetwork:
+) -> CoauthNetwork:
     """The focal country plus the neighbors its qualifying edges reach.
 
     The link threshold applies uniformly: alters join via focus edges at
@@ -296,14 +282,14 @@ def ego_network(
         for pair, w in net.edges.items():
             if pair[0] in kept and pair[1] in kept and focus not in pair and w >= min_edge_weight:
                 edges[pair] = w
-    return Subnetwork(parent=net, nodes=sorted(kept), edges=edges)
+    return _extract(net, kept, edges)
 
 
 def subnetwork_by_list(
     net: CoauthNetwork,
     countries: list[str],
     mode: str = "include",
-) -> Subnetwork:
+) -> CoauthNetwork:
     """Induced subgraph on a listed node set, or on its complement."""
     if not countries:
         raise DataError("country list must be non-empty")
@@ -322,7 +308,7 @@ def subnetwork_by_list(
     edges = {
         pair: w for pair, w in net.edges.items() if pair[0] in kept and pair[1] in kept
     }
-    return Subnetwork(parent=net, nodes=sorted(kept), edges=edges)
+    return _extract(net, kept, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +333,8 @@ def _positive_int(value) -> bool:
 
 
 def load_network(text: str) -> CoauthNetwork:
-    """The network whose network_json text ``text`` is, degrees counted from
-    its edges. Text of any other shape is a DataError that names the file."""
+    """The network whose network_json text ``text`` is. Text of any other
+    shape is a DataError that names the file."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -356,13 +342,13 @@ def load_network(text: str) -> CoauthNetwork:
     if (not isinstance(obj, dict) or obj.keys() != {"nodes", "edges"}
             or not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list)):
         raise DataError("network.json: not an object of a nodes list and an edges list")
-    counts: dict[str, tuple[int, Fraction]] = {}
+    nodes: dict[str, NodeInfo] = {}
     for entry in obj["nodes"]:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
                 and isinstance(entry[2], str)):
             raise DataError(f"network.json: node {entry!r} is not [country, integer, \"p/q\"]")
         country, integer, ratio = entry
-        if country in counts:
+        if country in nodes:
             raise DataError(f"network.json: duplicate country {country!r}")
         if not _positive_int(integer):
             raise DataError(f"network.json: integer count of {country!r} is not a positive integer")
@@ -374,15 +360,14 @@ def load_network(text: str) -> CoauthNetwork:
                 or ratio != f"{fractional.numerator}/{fractional.denominator}"):
             raise DataError(f"network.json: fractional count of {country!r} is not a positive \"p/q\" "
                             f"in lowest terms: {ratio!r}")
-        counts[country] = (integer, fractional)
+        nodes[country] = NodeInfo(country, integer, fractional)
     edges: dict[tuple[str, str], int] = {}
-    degrees = dict.fromkeys(counts, 0)
     for entry in obj["edges"]:
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise DataError(f"network.json: edge {entry!r} is not [country, country, weight]")
         a, b, w = entry
-        if a not in degrees or b not in degrees:
+        if a not in nodes or b not in nodes:
             raise DataError(f"network.json: edge {entry!r} names an unknown country")
         if not a < b:
             raise DataError(f"network.json: edge {entry!r} is not in ascending country order")
@@ -391,12 +376,6 @@ def load_network(text: str) -> CoauthNetwork:
         if not _positive_int(w):
             raise DataError(f"network.json: edge {entry!r} has a weight that is not a positive integer")
         edges[(a, b)] = w
-        degrees[a] += 1
-        degrees[b] += 1
-    nodes = {
-        c: NodeInfo(country=c, integer_papers=integer, fractional_papers=fractional, degree=degrees[c])
-        for c, (integer, fractional) in counts.items()
-    }
     return CoauthNetwork(nodes=nodes, edges=edges)
 
 
@@ -432,7 +411,8 @@ def similarity_square_csv(sim: SimilarityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def network_stats(sub: Subnetwork) -> NetworkStats:
+def network_stats(sub: CoauthNetwork) -> NetworkStats:
+    """Counts of an extracted subnetwork against its parent."""
     n_parent = len(sub.parent.nodes)
     histogram: dict[int, int] = {}
     for c in sub.nodes:
@@ -443,6 +423,6 @@ def network_stats(sub: Subnetwork) -> NetworkStats:
         n_edges=len(sub.edges),
         n_parent_links=len(sub.parent.edges),
         possible_links=n_parent * (n_parent - 1) // 2,
-        n_connected_nodes=len(sub.connected_nodes()),
+        n_connected_nodes=len(sub.degrees),
         degree_histogram=histogram,
     )

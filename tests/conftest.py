@@ -363,7 +363,7 @@ def oracle_geojson(sub, registry, s_min=1.0, s_scale=1.0, great_circle=False) ->
     features = []
     for country in sorted(sub.nodes):
         entry = registry.entries[country]
-        fractional = sub.node_info(country).fractional_papers
+        fractional = sub.nodes[country].fractional_papers
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point", "coordinates": coord(entry.longitude, entry.latitude)},
@@ -387,6 +387,37 @@ def oracle_geojson(sub, registry, s_min=1.0, s_scale=1.0, great_circle=False) ->
         })
     document = {"type": "FeatureCollection", "features": features}
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+def _oracle_to_cartesian(lat: float, lon: float) -> tuple[float, float, float]:
+    phi, lam = math.radians(lat), math.radians(lon)
+    return (math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi))
+
+
+def _oracle_to_geographic(x: float, y: float, z: float) -> tuple[float, float]:
+    return math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x))
+
+
+def oracle_great_circle_points(
+    lat_a: float, lon_a: float, lat_b: float, lon_b: float, n: int = 32
+) -> list[tuple[float, float]]:
+    """great_circle_points as it was with a per-point generator and
+    sin(omega) recomputed per point, whose floats the inline one must equal."""
+    va = _oracle_to_cartesian(lat_a, lon_a)
+    vb = _oracle_to_cartesian(lat_b, lon_b)
+    dot = max(-1.0, min(1.0, sum(p * q for p, q in zip(va, vb))))
+    omega = math.acos(dot)
+    if math.sin(omega) < 1e-9:
+        return [(lat_a, lon_a), (lat_b, lon_b)]
+    points = []
+    for step in range(n):
+        t = step / (n - 1)
+        fa = math.sin((1.0 - t) * omega) / math.sin(omega)
+        fb = math.sin(t * omega) / math.sin(omega)
+        points.append(
+            _oracle_to_geographic(*(fa * pa + fb * pb for pa, pb in zip(va, vb)))
+        )
+    return points
 
 
 # ---------------------------------------------------------------------------

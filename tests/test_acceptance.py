@@ -132,7 +132,7 @@ def test_paper_arithmetic_reproduction():
     names = [f"C{i:03d}" for i in range(201)]
     net = fake_network({c: Fraction(1) for c in names}, {(names[0], names[1]): 1})
     stats = network_stats(threshold_network(net, 0, 0))
-    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10), degree=0)
+    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10))
     focus = focus_stats("INDONESIA", CoauthNetwork(nodes={"INDONESIA": indonesia}, edges={}))
     text = export_report(summary, stats, focus)
     checks = [

@@ -482,6 +482,35 @@ def test_malformed_network_json_is_data_error_before_any_write(tmp_path, net_wor
     assert tree_bytes(ws) == before
 
 
+def _drop_first_five_kept(lines: list[str]) -> list[str]:
+    return lines[:5]
+
+
+def _drop_one_whose_countries_survive(lines: list[str]) -> list[str]:
+    countries = [set(json.loads(line)["country_addresses"]) for line in lines]
+    for i, own in enumerate(countries):
+        if own <= set().union(*countries[:i], *countries[i + 1:]):
+            return lines[:i] + lines[i + 1:]
+    raise AssertionError("every document holds a country no other document holds")
+
+
+@pytest.mark.parametrize("cut", [_drop_first_five_kept, _drop_one_whose_countries_survive],
+                         ids=["first-five-lines", "one-line-whose-countries-survive"])
+def test_summary_of_documents_and_network_of_different_corpora_is_data_error(tmp_path, capsys, cut):
+    """summary.json comes from documents.jsonl and counts.csv from
+    network.json, so summary refuses the two when they disagree."""
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "golden_corpus.txt")]) == EXIT_OK
+    path = ws / "documents.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(cut(lines)), encoding="utf-8")
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
+    assert "error: documents.jsonl and network.json describe different corpora" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
 def test_zero_documents_ingest_and_every_network_reader_exits_4(tmp_path, capsys):
     """ingest keeps zero documents as an empty network; every stage that
     reads the network then refuses it, writing nothing."""

@@ -22,7 +22,7 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import make_documents, oracle_geojson, read_net, write_net
+from conftest import make_documents, oracle_geojson, oracle_great_circle_points, read_net, write_net
 from test_network import fake_network
 
 
@@ -282,6 +282,31 @@ def test_great_circle_interpolation():
     assert len(links_text.splitlines()) == 1 + 32
 
 
+def test_great_circle_points_equal_the_per_point_oracle():
+    rng = random.Random(83)
+    pairs = [
+        (rng.uniform(-90, 90), rng.uniform(-180, 180), rng.uniform(-90, 90), rng.uniform(-180, 180))
+        for _ in range(10_000)
+    ]
+    pairs += [
+        (12.5, -77.0, 12.5, -77.0),  # coincident
+        (0.0, 0.0, 0.0, 180.0),  # antipodal
+        (35.0, 139.0, -35.0, -41.0),  # antipodal
+        (90.0, 0.0, -90.0, 0.0),  # pole to pole
+        (90.0, 0.0, 90.0, 120.0),  # one pole, two longitudes
+        (-90.0, 45.0, 10.0, 10.0),
+        (89.999999, 0.0, -89.999999, 180.0),
+        (0.0, 0.0, 0.0, 1e-7),  # sin(omega) just above the 1e-9 cut
+    ]
+    registry = load_registry()
+    centroids = [(e.latitude, e.longitude) for _, e in sorted(registry.entries.items())]
+    pairs += [a + b for a, b in zip(centroids, centroids[1:])]
+    for pair in pairs:
+        assert great_circle_points(*pair) == oracle_great_circle_points(*pair), pair
+    for n in (2, 3, 7):
+        assert great_circle_points(*pairs[0], n=n) == oracle_great_circle_points(*pairs[0], n=n)
+
+
 def test_node_ordering_and_fixed_decimals():
     registry = load_registry()
     net = fake_network(
@@ -350,7 +375,7 @@ def test_geojson_text_of_an_overflowing_marker_size_equals_the_oracle():
 def test_geojson_text_of_an_empty_subnetwork_equals_the_oracle():
     registry = load_registry()
     sub = threshold_network(fake_network({"CHILE": Fraction(3)}, {}), 10, 10)
-    assert sub.nodes == []
+    assert list(sub.nodes) == []
     doc, _nodes, _links = export_geo(sub, registry)
     assert doc == oracle_geojson(sub, registry) == '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
 
@@ -396,7 +421,7 @@ def test_report_renders_paper_arithmetic():
 
 
 def test_report_focus_block_renders_ratio():
-    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10), degree=0)
+    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10))
     focus = focus_stats("INDONESIA", CoauthNetwork(nodes={"INDONESIA": indonesia}, edges={}))
     assert focus["mean_coauthorship_ratio"] == 2.5
     assert focus["fractional_papers_display"] == 227.9

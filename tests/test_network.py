@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,12 +41,8 @@ def network_from_documents(documents):
 
 def fake_network(node_weights: dict[str, Fraction], edges: dict[tuple[str, str], int]):
     """Hand-assembled network for threshold/core/ego tests."""
-    degrees = {c: 0 for c in node_weights}
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
     nodes = {
-        c: NodeInfo(c, integer_papers=int(w) + 1, fractional_papers=Fraction(w), degree=degrees[c])
+        c: NodeInfo(c, integer_papers=int(w) + 1, fractional_papers=Fraction(w))
         for c, w in node_weights.items()
     }
     return CoauthNetwork(nodes=nodes, edges={tuple(sorted(k)): v for k, v in edges.items()})
@@ -63,7 +60,7 @@ def test_single_relation_not_address_product():
 def test_single_country_document_no_edges():
     _m, net = network_from_documents([doc("d1", {"A": 1})])
     assert net.edges == {}
-    assert net.nodes["A"].degree == 0
+    assert net.degree("A") == 0
 
 
 def test_edges_match_brute_force_oracle():
@@ -79,7 +76,7 @@ def test_node_attributes_copied_from_counts():
     assert net.nodes["A"].integer_papers == 2
     assert net.nodes["A"].fractional_papers == Fraction(2, 3) + 1
     assert net.nodes["B"].fractional_papers == Fraction(1, 3)
-    assert net.nodes["A"].degree == 1
+    assert net.degree("A") == 1
 
 
 def test_mismatched_universe_rejected():
@@ -175,7 +172,7 @@ def test_zero_thresholds_identity():
     documents = make_documents(rng, 60, 8, intl_prob=0.5)
     _m, net = network_from_documents(documents)
     sub = threshold_network(net, 0, 0)
-    assert sub.nodes == net.countries()
+    assert list(sub.nodes) == net.countries()
     assert sub.edges == net.edges
 
 
@@ -186,7 +183,7 @@ def test_node_below_threshold_excluded():
     )
     sub = threshold_network(net, 500, 500)
     assert "CYPRUS" not in sub.nodes
-    assert sub.nodes == ["FRANCE", "GERMANY"]
+    assert list(sub.nodes) == ["FRANCE", "GERMANY"]
     assert sub.edges == {("FRANCE", "GERMANY"): 9000}
 
 
@@ -207,7 +204,7 @@ def test_threshold_matches_predicate_oracle_both_comparators():
                 for pair, w in net.edges.items()
                 if pair[0] in keep and pair[1] in keep and op(w, edge_min)
             }
-            assert sub.nodes == expected_nodes
+            assert list(sub.nodes) == expected_nodes
             assert sub.edges == expected_edges
 
 
@@ -233,7 +230,7 @@ def test_isolated_qualifying_nodes_kept_and_flagged():
         {("A", "B"): 700, ("A", "C"): 10},
     )
     sub = threshold_network(net, 500, 500)
-    assert sub.nodes == ["A", "B", "C"]
+    assert list(sub.nodes) == ["A", "B", "C"]
     assert sub.isolated_nodes() == ["C"]
 
 
@@ -292,7 +289,7 @@ def test_triangle_is_its_own_2core():
         {("A", "B"): 1, ("B", "C"): 1, ("A", "C"): 1},
     )
     sub = extract_core(net, min_edge_weight=1, k=2)
-    assert sub.nodes == ["A", "B", "C"]
+    assert list(sub.nodes) == ["A", "B", "C"]
     assert len(sub.edges) == 3
 
 
@@ -302,7 +299,7 @@ def test_path_peels_to_empty_for_k2():
         {("A", "B"): 1, ("B", "C"): 1},
     )
     sub = extract_core(net, min_edge_weight=1, k=2)
-    assert sub.nodes == []
+    assert list(sub.nodes) == []
     assert sub.edges == {}
 
 
@@ -312,7 +309,7 @@ def test_k1_degenerates_to_largest_component():
         {("A", "B"): 1, ("B", "C"): 1, ("D", "E"): 1},
     )
     sub = extract_core(net, min_edge_weight=1, k=1)
-    assert sub.nodes == ["A", "B", "C"]
+    assert list(sub.nodes) == ["A", "B", "C"]
 
 
 def test_random_graphs_match_naive_oracle():
@@ -343,7 +340,7 @@ def test_random_graphs_match_naive_oracle():
 def test_isolated_focus_single_node():
     net = fake_network({"A": Fraction(1), "B": Fraction(1)}, {})
     sub = ego_network(net, "A")
-    assert sub.nodes == ["A"]
+    assert list(sub.nodes) == ["A"]
     assert sub.edges == {}
 
 
@@ -351,7 +348,7 @@ def test_star_focus_center_keeps_whole_star():
     edges = {("HUB", leaf): 2 for leaf in ("L1", "L2", "L3", "L4")}
     net = fake_network({c: Fraction(1) for c in ("HUB", "L1", "L2", "L3", "L4")}, edges)
     sub = ego_network(net, "HUB", min_edge_weight=1)
-    assert sub.nodes == ["HUB", "L1", "L2", "L3", "L4"]
+    assert list(sub.nodes) == ["HUB", "L1", "L2", "L3", "L4"]
     assert len(sub.edges) == 4
 
 
@@ -411,7 +408,7 @@ def test_inclusion_of_everything_is_identity():
     documents = make_documents(rng, 60, 7, intl_prob=0.5)
     _m, net = network_from_documents(documents)
     sub = subnetwork_by_list(net, net.countries(), mode="include")
-    assert sub.nodes == net.countries()
+    assert list(sub.nodes) == net.countries()
     assert sub.edges == net.edges
 
 
@@ -427,6 +424,48 @@ def test_inclusion_matches_set_oracle_and_warns_on_unknown():
     assert sub.edges == {
         pair: w for pair, w in net.edges.items() if pair[0] in keep and pair[1] in keep
     }
+
+
+# ---------------------------------------------------------------------------
+# every extraction is a network of its input
+# ---------------------------------------------------------------------------
+
+def assert_network_of(sub, parent):
+    """``sub`` holds ``parent``'s own node records in sorted order, names it
+    as parent, and counts each degree from its own edges."""
+    assert sub.parent is parent
+    assert list(sub.nodes) == sorted(sub.nodes)
+    counted = Counter(c for pair in sub.edges for c in pair)
+    for c, info in sub.nodes.items():
+        assert info is parent.nodes[c]
+        assert sub.degree(c) == counted[c]
+    assert sub.isolated_nodes() == [c for c in sub.nodes if counted[c] == 0]
+
+
+def test_every_extraction_is_a_network_of_its_input():
+    for seed in range(20):
+        rng = random.Random(1000 + seed)
+        documents = make_documents(rng, 120, rng.randint(3, 14), intl_prob=0.6)
+        _m, net = network_from_documents(documents)
+        assert net.parent is None
+        assert all(net.degree(c) == sum(c in pair for pair in net.edges) for c in net.nodes)
+        names = net.countries()
+        extracted = []
+        for comparator in ("ge", "gt"):
+            for node_min, edge_min in ((0, 0), (1, 1), (Fraction(5, 2), 2)):
+                extracted.append((threshold_network(net, node_min, edge_min, comparator), net))
+        for k in range(5):
+            extracted.append((extract_core(net, rng.randint(1, 3), k), net))
+        focus = rng.choice(names)
+        for alter_ties in (True, False):
+            extracted.append((ego_network(net, focus, rng.randint(1, 2), alter_ties), net))
+        listed = rng.sample(names, rng.randint(1, len(names)))
+        for mode in ("include", "exclude"):
+            restricted = subnetwork_by_list(net, listed, mode)
+            extracted.append((restricted, net))
+            extracted.append((threshold_network(restricted, 1, 1), restricted))
+        for sub, parent in extracted:
+            assert_network_of(sub, parent)
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,23 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_tracer_records_a_span_for_every_exporter(tmp_path):
-    """perfbench/tracer.py rebinds each exporter on its module; an exporter
-    renamed, or imported into the CLI by name, would escape its span."""
+    """perfbench/tracer.py rebinds each exporter, extractor and layout step
+    on its module; one renamed, or imported into the CLI by name, would
+    escape its span."""
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), str(ROOT / "src"), "--",
-         "run", "--workspace", str(tmp_path / "ws"), "--input", str(DATA_DIR / "records_synth20.txt")],
+         "run", "--workspace", str(tmp_path / "ws"), "--input", str(DATA_DIR / "records_synth20.txt"),
+         "--core-k", "2", "--focus", "USA"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"exports.geo", "exports.pajek", "exports.vosviewer"} <= names
+    assert {
+        "network.build", "network.extract", "network.stats", "network.csv",
+        "layout.components", "layout.distances", "layout.minimize",
+    } <= names
 
 
 def run_tree(python: str, workspace: Path) -> dict[str, bytes]:
