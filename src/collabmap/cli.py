@@ -31,7 +31,7 @@ from collabmap.corpus import filtering, records, registry as registry_mod
 from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
 from collabmap.exports import geo as geo_export
 from collabmap.exports import pajek, report as report_export, vosviewer
-from collabmap.layout import EdgeLengthTransform, LayoutConfig, layout_components
+from collabmap.layout import EdgeLengthTransform, Layout, LayoutConfig, layout_components
 
 MANIFEST_NAME = "run-manifest.json"
 
@@ -293,6 +293,8 @@ class Workspace:
         self.root = Path(root)
         # relative path -> (sha256 of the file's text, what the text parses into)
         self._parsed: dict[str, tuple[str, Any]] = {}
+        # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
+        self._layouts: dict[tuple, Layout] = {}
 
     def write_files(self, files: dict[str, str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
@@ -359,6 +361,18 @@ class Workspace:
         if not net.nodes:
             raise DataError("network.json: the network has no countries; ingest retained no documents")
         return digest, net
+
+    def layout(self, nodes: list[str], edges: dict[tuple[str, str], float], cfg: LayoutConfig) -> Layout:
+        """``layout_components(nodes, edges, cfg)``, computed once for each
+        distinct node order, edge order and weights, and settings (Dijkstra's
+        tie-breaking reads the edge order). Equal maps share the one Layout,
+        so its readers must not change it."""
+        # flat tuples of the pairs and weights the edges dict already holds
+        key = (tuple(nodes), tuple(edges), tuple(edges.values()), cfg)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = layout_components(nodes, edges, cfg)
+        return layout
 
 
 def _json_object(relpath: str, text: str) -> dict:
@@ -510,6 +524,7 @@ def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.Coa
 
 
 def _subnetwork_files(
+    ws: Workspace,
     prefix: str,
     sub: network.CoauthNetwork,
     cfg: RunConfig,
@@ -534,7 +549,7 @@ def _subnetwork_files(
         }
     else:
         edges = {pair: float(w) for pair, w in sub.edges.items()}
-    layout = layout_components(list(sub.nodes), edges, cfg.layout_config())
+    layout = ws.layout(list(sub.nodes), edges, cfg.layout_config())
     layout_lines = ["country,x,y"]
     for country in sub.nodes:
         x, y = layout.coordinates[country]
@@ -642,7 +657,7 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
     sub = network.threshold_network(
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
-    files.update(_subnetwork_files("thresholded", sub, cfg, _size_attr(cfg, "net")))
+    files.update(_subnetwork_files(ws, "thresholded", sub, cfg, _size_attr(cfg, "net")))
     return {"network.json": digest}, files
 
 
@@ -664,7 +679,7 @@ def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
         raise ConfigError("core stage needs --core-k")
     digest, net = ws.network()
     sub = network.extract_core(_restrict_network(cfg, net), cfg.core_min_edge_weight, cfg.core_k)
-    files = _subnetwork_files("core", sub, cfg, _size_attr(cfg, "core"))
+    files = _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
     return {"network.json": digest}, files
 
 
@@ -678,7 +693,7 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
         include_alter_ties=cfg.ego_alter_ties,
     )
     prefix = f"ego/{focus}"
-    files = _subnetwork_files(prefix, sub, cfg, _size_attr(cfg, "ego"))
+    files = _subnetwork_files(ws, prefix, sub, cfg, _size_attr(cfg, "ego"))
     files[f"{prefix}/focus.json"] = _json_artifact(report_export.focus_stats(focus, net))
     return {"network.json": digest}, files
 
@@ -817,13 +832,16 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = config_from_args(args)
             if args.command == "synth":
-                text = synth.generate_corpus_text(
-                    cfg.registry,
-                    n_docs=args.docs,
-                    n_countries=args.countries,
-                    intl_prob=args.intl_prob,
-                    seed=args.seed,
-                )
+                try:
+                    text = synth.generate_corpus_text(
+                        cfg.registry,
+                        n_docs=args.docs,
+                        n_countries=args.countries,
+                        intl_prob=args.intl_prob,
+                        seed=args.seed,
+                    )
+                except ValueError as exc:
+                    raise ConfigError(f"synth: {exc}") from exc
                 out = Path(args.out)
                 out.parent.mkdir(parents=True, exist_ok=True)
                 out.write_text(text, encoding="utf-8", newline="\n")

@@ -32,8 +32,8 @@ _EPHEMERA = ["Editorial Material", "Meeting Abstract", "Correction", "News Item"
 
 def pick_countries(registry: CountryRegistry, n_countries: int, rng: random.Random) -> list[str]:
     names = sorted(registry.entries)
-    if n_countries > len(names):
-        raise ValueError(f"registry holds only {len(names)} countries")
+    if not 1 <= n_countries <= len(names):
+        raise ValueError(f"the number of countries must be 1 to {len(names)}, got {n_countries}")
     return rng.sample(names, n_countries)
 
 
@@ -58,6 +58,12 @@ def generate_records(
     intl_prob: float = 0.3,
     seed: int = 42,
 ) -> list[RawRecord]:
+    """The records of the corpus; an argument out of range is a ValueError."""
+    if n_docs < 0:
+        raise ValueError(f"the number of documents must be at least 0, got {n_docs}")
+    # false for nan as well
+    if not 0.0 <= intl_prob <= 1.0:
+        raise ValueError(f"the international collaboration probability must be in [0, 1], got {intl_prob}")
     rng = random.Random(seed)
     countries = pick_countries(registry, n_countries, rng)
     # Zipf-like attractiveness by sampled rank

@@ -77,6 +77,33 @@ def test_synth_is_seed_deterministic(tmp_path):
     assert c.read_bytes() != a.read_bytes()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--countries", "100000"], EXIT_CONFIG),
+    (["--countries", "211"], EXIT_CONFIG),
+    (["--countries", "0"], EXIT_CONFIG),
+    (["--countries", "-3"], EXIT_CONFIG),
+    (["--docs", "-5"], EXIT_CONFIG),
+    (["--intl-prob", "2"], EXIT_CONFIG),
+    (["--intl-prob", "-0.1"], EXIT_CONFIG),
+    (["--intl-prob", "nan"], EXIT_CONFIG),
+    (["--intl-prob", "inf"], EXIT_CONFIG),
+    (["--countries", "1"], EXIT_OK),
+    (["--countries", "210"], EXIT_OK),
+    (["--docs", "0"], EXIT_OK),
+    (["--intl-prob", "0"], EXIT_OK),
+    (["--intl-prob", "1"], EXIT_OK),
+])
+def test_synth_arguments_out_of_range_are_config_errors_before_any_write(tmp_path, capsys, flags, code):
+    """The registry bundles 210 countries; the ends of each range are valid."""
+    out = tmp_path / "sub" / "corpus.txt"
+    assert main(["synth", "--out", str(out), "--docs", "20"] + flags) == code
+    if code == EXIT_CONFIG:
+        assert "configuration error: synth:" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+    else:
+        assert out.is_file()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -622,7 +649,7 @@ def test_cosine_layouts_weight_edges_as_the_dense_matrix(tmp_path, corpus_file, 
     lay_out = cli.layout_components
 
     def record(nodes, edges, cfg):
-        laid_out.append(edges)
+        laid_out.append((nodes, edges))
         return lay_out(nodes, edges, cfg)
 
     monkeypatch.setattr(cli, "layout_components", record)
@@ -630,9 +657,74 @@ def test_cosine_layouts_weight_edges_as_the_dense_matrix(tmp_path, corpus_file, 
     assert main(["run", "--workspace", str(ws), "--input", str(corpus_file), "--layout-weights", "cosine",
                  "--exclude-countries", "COLOMBIA"] + RUN_FLAGS) == EXIT_OK
     sim = network.cosine_similarity(network.load_network((ws / "network.json").read_text(encoding="utf-8")))
-    assert len(laid_out) == 2 and all(laid_out)
-    for edges in laid_out:
-        assert edges == {(a, b): sim.sim(a, b) for a, b in edges}
+    # one call per distinct map; here thresholded/ and core/ are the same map
+    maps = {tuple((ws / prefix / name).read_bytes() for name in ("nodes.csv", "edges.csv"))
+            for prefix in ("thresholded", "core")}
+    assert len(laid_out) == len(maps) == len({(tuple(n), tuple(e.items())) for n, e in laid_out})
+    for _nodes, edges in laid_out:
+        assert edges and edges == {(a, b): sim.sim(a, b) for a, b in edges}
+
+
+def test_run_lays_out_a_map_equal_to_an_earlier_one_once(tmp_path, corpus_file, monkeypatch):
+    """Under RUN_FLAGS, thresholded/ and core/ are the same map. run lays it
+    out once and writes the tree of the stage chain, whose net and core
+    processes, each with a fresh Workspace, lay it out once each."""
+    laid_out = []
+    lay_out = cli.layout_components
+
+    def record(nodes, edges, cfg):
+        laid_out.append(nodes)
+        return lay_out(nodes, edges, cfg)
+
+    monkeypatch.setattr(cli, "layout_components", record)
+    calls = {}
+    for label, argvs in (
+        ("run", [["run", "--input", str(corpus_file)] + RUN_FLAGS]),
+        ("chain", [["ingest", "--input", str(corpus_file)], ["summary"], ["net"] + RUN_FLAGS[:4],
+                   ["geo"] + RUN_FLAGS[:4], ["core"] + RUN_FLAGS[4:], ["export"]]),
+    ):
+        laid_out.clear()
+        for argv in argvs:
+            assert main([argv[0], "--workspace", str(tmp_path / label)] + argv[1:]) == EXIT_OK
+        calls[label] = len(laid_out)
+    assert calls == {"run": 1, "chain": 2}
+    tree = tree_bytes(tmp_path / "run")
+    for name in ("nodes.csv", "edges.csv", "layout.csv"):
+        assert tree[f"thresholded/{name}"] == tree[f"core/{name}"]
+    assert tree == tree_bytes(tmp_path / "chain")
+
+
+def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
+    """The same nodes and edges in another edge or node order, or under
+    other settings, are another map: Dijkstra's tie-breaking reads the
+    edge order. An equal map gets the Layout computed first."""
+    laid_out = []
+    lay_out = cli.layout_components
+
+    def record(nodes, edges, cfg):
+        laid_out.append((nodes, edges, cfg))
+        return lay_out(nodes, edges, cfg)
+
+    monkeypatch.setattr(cli, "layout_components", record)
+    ws = Workspace(tmp_path)
+    # a square: every pair of opposite corners is joined by two equal paths
+    nodes = ["A", "B", "C", "D"]
+    edges = {("A", "B"): 2.0, ("A", "C"): 2.0, ("B", "D"): 2.0, ("C", "D"): 2.0}
+    cfg = layout.LayoutConfig()
+    first = ws.layout(nodes, edges, cfg)
+    assert ws.layout(list(nodes), dict(edges), layout.LayoutConfig()) is first
+    maps = [
+        (nodes, dict(reversed(edges.items())), cfg),
+        (nodes[::-1], edges, cfg),
+        (nodes, edges, dataclasses.replace(cfg, seed=7)),
+        (nodes, edges, dataclasses.replace(cfg, transform=layout.EdgeLengthTransform.UNIT)),
+        (nodes, {**edges, ("A", "B"): 3.0}, cfg),
+    ]
+    layouts = [ws.layout(*args) for args in maps]
+    assert laid_out == [(nodes, edges, cfg)] + maps
+    for args, got in zip(maps, layouts):
+        assert got is not first and got == lay_out(*args)
+    assert Workspace(tmp_path).layout(nodes, edges, cfg) is not first
 
 
 def test_line_separators_in_record_ids_run_like_the_chain(tmp_path, corpus_file):
