@@ -23,15 +23,18 @@ import warnings
 from dataclasses import dataclass, field, fields, make_dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
-from typing import Any, Callable
+from pathlib import Path, PurePosixPath
+from typing import TYPE_CHECKING, Any, Callable
 
-from collabmap import counting, network, synth
-from collabmap.corpus import filtering, records, registry as registry_mod
 from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
-from collabmap.exports import geo as geo_export
-from collabmap.exports import pajek, report as report_export, vosviewer
-from collabmap.layout import EdgeLengthTransform, Layout, LayoutConfig, layout_components
+
+# Each function imports the modules it calls, so a stage process loads only
+# what it runs, and calls them through the module, where perfbench's tracer
+# rebinds them.
+if TYPE_CHECKING:
+    from collabmap import network
+    from collabmap.corpus import filtering, registry as registry_mod
+    from collabmap.layout import Layout, LayoutConfig
 
 MANIFEST_NAME = "run-manifest.json"
 
@@ -75,6 +78,15 @@ def _nonnegative(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
         value = parse(raw)
         if value < 0:
             raise ValueError("negative")
+        return value
+    return checked
+
+
+def _positive(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def checked(raw):
+        value = parse(raw)
+        if value <= 0:
+            raise ValueError("not positive")
         return value
     return checked
 
@@ -190,23 +202,23 @@ OPTIONS = (
            show=lambda cfg, _: sorted(cfg.exclude_countries)),
     Option("layout_transform", "--layout-transform", None, _text, _LAYOUT_USERS,
            "edge-length transform (default follows --layout-weights)",
-           choices=tuple(t.value for t in EdgeLengthTransform), key="layout.transform",
+           choices=("inverse_log_weight", "one_minus_similarity", "unit"), key="layout.transform",
            show=lambda cfg, _: cfg.layout_config().transform.value),
     Option("layout_weights", "--layout-weights", "counts", _text, _LAYOUT_USERS,
            "lay out by co-authorship counts or by cosine similarity",
            choices=("counts", "cosine"), key="layout.weights"),
-    Option("layout_diameter", "--layout-diameter", 1.0, _real, _LAYOUT_USERS,
+    Option("layout_diameter", "--layout-diameter", 1.0, _positive(_real), _LAYOUT_USERS,
            "longest ideal distance of the layout", key="layout.diameter"),
-    Option("layout_spring", "--layout-spring", 1.0, _real, _LAYOUT_USERS,
+    Option("layout_spring", "--layout-spring", 1.0, _positive(_real), _LAYOUT_USERS,
            "layout spring constant", key="layout.spring_constant"),
-    Option("layout_tolerance", "--layout-tolerance", 1e-4, _real, _LAYOUT_USERS,
+    Option("layout_tolerance", "--layout-tolerance", 1e-4, _positive(_real), _LAYOUT_USERS,
            "layout stops when no gradient exceeds this", key="layout.tolerance"),
-    Option("layout_max_iterations", "--layout-max-iter", None, _integer, _LAYOUT_USERS,
+    Option("layout_max_iterations", "--layout-max-iter", None, _positive(_integer), _LAYOUT_USERS,
            "layout iteration cap (default 200 per node)", key="layout.max_outer_iterations"),
     Option("layout_seed", "--layout-seed", 42, _integer, _LAYOUT_USERS,
            "seed of the initial layout positions", key="layout.seed"),
     Option("size_attr", "--size-attr", None, _text, _LAYOUT_USERS, "VOSviewer node size",
-           choices=vosviewer.SIZE_ATTRS, show=_size_attr),
+           choices=("integer_papers", "fractional_papers", "degree"), show=_size_attr),
     Option("size_min", "--size-min", 1.0, _real, ("geo",), "smallest geo marker size"),
     Option("size_scale", "--size-scale", 1.0, _real, ("geo",),
            "geo marker growth per log paper"),
@@ -227,10 +239,6 @@ class _RunConfigBase:
             # the default (None for optional fields) is always allowed
             if opt.choices and value not in opt.choices + (opt.default,):
                 raise ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
-        try:
-            self.layout_config()
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.include_countries and self.exclude_countries:
             raise ConfigError("give an include list or an exclude list, not both")
         if require_inputs and not self.inputs:
@@ -242,16 +250,20 @@ class _RunConfigBase:
 
     @cached_property
     def registry(self) -> registry_mod.CountryRegistry:
+        from collabmap.corpus import registry as registry_mod
+
         return registry_mod.load_registry(self.registry_path, self.aliases_path)
 
     def layout_config(self) -> LayoutConfig:
+        from collabmap import layout
+
         transform = self.layout_transform
         if transform is None:
             transform = (
                 "one_minus_similarity" if self.layout_weights == "cosine" else "inverse_log_weight"
             )
-        return LayoutConfig(
-            transform=EdgeLengthTransform(transform),
+        return layout.LayoutConfig(
+            transform=layout.EdgeLengthTransform(transform),
             diameter=self.layout_diameter,
             spring_constant=self.layout_spring,
             tolerance=self.layout_tolerance,
@@ -286,6 +298,16 @@ RunConfig.__module__ = __name__
 # workspace plumbing
 # ---------------------------------------------------------------------------
 
+def layout_components(
+    nodes: list[str], edges: dict[tuple[str, str], float], cfg: LayoutConfig
+) -> Layout:
+    """``collabmap.layout.layout_components``, whose module is loaded on
+    the first call, so only the stages that draw a map load it."""
+    from collabmap import layout
+
+    return layout.layout_components(nodes, edges, cfg)
+
+
 class Workspace:
     """The artifact directory that stages read from and _run_stage writes to."""
 
@@ -296,11 +318,12 @@ class Workspace:
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
 
-    def write_files(self, files: dict[str, str]) -> None:
+    def write_files(self, files: dict[str, str], delete: list[str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
-        each existing target aside and the temporary into its place. If any
-        step fails, put the originals back, remove the new files and the
-        temporaries, and re-raise, so every file stays as it was."""
+        each file to delete and each existing target aside and the temporary
+        into its place. If any step fails, put the originals back, remove
+        the new files and the temporaries, and re-raise, so every file stays
+        as it was. On success, remove the directories the deletions empty."""
         staged: list[tuple[Path, Path]] = []
         moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
         try:
@@ -310,6 +333,12 @@ class Workspace:
                 temp = path.with_name(path.name + ".tmp")
                 staged.append((temp, path))
                 temp.write_text(text, encoding="utf-8", newline="\n")
+            for relpath in delete:
+                path = self.root / relpath
+                if path.is_file():
+                    backup = path.with_name(path.name + ".bak")
+                    os.replace(path, backup)
+                    moved.append((path, backup))
             for temp, path in staged:
                 backup = path.with_name(path.name + ".bak") if path.exists() else None
                 if backup is not None:
@@ -328,6 +357,12 @@ class Workspace:
         for _path, backup in moved:
             if backup is not None:
                 backup.unlink()
+        for relpath in delete:
+            for parent in PurePosixPath(relpath).parents[:-1]:
+                try:
+                    (self.root / parent).rmdir()
+                except OSError:  # not empty, or not there
+                    break
 
     def read_text(self, relpath: str) -> str:
         path = self.root / relpath
@@ -357,6 +392,8 @@ class Workspace:
     def network(self) -> tuple[str, network.CoauthNetwork]:
         """The digest and network of network.json; a network without
         countries, which ingest writes for zero documents, is a DataError."""
+        from collabmap import network
+
         digest, net = self.parsed("network.json", network.load_network)
         if not net.nodes:
             raise DataError("network.json: the network has no countries; ingest retained no documents")
@@ -420,9 +457,17 @@ def _json_artifact(obj) -> str:
 
 
 def update_manifest(
-    ws: Workspace, stage: str, config_view: dict, inputs: dict[str, str], files: dict[str, str]
-) -> str:
-    """The text of the workspace's manifest with the stage's entry replaced."""
+    ws: Workspace,
+    stage: str,
+    config_view: dict,
+    inputs: dict[str, str],
+    files: dict[str, str],
+    fresh: bool,
+) -> tuple[str, list[str]]:
+    """The text of the workspace's manifest with the stage's entry replaced,
+    and the artifacts to delete with it. A fresh manifest holds the stage's
+    entry alone, and every artifact the old one lists that ``files`` does
+    not rewrite is to be deleted, so no entry outlives the run that made it."""
     manifest = {"stages": {}}
     if (ws.root / MANIFEST_NAME).is_file():
         manifest = _json_object(MANIFEST_NAME, ws.read_text(MANIFEST_NAME))
@@ -438,12 +483,26 @@ def update_manifest(
                 raise DataError(f"{where}: {key} is not a JSON object")
             if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
                 raise DataError(f"{where}: {key} maps a name to a non-string")
-    stages[stage] = {
+        for relpath in entry["artifacts"]:
+            # the form the writer gives: relative, no empty, "." or ".." part
+            if any(part in ("", ".", "..") for part in relpath.split("/")):
+                raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
+    own = {
         "config": config_view,
         "inputs": inputs,
         "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
     }
-    return _json_dumps(manifest)
+    if not fresh:
+        stages[stage] = own
+        return _json_dumps(manifest), []
+    stale = {relpath for old in stages.values() for relpath in old["artifacts"]}
+    stale -= files.keys() | {MANIFEST_NAME}
+    root = ws.root.resolve()
+    for relpath in stale:
+        # a symbolic link on the way must not lead the deletion out of the workspace
+        if not (root / relpath).resolve().is_relative_to(root):
+            raise DataError(f"{MANIFEST_NAME}: artifact {relpath!r} is not a path inside the workspace")
+    return _json_dumps({"stages": {stage: own}}), sorted(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +530,8 @@ def load_documents(text: str) -> list[filtering.Document]:
     """The documents of documents.jsonl; a malformed line is a DataError
     that names its line number. Lines end at "\n" only, as JSONL's do:
     a record id may hold U+2028 or U+0085, which the writer leaves raw."""
+    from collabmap.corpus import filtering
+
     documents = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -506,6 +567,8 @@ def load_documents(text: str) -> list[filtering.Document]:
 def _build_network(documents: list[filtering.Document]) -> network.CoauthNetwork:
     """The network, which carries every country's counts, of the retained
     documents; empty for zero documents."""
+    from collabmap import counting, network
+
     if not documents:
         return network.CoauthNetwork(nodes={}, edges={})
     matrix = counting.build_incidence(documents)
@@ -516,6 +579,8 @@ def _build_network(documents: list[filtering.Document]) -> network.CoauthNetwork
 
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
     """Apply the include/exclude country list before thresholding."""
+    from collabmap import network
+
     if cfg.include_countries:
         return network.subnetwork_by_list(net, cfg.include_countries, mode="include")
     if cfg.exclude_countries:
@@ -531,6 +596,9 @@ def _subnetwork_files(
     size_attr: str,
 ) -> dict[str, str]:
     """The shared artifact set of any extracted subnetwork, by relative path."""
+    from collabmap import counting, network
+    from collabmap.exports import pajek, vosviewer
+
     files = {f"{prefix}/edges.csv": network.cooccurrence_triples_csv(sub.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree,isolated"]
     isolated = set(sub.isolated_nodes())
@@ -583,6 +651,9 @@ def _read_input(path: Path) -> tuple[str, str]:
 
 
 def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import network
+    from collabmap.corpus import filtering, records
+
     reg = cfg.registry
     all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
@@ -615,6 +686,9 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import counting
+    from collabmap.corpus import filtering
+
     documents_digest, documents = ws.parsed("documents.jsonl", load_documents)
     network_digest, net = ws.network()
     report_digest, report = _read_intermediate(ws, "filter-report.json", filtering.FilterReport)
@@ -635,6 +709,8 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import counting, network
+
     digest, full = ws.network()
     net = _restrict_network(cfg, full)
 
@@ -662,6 +738,9 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import network
+    from collabmap.exports import geo as geo_export
+
     digest, net = ws.network()
     sub = network.threshold_network(
         _restrict_network(cfg, net), cfg.min_node_fractional, cfg.min_edge_weight,
@@ -675,6 +754,8 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import network
+
     if cfg.core_k is None:
         raise ConfigError("core stage needs --core-k")
     digest, net = ws.network()
@@ -684,6 +765,9 @@ def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import network
+    from collabmap.exports import report as report_export
+
     if not cfg.ego_focus:
         raise ConfigError("ego stage needs --focus")
     digest, net = ws.network()
@@ -699,6 +783,9 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
 
 
 def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
+    from collabmap import counting, network
+    from collabmap.exports import report as report_export
+
     summary_digest, summary = _read_intermediate(
         ws, "summary.json", counting.CorpusSummary,
         share_international_docs=Fraction, share_addresses_international=Fraction,
@@ -737,14 +824,15 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
         stages.append("ego")
     stages.append("export")
     for stage in stages:
-        _run_stage(stage, cfg, ws)
+        # ingest's batch also deletes what an earlier run left and this one does not remake
+        _run_stage(stage, cfg, ws, fresh=stage == "ingest")
 
 
-def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
+def _run_stage(stage: str, cfg: RunConfig, ws: Workspace, fresh: bool = False) -> None:
     inputs, files = _STAGE_FUNCS[stage](cfg, ws)
-    manifest = update_manifest(ws, stage, cfg.stage_view(stage), inputs, files)
+    manifest, stale = update_manifest(ws, stage, cfg.stage_view(stage), inputs, files, fresh)
     # one batch, so the files and the manifest that lists them change together
-    ws.write_files({**files, MANIFEST_NAME: manifest})
+    ws.write_files({**files, MANIFEST_NAME: manifest}, stale)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +920,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = config_from_args(args)
             if args.command == "synth":
+                from collabmap import synth
+
                 try:
                     text = synth.generate_corpus_text(
                         cfg.registry,

@@ -1,31 +1,1 @@
 """Bibliographic corpus handling: record parsing, country resolution, filtering."""
-
-from collabmap.corpus.filtering import Document, FilterReport, filter_documents
-from collabmap.corpus.records import (
-    ParseIssue,
-    RawRecord,
-    parse_records,
-    write_tagged,
-)
-from collabmap.corpus.registry import (
-    CountryEntry,
-    CountryRegistry,
-    Unrecognized,
-    load_registry,
-    resolve_country,
-)
-
-__all__ = [
-    "CountryEntry",
-    "CountryRegistry",
-    "Document",
-    "FilterReport",
-    "ParseIssue",
-    "RawRecord",
-    "Unrecognized",
-    "filter_documents",
-    "load_registry",
-    "parse_records",
-    "resolve_country",
-    "write_tagged",
-]

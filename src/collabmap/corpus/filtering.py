@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from collabmap.corpus.records import RawRecord
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
+
+if TYPE_CHECKING:
+    from collabmap.corpus.records import RawRecord
 
 # Raw document-type tag -> canonical retained type, matched after
 # lowercasing and stripping a leading "@" marker. Export variants differ

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from collabmap.corpus.filtering import Document, FilterReport
-from collabmap.corpus.registry import CountryRegistry
 from collabmap.errors import DataError
 
 if TYPE_CHECKING:
+    from collabmap.corpus.filtering import Document, FilterReport
+    from collabmap.corpus.registry import CountryRegistry
     from collabmap.network import CoauthNetwork
 
 

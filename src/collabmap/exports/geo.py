@@ -12,11 +12,14 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
 from collabmap.counting import format_fixed
-from collabmap.corpus.registry import CountryRegistry
 from collabmap.errors import DataError
-from collabmap.network import CoauthNetwork
+
+if TYPE_CHECKING:
+    from collabmap.corpus.registry import CountryRegistry
+    from collabmap.network import CoauthNetwork
 
 GREAT_CIRCLE_POINTS = 32
 

@@ -9,10 +9,14 @@ end in LF.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
-from collabmap.layout import Layout
-from collabmap.network import CoauthNetwork
+
+if TYPE_CHECKING:
+    from collabmap.layout import Layout
+    from collabmap.network import CoauthNetwork
 
 
 def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from collabmap.counting import (
     CorpusSummary,
@@ -12,7 +13,9 @@ from collabmap.counting import (
     summary_dict,
 )
 from collabmap.errors import DataError
-from collabmap.network import CoauthNetwork, NetworkStats
+
+if TYPE_CHECKING:
+    from collabmap.network import CoauthNetwork, NetworkStats
 
 
 def focus_stats(country: str, net: CoauthNetwork) -> dict:

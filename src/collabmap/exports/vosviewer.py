@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
-from collabmap.layout import Layout
-from collabmap.network import CoauthNetwork
+
+if TYPE_CHECKING:
+    from collabmap.layout import Layout
+    from collabmap.network import CoauthNetwork
 
 SIZE_ATTRS = ("integer_papers", "fractional_papers", "degree")
 

@@ -19,9 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from collabmap.counting import IncidenceMatrix
 from collabmap.errors import DataError
+
+if TYPE_CHECKING:
+    from collabmap.counting import IncidenceMatrix
 
 
 @dataclass(frozen=True)

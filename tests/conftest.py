@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from collabmap.corpus import load_registry
 from collabmap.corpus.filtering import Document, FilterReport, canonical_doc_type
 from collabmap.corpus.records import _FILE_END, _RECORD_END, _RECORD_START, ParseIssue, RawRecord
-from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
+from collabmap.corpus.registry import CountryRegistry, Unrecognized, load_registry, resolve_country
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
 from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress

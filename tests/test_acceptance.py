@@ -22,7 +22,7 @@ from collabmap.exports.geo import export_geo
 from collabmap.exports.pajek import export_pajek
 from collabmap.exports.report import export_report, focus_stats
 from collabmap.exports.vosviewer import export_vosviewer
-from collabmap.corpus import load_registry
+from collabmap.corpus.registry import load_registry
 from collabmap.layout import (
     LayoutConfig,
     layout_components,

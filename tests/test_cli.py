@@ -30,6 +30,7 @@ from collabmap.cli import (
     main,
 )
 from collabmap.errors import DataError
+from collabmap.exports import vosviewer
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -169,6 +170,30 @@ def test_bad_layout_values_fail_before_any_write(tmp_path, corpus_file):
     assert tree_bytes(ws) == before
 
 
+@pytest.mark.parametrize("field, value, message", [
+    *((field, value, f"bad value for {field}: ")
+      for field in ("layout_tolerance", "layout_diameter", "layout_spring", "layout_max_iterations")
+      for value in (0, -1, float("nan"))),
+    ("layout_transform", "banana", "layout_transform must be one of "),
+])
+def test_bad_layout_config_values_fail_on_every_command(tmp_path, net_workspace, corpus_file, capsys,
+                                                        field, value, message):
+    """Each layout option's row checks its range, so a bad value in a config
+    file stops even a command that draws no map, before anything is written."""
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    before = tree_bytes(ws)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({field: value}))
+    for command, *flags in (["ingest", "--input", str(corpus_file)], ["summary"], ["geo"],
+                            ["export"], ["net"]):
+        capsys.readouterr()
+        argv = ["--config", str(config_path), command, "--workspace", str(ws)] + flags
+        assert main(argv) == EXIT_CONFIG, command
+        assert f"configuration error: {message}" in capsys.readouterr().err, command
+        assert tree_bytes(ws) == before, command
+
+
 def test_negative_counts_are_config_errors(tmp_path, corpus_file):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
@@ -271,6 +296,99 @@ def test_failed_move_restores_the_files_and_the_manifest(tmp_path, corpus_file, 
         _run_stage("ingest", RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]), ws)
     assert placed[-1] == failing and len(placed) >= 2
     assert tree_bytes(ws.root) == before
+
+
+def tree_dirs(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_dir()}
+
+
+def assert_manifest_matches_the_files(ws: Path) -> None:
+    """Every file but the manifest is listed once, with its digest."""
+    listed = {}
+    for entry in json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))["stages"].values():
+        listed.update(entry["artifacts"])
+    tree = tree_bytes(ws)
+    del tree["run-manifest.json"]
+    assert {relpath: hashlib.sha256(data).hexdigest() for relpath, data in tree.items()} == listed
+
+
+def test_run_removes_the_stages_it_does_not_run(tmp_path):
+    """A run over a workspace that an earlier run with a core and an ego
+    map filled leaves the tree a run into an empty workspace would write;
+    a single stage still deletes nothing."""
+    ws = tmp_path / "ws"
+    first = ["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt"),
+             "--core-k", "2", "--focus", "USA"]
+    assert main(first) == EXIT_OK
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_OK
+    assert {"core", "ego/USA"} <= tree_dirs(ws)
+
+    assert main(first) == EXIT_OK
+    plain = ["--input", str(DATA_DIR / "records_small.txt")]
+    assert main(["run", "--workspace", str(ws)] + plain) == EXIT_OK
+    assert main(["run", "--workspace", str(tmp_path / "empty")] + plain) == EXIT_OK
+    assert tree_bytes(ws) == tree_bytes(tmp_path / "empty")
+    assert tree_dirs(ws) == tree_dirs(tmp_path / "empty") == {"geo", "network", "thresholded"}
+    assert_manifest_matches_the_files(ws)
+
+
+def test_run_with_another_focus_removes_the_old_ego_map(tmp_path):
+    ws = tmp_path / "ws"
+    run = ["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]
+    for focus in ("USA", "GEORGIA"):
+        assert main(run + ["--focus", focus]) == EXIT_OK
+    assert "ego/USA" not in tree_dirs(ws) and "ego/GEORGIA" in tree_dirs(ws)
+    assert json.loads((ws / "report.json").read_text(encoding="utf-8"))["focus"]["country"] == "GEORGIA"
+    assert_manifest_matches_the_files(ws)
+
+
+def test_failed_move_in_a_run_keeps_the_stages_it_would_delete(tmp_path, monkeypatch):
+    """The deletions share ingest's batch, so a failed move puts every
+    deleted file back and leaves its directory in place."""
+    ws = tmp_path / "ws"
+    assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt"),
+                 "--core-k", "2", "--focus", "USA"]) == EXIT_OK
+    before, dirs = tree_bytes(ws), tree_dirs(ws)
+    replace = os.replace
+    moved_aside = []
+
+    def fail_on_the_manifest(src, dst):
+        if Path(src).name == "run-manifest.json.tmp":
+            raise OSError("rename failed")
+        if Path(dst).name.endswith(".bak"):
+            moved_aside.append(Path(src).relative_to(ws).as_posix())
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_the_manifest)
+    with pytest.raises(OSError, match="rename failed"):
+        main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")])
+    assert {"core/layout.csv", "ego/USA/focus.json", "report.json"} <= set(moved_aside)
+    assert tree_bytes(ws) == before
+    assert tree_dirs(ws) == dirs
+
+
+@pytest.mark.parametrize("relpath", ["{victim}", "../outside/victim.txt", "core/../../outside/victim.txt",
+                                     "./counts.csv", "", "link/victim.txt"])
+def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys, relpath):
+    """run deletes what the old manifest lists, so a listed path must name a
+    file inside the workspace, through no symbolic link that leads out of
+    it; any other is refused before any write."""
+    ws = tmp_path / "ws"
+    assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_OK
+    victim = tmp_path / "outside" / "victim.txt"
+    victim.parent.mkdir()
+    victim.write_text("keep me\n")
+    (ws / "link").symlink_to(victim.parent, target_is_directory=True)
+    relpath = relpath.format(victim=victim)  # an absolute path
+    manifest = json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["core"] = {"config": {}, "inputs": {}, "artifacts": {relpath: "0" * 64}}
+    (ws / "run-manifest.json").write_text(json.dumps(manifest))
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_DATA
+    assert f"artifact {relpath!r} is not a path inside the workspace" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+    assert victim.read_text() == "keep me\n"
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
@@ -432,6 +550,9 @@ def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_works
                  "stage 'ingest': config is not a JSON object", id="config-missing"),
     pytest.param(b'{"stages": {"summary": {"config": {}, "inputs": {"a.txt": 7}, "artifacts": {}}}}',
                  "stage 'summary': inputs maps a name to a non-string", id="input-digest-not-a-string"),
+    pytest.param(b'{"stages": {"core": {"config": {}, "inputs": {}, "artifacts": {"../x.csv": "y"}}}}',
+                 "stage 'core': artifact '../x.csv' is not a path inside the workspace",
+                 id="artifact-outside"),
 ])
 def test_malformed_manifest_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
                                                           data, message):
@@ -981,6 +1102,14 @@ def test_every_accepted_flag_is_recorded_in_the_manifest():
         for action in parser._actions:
             if action.option_strings and action.dest not in ("help", "workspace"):
                 assert manifest_key[action.dest] in recorded, (command, action.option_strings)
+
+
+def test_option_choices_are_the_library_values():
+    """The CLI spells out these choices so that parsing flags loads neither
+    the layout nor the exporters; they must stay the values those accept."""
+    choices = {opt.name: opt.choices for opt in OPTIONS}
+    assert choices["layout_transform"] == tuple(t.value for t in layout.EdgeLengthTransform)
+    assert choices["size_attr"] == vosviewer.SIZE_ATTRS
 
 
 def test_net_example_thresholds(tmp_path, corpus_file):

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap.corpus import (
-    Unrecognized,
-    filter_documents,
-    load_registry,
-    parse_records,
-    resolve_country,
-    write_tagged,
-)
 from collabmap.corpus import records as records_mod
-from collabmap.corpus.records import RawRecord
+from collabmap.corpus.filtering import filter_documents
+from collabmap.corpus.records import RawRecord, parse_records, write_tagged
+from collabmap.corpus.registry import Unrecognized, load_registry, resolve_country
 from collabmap.errors import ConfigError, ParseError
 
 from conftest import DATA_DIR, _parse_tagged, reference_filter_documents, write_delimited

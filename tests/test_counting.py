@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap.corpus import filter_documents, parse_records
-from collabmap.corpus.filtering import Document, FilterReport
+from collabmap.corpus.filtering import Document, FilterReport, filter_documents
+from collabmap.corpus.records import parse_records
 from collabmap.counting import (
     build_incidence,
     counts_csv,

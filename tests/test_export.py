@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from collabmap.counting import CorpusSummary, build_incidence, fractional_counts, integer_counts
-from collabmap.corpus import CountryEntry, CountryRegistry, load_registry
+from collabmap.corpus.registry import CountryEntry, CountryRegistry, load_registry
 from collabmap.errors import DataError
 from collabmap.exports.geo import display_size, export_geo, great_circle_points
 from collabmap.exports.pajek import export_pajek

@@ -73,6 +73,68 @@ def test_tracer_records_a_span_for_every_exporter(tmp_path):
     } <= names
 
 
+# Runs one command and prints the collabmap modules loaded by its end.
+MODULES_PROBE = (
+    "import json, sys\n"
+    "from collabmap import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'collabmap')))\n"
+    "sys.exit(code)\n"
+)
+
+# the modules each command loads beyond collabmap, cli and errors
+MAP_MODULES = {"network", "layout", "counting", "exports.pajek", "exports.vosviewer"}
+COMMAND_MODULES = {
+    "synth": {"corpus.records", "corpus.registry", "synth"},
+    "ingest": {"network", "counting", "corpus.records", "corpus.filtering", "corpus.registry"},
+    "summary": {"counting", "network", "corpus.filtering", "corpus.registry"},
+    "net": MAP_MODULES,
+    "geo": {"network", "counting", "corpus.registry", "exports.geo"},
+    "core": MAP_MODULES,
+    "ego": MAP_MODULES | {"exports.report"},
+    "export": {"counting", "network", "exports.report"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """A stage process imports what its stage calls, so a fresh interpreter
+    ends each command with exactly the table's modules loaded."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    workspace = ["--workspace", str(tmp_path / "ws")]
+    argvs = {
+        "synth": ["--out", str(tmp_path / "corpus.txt"), "--docs", "20"],
+        "ingest": workspace + ["--input", str(DATA_DIR / "records_synth20.txt")],
+        "summary": workspace,
+        "net": workspace,
+        "geo": workspace,
+        "core": workspace + ["--core-k", "2"],
+        "ego": workspace + ["--focus", "USA"],
+        "export": workspace + ["--focus", "USA"],
+    }
+    loaded = {}
+    for command, args in argvs.items():
+        proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, command, *args],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, (command, proc.stderr)
+        loaded[command] = set(json.loads(proc.stdout.splitlines()[-1]))
+    for command, modules in COMMAND_MODULES.items():
+        names = {f"collabmap.{m}" for m in modules | {"cli", "errors"}}
+        packages = {name.rpartition(".")[0] for name in names}
+        assert loaded[command] == names | packages, command
+    for command, names in loaded.items():
+        assert ("collabmap.layout" in names) == (command in ("net", "core", "ego")), command
+        assert ("collabmap.corpus.records" in names) == (command in ("synth", "ingest")), command
+        assert ("collabmap.synth" in names) == (command == "synth"), command
+
+
+def test_every_command_help_exits_zero():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in ([], *([c] for c in COMMAND_MODULES), ["run"]):
+        proc = subprocess.run([sys.executable, "-m", "collabmap.cli", *command, "--help"],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: collabmap"), (command, proc.stderr)
+
+
 def run_tree(python: str, workspace: Path) -> dict[str, bytes]:
     """The files that ``collabmap run`` on the synth corpus writes under
     ``python``, keyed by their path in the workspace."""
