@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field, fields, make_dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -244,9 +245,15 @@ class _RunConfigBase:
         if require_inputs and not self.inputs:
             raise ConfigError("no input files given")
         if require_inputs:
+            # the file name keys the input's digest and seeds its synthesized record ids
+            names: set[str] = set()
             for path in self.inputs:
                 if not Path(path).is_file():
                     raise ConfigError(f"input file not found: {path}")
+                name = Path(path).name
+                if name in names:
+                    raise ConfigError(f"two inputs share the file name {name!r}")
+                names.add(name)
 
     @cached_property
     def registry(self) -> registry_mod.CountryRegistry:
@@ -509,20 +516,19 @@ def update_manifest(
 # intermediate representations
 # ---------------------------------------------------------------------------
 
-# one encoder for every line; json.dumps with these arguments builds one per call
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
-
 def documents_jsonl(documents: list[filtering.Document]) -> str:
-    encode = _JSONL_ENCODER.encode
-    lines = [
-        encode({
-            "record_id": doc.record_id,
-            "doc_type": doc.doc_type,
-            "country_addresses": doc.country_addresses,
-        })
-        for doc in documents
-    ]
+    """One line per document, the text of json.dumps(..., sort_keys=True,
+    ensure_ascii=False) built directly: keys and countries in sorted order."""
+    lines = []
+    for doc in documents:
+        countries = ", ".join([
+            f"{encode_basestring(country)}: {count}"
+            for country, count in sorted(doc.country_addresses.items())
+        ])
+        lines.append(
+            f'{{"country_addresses": {{{countries}}}, "doc_type": {encode_basestring(doc.doc_type)}, '
+            f'"record_id": {encode_basestring(doc.record_id)}}}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

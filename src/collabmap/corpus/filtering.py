@@ -85,11 +85,15 @@ def filter_documents(
     """
     report = FilterReport(n_records=len(records))
     documents: list[Document] = []
-    # resolve_country reads only the text after the last comma, so each
-    # distinct tail is resolved once
+    # each distinct raw type is canonicalized once; resolve_country reads
+    # only the text after the last comma, so each distinct tail is resolved once
+    type_by_raw: dict[str, str | None] = {}
     resolved_by_tail: dict[str, str | Unrecognized] = {}
     for rec in records:
-        doc_type = canonical_doc_type(rec.doc_type, synonyms)
+        try:
+            doc_type = type_by_raw[rec.doc_type]
+        except KeyError:
+            doc_type = type_by_raw[rec.doc_type] = canonical_doc_type(rec.doc_type, synonyms)
         if doc_type is None:
             report.n_dropped_type += 1
             continue

@@ -25,6 +25,7 @@ from collabmap.errors import ParseError
 _RECORD_START = "PT"
 _RECORD_END = "ER"
 _FILE_END = "EF"
+_STRUCTURE_TAGS = frozenset((_RECORD_START, _RECORD_END, _FILE_END))
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,13 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
 
     def close_record(line_no: int) -> None:
         nonlocal in_record, current_tag
-        record_id = fields.get("UT", [""])[0].strip() or f"{source_name}#{ordinal}"
+        # a field's first value is its tag line's text, already stripped
+        record_id = (fields["UT"][0] if "UT" in fields else "") or f"{source_name}#{ordinal}"
         if record_id in seen_ids:
             discard(line_no, f"duplicate record id {record_id!r}; record dropped")
             return
         seen_ids.add(record_id)
-        year_raw = fields.get("PY", ["0"])[0].strip()
+        year_raw = fields["PY"][0] if "PY" in fields else "0"
         try:
             year = int(year_raw) if year_raw else 0
         except ValueError:
@@ -102,7 +104,7 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         records.append(
             RawRecord(
                 record_id=record_id,
-                doc_type=fields.get("DT", [""])[0].strip(),
+                doc_type=fields["DT"][0] if "DT" in fields else "",
                 pub_year=year,
                 address_lines=tuple(filter(None, fields.get("C1", ()))),
                 title=title,
@@ -112,12 +114,31 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         in_record = False
         current_tag = None
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        # a tag line opens with two upper-case letters or digits, alone or
-        # before a space, so it is never blank or a continuation line
-        tag = line[:2]
-        if not (len(tag) == 2 and tag.isalnum() and tag.isupper() and line[2:3] in ("", " ")):
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    # a tag line opens with two upper-case letters or digits, alone or before
+    # a space, so it is never blank or a continuation line; the test reads
+    # no further than the third character, so it runs once per distinct head
+    tag_by_head: dict[str, str] = {}
+    for line_no, line in enumerate(lines, start=1):
+        head = line[:3]
+        tag = tag_by_head.get(head)
+        if tag is None:
+            tag = head[:2]
+            if not (len(tag) == 2 and tag.isalnum() and tag.isupper() and head[2:] in ("", " ")):
+                tag = ""
+            tag_by_head[head] = tag
+        if tag and in_record and tag not in _STRUCTURE_TAGS:
+            current_tag = tag
+            value = line[3:].strip()
+            values = fields.get(tag)
+            if values is None:
+                fields[tag] = [value]
+            else:
+                values.append(value)
+            continue
+        if not tag:
             stripped = line.strip()
             if not stripped:
                 continue
@@ -133,7 +154,6 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
             else:
                 issues.append(ParseIssue(line_no, f"content outside any record: {stripped!r}"))
             continue
-        value = line[3:].strip()
         if tag == _RECORD_START:
             if in_record:
                 discard(line_no, "record not terminated by ER; span dropped")
@@ -149,11 +169,8 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         if not in_record:
             issues.append(ParseIssue(line_no, f"field {tag!r} outside any record"))
             continue
-        if tag == _RECORD_END:
-            close_record(line_no)
-            continue
-        current_tag = tag
-        fields.setdefault(tag, []).append(value)
+        # the only tag left is ER
+        close_record(line_no)
     if in_record:
         issues.append(ParseIssue(start_line, "record not terminated by ER at end of input; span dropped"))
     return records, issues

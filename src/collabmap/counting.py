@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -75,8 +76,8 @@ def fractional_counts(m: IncidenceMatrix) -> dict[str, Fraction]:
     """Per-country sum of per-paper address shares, exact in rationals.
 
     Shares with the same denominator (a paper's address total) are summed
-    as integers first, so each country adds one Fraction per distinct
-    denominator rather than one per paper.
+    as integers first, and those sums are brought to the least common
+    multiple of the denominators, so each country builds one Fraction.
     """
     numerators: list[dict[int, int]] = [{} for _ in m.countries]
     for row in m.rows:
@@ -84,10 +85,13 @@ def fractional_counts(m: IncidenceMatrix) -> dict[str, Fraction]:
         for c, v in row.items():
             by_denominator = numerators[c]
             by_denominator[addresses] = by_denominator.get(addresses, 0) + v
-    return {
-        country: sum((Fraction(n, d) for d, n in by_denominator.items()), Fraction(0))
-        for country, by_denominator in zip(m.countries, numerators)
-    }
+    fractional: dict[str, Fraction] = {}
+    for country, by_denominator in zip(m.countries, numerators):
+        common = math.lcm(*by_denominator)
+        fractional[country] = Fraction(
+            sum(n * (common // d) for d, n in by_denominator.items()), common
+        )
+    return fractional
 
 
 def integer_counts(m: IncidenceMatrix) -> dict[str, int]:

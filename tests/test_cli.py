@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmap import cli, counting, layout, network
@@ -453,6 +453,42 @@ def test_non_utf8_input_is_data_error_before_any_write(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(latin1)]) == EXIT_DATA
     assert str(latin1) in capsys.readouterr().err
+    assert not ws.exists()
+
+
+def _tagged_record(ut: str | None) -> str:
+    head = "PT J\n" + (f"UT {ut}\n" if ut else "")
+    return head + "DT Article\nPY 2001\nC1 Univ Oslo, Oslo, Norway\nER\nEF\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("case", ["no-ids", "distinct-ids", "same-file"])
+def test_inputs_sharing_a_file_name_are_config_errors_before_any_write(tmp_path, capsys, command, case):
+    # the file name keys the manifest's input digest and seeds synthesized ids
+    first, second = tmp_path / "a" / "savedrecs.txt", tmp_path / "b" / "savedrecs.txt"
+    for path, ut in ((first, "A1"), (second, "B1")):
+        path.parent.mkdir()
+        path.write_text(_tagged_record(None if case == "no-ids" else ut), encoding="utf-8")
+    inputs = [first, first] if case == "same-file" else [first, second]
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_OK
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main([command, "--workspace", str(ws), "--input", *map(str, inputs)]) == EXIT_CONFIG
+    assert "configuration error: two inputs share the file name 'savedrecs.txt'" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+    fresh = tmp_path / "fresh"
+    assert main([command, "--workspace", str(fresh), "--input", *map(str, inputs)]) == EXIT_CONFIG
+    assert not fresh.exists()
+
+
+def test_inputs_sharing_a_record_id_are_data_errors_before_any_write(tmp_path, capsys):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    for path in (first, second):
+        path.write_text(_tagged_record("A1"), encoding="utf-8")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(first), str(second)]) == EXIT_DATA
+    assert "error: duplicate record id across inputs: 'A1'" in capsys.readouterr().err
     assert not ws.exists()
 
 
@@ -1030,16 +1066,28 @@ def test_network_changed_after_ingest_is_read_from_disk(tmp_path, corpus_file, m
     assert trees[0]["network/nodes.csv"] == (other_ws / "network" / "nodes.csv").read_bytes()
 
 
-def test_documents_jsonl_lines_are_sorted_key_json():
-    docs = [
-        filtering.Document("Zürich \"1\"", "Article", {"CÔTE D'IVOIRE": 2, "BELGIUM": 1}),
-        filtering.Document("x\ty", "Letter", {"JAPAN": 1}),
-    ]
+# JSON's own escapes, raw control and line-separator characters, a lone
+# surrogate and non-BMP text, beside any character at all
+_jsonl_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u0085", "\ud800", "\U0001f600", "ü"]),
+    st.characters(exclude_categories=()),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    filtering.Document,
+    _jsonl_text,
+    _jsonl_text,
+    st.dictionaries(_jsonl_text, st.integers(min_value=1, max_value=10**20), min_size=1, max_size=6),
+), max_size=4))
+@example([filtering.Document("Zürich \"1\"", "Article", {"CÔTE D'IVOIRE": 2, "BELGIUM": 1})])
+@example([])
+def test_documents_jsonl_lines_are_sorted_key_json(docs):
     expected = "".join(
         json.dumps(dataclasses.asdict(doc), sort_keys=True, ensure_ascii=False) + "\n" for doc in docs
     )
     assert cli.documents_jsonl(docs) == expected
-    assert cli.documents_jsonl([]) == ""
 
 
 def test_config_file_drives_run(tmp_path, corpus_file):

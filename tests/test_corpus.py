@@ -327,6 +327,9 @@ _SOUP_LINES = [
     "C1 Univ Oslo, Oslo, Norway", "C1 ", "C1", "   continued text", "   ", "",
     "stray text", "A", "AB", "ab cd", "A1 value", "\u00c4B umlaut tag", "PTJ", " PT J",
     "ER trailing", "X1\tvalue", "  two spaces", "UT A1 ", "C1  ", "DT Article \t",
+    # one head before different text, heads that are not tags by a hair
+    # (title case, a superscript digit, a no-break space), a CR inside a line
+    "UT x", "UTx", "\u01c5A x", "\u00b21 x", "AB\u00a0x", "TI a\rb", "UT\rA3", "\r",
 ]
 _soup_line = st.one_of(
     st.sampled_from(_SOUP_LINES),

@@ -123,6 +123,26 @@ def test_fractional_conservation_property(seed, n_docs):
     assert totals == fractional_tally(documents)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_fractional_counts_are_exact_over_large_denominators(seed):
+    # 1 to 60 addresses per document, so the denominators' least common
+    # multiple runs far past 64 bits
+    rng = random.Random(seed)
+    countries = [f"C{i:02d}" for i in range(15)]
+    documents = []
+    for i in range(300):
+        members = rng.sample(countries, rng.randint(1, 8))
+        counts = dict.fromkeys(members, 1)
+        for _ in range(rng.randint(len(members), 60) - len(members)):
+            counts[rng.choice(members)] += 1
+        documents.append(doc(f"R{i}", dict(sorted(counts.items()))))
+    computed = fractional_counts(build_incidence(documents))
+    expected = fractional_tally(documents)
+    assert computed == expected
+    assert {c: str(v) for c, v in computed.items()} == {c: str(v) for c, v in expected.items()}
+    assert max(v.denominator for v in computed.values()) > 2**64
+
+
 # ---------------------------------------------------------------------------
 # integer (whole) counting
 # ---------------------------------------------------------------------------
