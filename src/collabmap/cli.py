@@ -570,19 +570,6 @@ def load_documents(text: str) -> list[filtering.Document]:
     return documents
 
 
-def _build_network(documents: list[filtering.Document]) -> network.CoauthNetwork:
-    """The network, which carries every country's counts, of the retained
-    documents; empty for zero documents."""
-    from collabmap import counting, network
-
-    if not documents:
-        return network.CoauthNetwork(nodes={}, edges={})
-    matrix = counting.build_incidence(documents)
-    return network.build_coauth_network(
-        matrix, counting.integer_counts(matrix), counting.fractional_counts(matrix)
-    )
-
-
 def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.CoauthNetwork:
     """Apply the include/exclude country list before thresholding."""
     from collabmap import network
@@ -680,7 +667,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
     documents_text = documents_jsonl(documents)
     ws.offer("documents.jsonl", documents_text, documents)
-    net = _build_network(documents)
+    net = network.build_coauth_network(documents)
     network_text = network.network_json(net)
     ws.offer("network.json", network_text, net)
     return input_digests, {

@@ -52,7 +52,7 @@ def parse_records(
     """Parse a record file into RawRecords plus an issue ledger.
 
     ``source_name`` seeds synthesized record ids when a record carries no
-    explicit id (``<source_name>#<ordinal>``).
+    explicit id (``<source_name>#<ordinal>``); a strict-mode error names it.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8-sig")
@@ -64,7 +64,7 @@ def parse_records(
         raise ValueError(f"unknown record format: {fmt!r}")
     if strict and issues:
         first = issues[0]
-        raise ParseError(first.line_no, first.message)
+        raise ParseError(source_name, first.line_no, first.message)
     return records, issues
 
 
@@ -98,7 +98,9 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         try:
             year = int(year_raw) if year_raw else 0
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad year {year_raw!r} in {record_id}"))
+            # the record's first PY line, looked up only here, off the per-line loop
+            py_line = next(n for n in range(start_line, line_no) if lines[n].startswith("PY "))
+            issues.append(ParseIssue(py_line + 1, f"bad year {year_raw!r} in {record_id}"))
             year = 0
         title = " ".join(fields["TI"]) if "TI" in fields else None
         records.append(

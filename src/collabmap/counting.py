@@ -1,5 +1,9 @@
 """Participation counting over the document-country incidence matrix.
 
+The pipeline's counts come from ``network.build_coauth_network``. The
+matrix chain below stays as its reference: the counting and Ochiai tests
+read the matrix's columns, and the benchmark's tracer times these names.
+
 Two credit schemes are computed from the same sparse matrix:
 
 * fractional: each paper distributes credit 1 over its countries in

@@ -12,8 +12,8 @@ class ConfigError(CollabmapError):
 class ParseError(CollabmapError):
     """Malformed input record (raised in strict parse mode only)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, source: str, line_no: int, message: str):
+        super().__init__(f"{source}: line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
 

@@ -1,5 +1,9 @@
 """Country co-authorship network: construction, normalization, extraction.
 
+``build_coauth_network`` is one fold that takes each document once: the
+whole and fractional counts of its countries and the ties between them all
+come out of that pass, so documents can arrive one at a time.
+
 Edges follow the single-relation rule: a paper with three addresses in
 country A and two in country B adds exactly 1 to the A-B edge, never the
 3 x 2 = 6 an affiliation cross-product would produce. Node profiles can
@@ -24,7 +28,9 @@ from typing import TYPE_CHECKING
 from collabmap.errors import DataError
 
 if TYPE_CHECKING:
-    from collabmap.counting import IncidenceMatrix
+    from collections.abc import Iterable
+
+    from collabmap.corpus.filtering import Document
 
 
 @dataclass(frozen=True)
@@ -123,38 +129,29 @@ def _compare(value, threshold, comparator: str) -> bool:
     raise ValueError(f"comparator must be 'ge' or 'gt', got {comparator!r}")
 
 
-def build_coauth_network(
-    m: IncidenceMatrix,
-    counts_int: dict[str, int],
-    counts_frac: dict[str, Fraction],
-) -> CoauthNetwork:
-    """Fold every document's country set into pairwise single relations."""
-    universe = set(m.countries)
-    for name, counts in (("integer", counts_int), ("fractional", counts_frac)):
-        missing = universe ^ set(counts)
-        if missing:
-            raise DataError(
-                f"{name} counts disagree with matrix countries: " + ", ".join(sorted(missing))
-            )
-
+def build_coauth_network(documents: Iterable[Document]) -> CoauthNetwork:
+    """The network of any iterable of documents: nodes in sorted order, each
+    fractional count one Fraction over the least common multiple of its
+    address totals, edges in the order the fold first meets each pair."""
+    integer: dict[str, int] = {}
+    numerators: dict[str, dict[int, int]] = {}
     edges: dict[tuple[str, str], int] = {}
-    for row in m.rows:
-        if len(row) < 2:
-            continue
-        members = sorted(row)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                key = (m.countries[members[i]], m.countries[members[j]])
-                edges[key] = edges.get(key, 0) + 1
-
-    nodes = {
-        c: NodeInfo(
-            country=c,
-            integer_papers=counts_int[c],
-            fractional_papers=Fraction(counts_frac[c]),
-        )
-        for c in m.countries
-    }
+    for doc in documents:
+        addresses = doc.country_addresses
+        total = sum(addresses.values())
+        members = sorted(addresses)
+        for i, a in enumerate(members):
+            integer[a] = integer.get(a, 0) + 1
+            by_denominator = numerators.setdefault(a, {})
+            by_denominator[total] = by_denominator.get(total, 0) + addresses[a]
+            for b in members[i + 1:]:
+                edges[a, b] = edges.get((a, b), 0) + 1
+    nodes: dict[str, NodeInfo] = {}
+    for c in sorted(integer):
+        by_denominator = numerators[c]
+        common = math.lcm(*by_denominator)
+        fractional = Fraction(sum(n * (common // d) for d, n in by_denominator.items()), common)
+        nodes[c] = NodeInfo(country=c, integer_papers=integer[c], fractional_papers=fractional)
     return CoauthNetwork(nodes=nodes, edges=edges)
 
 

@@ -13,10 +13,10 @@ import pytest
 from collabmap.corpus.filtering import Document, FilterReport, canonical_doc_type
 from collabmap.corpus.records import _FILE_END, _RECORD_END, _RECORD_START, ParseIssue, RawRecord
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, load_registry, resolve_country
-from collabmap.counting import format_fixed
+from collabmap.counting import build_incidence, format_fixed, fractional_counts, integer_counts
 from collabmap.errors import DataError
 from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress
-from collabmap.network import connected_components
+from collabmap.network import CoauthNetwork, NodeInfo, connected_components
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -68,6 +68,22 @@ def fractional_tally(documents) -> dict[str, Fraction]:
         for country, count in doc.country_addresses.items():
             totals[country] = totals.get(country, Fraction(0)) + Fraction(count, total)
     return totals
+
+
+def reference_network(documents) -> CoauthNetwork:
+    """The network as the incidence chain builds it: counting's reference
+    matrix and counts, and each row's sorted country pairs in row order;
+    the fold of network.build_coauth_network must equal it."""
+    m = build_incidence(documents)
+    ints, fracs = integer_counts(m), fractional_counts(m)
+    edges: dict[tuple[str, str], int] = {}
+    for row in m.rows:
+        members = sorted(row)
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                key = (m.countries[a], m.countries[b])
+                edges[key] = edges.get(key, 0) + 1
+    return CoauthNetwork(nodes={c: NodeInfo(c, ints[c], fracs[c]) for c in m.countries}, edges=edges)
 
 
 def incidence_row(m, doc_index: int) -> dict[int, int]:
@@ -145,7 +161,7 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         try:
             year = int(year_raw) if year_raw else 0
         except ValueError:
-            issues.append(ParseIssue(line_no, f"bad year {year_raw!r} in {record_id}"))
+            issues.append(ParseIssue(py_line, f"bad year {year_raw!r} in {record_id}"))
             year = 0
         title = " ".join(fields["TI"]) if "TI" in fields else None
         records.append(
@@ -200,6 +216,8 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
             close_record(line_no)
             continue
         current_tag = tag
+        if tag == "PY" and tag not in fields:
+            py_line = line_no
         fields.setdefault(tag, []).append(value)
     if in_record:
         issues.append(ParseIssue(start_line, "record not terminated by ER at end of input; span dropped"))

@@ -12,12 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from collabmap.cli import EXIT_OK, main
-from collabmap.counting import (
-    CorpusSummary,
-    build_incidence,
-    fractional_counts,
-    integer_counts,
-)
+from collabmap.counting import CorpusSummary, build_incidence
 from collabmap.exports.geo import export_geo
 from collabmap.exports.pajek import export_pajek
 from collabmap.exports.report import export_report, focus_stats
@@ -67,8 +62,8 @@ def test_fractional_counting_conservation():
     for _ in range(100):
         n_docs = rng.randint(1, 5000)
         documents = make_documents(rng, n_docs, rng.randint(2, 50))
-        totals = fractional_counts(build_incidence(documents))
-        exact = sum(totals.values())
+        net = build_coauth_network(documents)
+        exact = sum(info.fractional_papers for info in net.nodes.values())
         assert exact == n_docs, f"drift on corpus of {n_docs} documents"
     elapsed = time.perf_counter() - start
     announce(
@@ -83,8 +78,7 @@ def test_single_relation_rule():
     ok = True
     for _ in range(25):
         documents = make_documents(rng, rng.randint(1, 1000), rng.randint(2, 30), intl_prob=0.5)
-        m = build_incidence(documents)
-        net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+        net = build_coauth_network(documents)
         if net.edges != brute_force_edges(documents):
             ok = False
             break
@@ -92,8 +86,7 @@ def test_single_relation_rule():
     from collabmap.corpus.filtering import Document
 
     single = Document("d", "Article", {"A": 3, "B": 2})
-    m = build_incidence([single])
-    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    net = build_coauth_network([single])
     ok = ok and net.edges == {("A", "B"): 1}
     announce("single-relation rule", ok, "25 corpora vs brute-force pair scan, zero tolerance")
 
@@ -104,7 +97,7 @@ def test_ochiai_identity():
     for _ in range(50):
         documents = make_documents(rng, rng.randint(2, 400), rng.randint(2, 25), intl_prob=0.5)
         m = build_incidence(documents)
-        sim = cosine_similarity(build_coauth_network(m, integer_counts(m), fractional_counts(m)))
+        sim = cosine_similarity(build_coauth_network(documents))
         doc_sets = column_doc_sets(m)
         for i, a in enumerate(m.countries):
             for j in range(i + 1, len(m.countries)):
@@ -153,8 +146,7 @@ def test_threshold_semantics():
     ok = True
     for _ in range(10):
         documents = make_documents(rng, rng.randint(20, 300), rng.randint(3, 20), intl_prob=0.6)
-        m = build_incidence(documents)
-        net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+        net = build_coauth_network(documents)
         for comparator in ("ge", "gt"):
             op = (lambda x, t: x >= t) if comparator == "ge" else (lambda x, t: x > t)
             node_min = Fraction(rng.randint(0, 6), 2)
@@ -274,8 +266,7 @@ def test_format_fidelity(tmp_path):
         )
         for doc in documents
     ]
-    m = build_incidence(documents)
-    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    net = build_coauth_network(documents)
     sub = threshold_network(net, 1, 1)
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
 

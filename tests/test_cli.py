@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collabmap import cli, counting, layout, network
+from collabmap import cli, layout, network
 from collabmap.corpus import filtering, registry as registry_mod
 from collabmap.cli import (
     EXIT_CONFIG,
@@ -120,6 +120,21 @@ def test_strict_parse_error_exit_code(tmp_path):
         "--input", str(DATA_DIR / "records_malformed.txt"), "--strict",
     ])
     assert rc == EXIT_PARSE
+
+
+def test_strict_parse_error_names_its_input_file(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    shutil.copy(DATA_DIR / "records_small.txt", good)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("PT J\nUT B1\nDT Article\nPY 20x1\nC1 Univ Oslo, Oslo, Norway\nER\nEF\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(good)]) == EXIT_OK
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    rc = main(["ingest", "--workspace", str(ws), "--strict", "--input", str(good), str(bad)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == "collabmap: parse error: bad.txt: line 4: bad year '20x1' in B1\n"
+    assert tree_bytes(ws) == before
 
 
 def test_unknown_focus_is_data_error(tmp_path, corpus_file):
@@ -959,8 +974,6 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cli, "load_documents")
-    count(counting, "build_incidence")
-    count(counting, "fractional_counts")
     count(network, "build_coauth_network")
     count(network, "cosine_similarity")
     count(network, "load_network")
@@ -974,7 +987,7 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     assert calls["load_documents"] == 0
     assert calls["load_network"] == 0
     assert calls == dict.fromkeys(
-        ["build_incidence", "fractional_counts", "build_coauth_network", "load_registry"], 1
+        ["build_coauth_network", "load_registry"], 1
     )
 
 
@@ -995,7 +1008,6 @@ def test_only_ingest_builds_and_only_summary_loads_documents(tmp_path, corpus_fi
         monkeypatch.setattr(module, name, counted)
 
     count(cli, "load_documents")
-    count(counting, "build_incidence")
     count(network, "build_coauth_network")
     count(network, "load_network")
     count(network, "cosine_similarity")
@@ -1009,7 +1021,7 @@ def test_only_ingest_builds_and_only_summary_loads_documents(tmp_path, corpus_fi
         running[0] = argv[0]
         assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_OK, argv
     assert calls == {
-        "ingest": {"build_incidence": 1, "build_coauth_network": 1},
+        "ingest": {"build_coauth_network": 1},
         "summary": {"load_documents": 1, "load_network": 1},
         "net": {"load_network": 1, "cosine_similarity": 1},
         "geo": {"load_network": 1},
@@ -1023,8 +1035,8 @@ def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_fi
     assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
                  "--intl-prob", "0.5", "--seed", "3"]) == EXIT_OK
     builds = []
-    build = counting.build_incidence
-    monkeypatch.setattr(counting, "build_incidence", lambda docs: builds.append(docs) or build(docs))
+    build = network.build_coauth_network
+    monkeypatch.setattr(network, "build_coauth_network", lambda docs: builds.append(docs) or build(docs))
 
     reused = Workspace(tmp_path / "reused")
     for stage, path in (("ingest", corpus_file), ("net", None), ("ingest", other), ("net", None),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from collabmap.corpus import records as records_mod
 from collabmap.corpus.filtering import filter_documents
-from collabmap.corpus.records import RawRecord, parse_records, write_tagged
+from collabmap.corpus.records import ParseIssue, RawRecord, parse_records, write_tagged
 from collabmap.corpus.registry import Unrecognized, load_registry, resolve_country
 from collabmap.errors import ConfigError, ParseError
 
@@ -72,6 +72,16 @@ def test_strict_mode_raises_parse_error():
     text = (DATA_DIR / "records_malformed.txt").read_text()
     with pytest.raises(ParseError):
         parse_records(text, "tagged", strict=True)
+
+
+def test_bad_year_issue_carries_the_py_line():
+    text = "PT J\nUT B1\nTI A study\n   continued\nPY 20x1\nPY 2011\nC1 Univ Oslo, Oslo, Norway\nER\nEF\n"
+    records, issues = parse_records(text, "tagged")
+    assert [r.pub_year for r in records] == [0]
+    assert issues == [ParseIssue(5, "bad year '20x1' in B1")]
+    with pytest.raises(ParseError) as raised:
+        parse_records(text, "tagged", strict=True, source_name="bad.txt")
+    assert str(raised.value) == "bad.txt: line 5: bad year '20x1' in B1"
 
 
 def test_duplicate_record_id_dropped_with_issue():

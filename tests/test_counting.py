@@ -235,8 +235,7 @@ def test_summary_json_and_counts_csv(registry):
     assert '"n_records": 3' in text
     assert '"share_international_docs": "1/2"' in text
 
-    m = build_incidence(documents)
-    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    net = build_coauth_network(documents)
     csv_text = counts_csv(net, registry)
     lines = csv_text.splitlines()
     assert lines[0] == "country,iso3,scheme,value"
@@ -247,8 +246,7 @@ def test_summary_json_and_counts_csv(registry):
 
 def test_count_scheme_values(registry):
     """counts.csv holds every integer count, then every fractional one."""
-    m = build_incidence([doc("d1", {"UK": 1, "SPAIN": 3}), doc("d2", {"CHILE": 1})])
-    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    net = build_coauth_network([doc("d1", {"UK": 1, "SPAIN": 3}), doc("d2", {"CHILE": 1})])
     rows = [line.split(",") for line in counts_csv(net, registry).splitlines()[1:]]
     assert [(country, scheme) for country, _iso3, scheme, _value in rows] == [
         (country, scheme)

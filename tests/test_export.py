@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from collabmap.counting import CorpusSummary, build_incidence, fractional_counts, integer_counts
+from collabmap.counting import CorpusSummary
 from collabmap.corpus.registry import CountryEntry, CountryRegistry, load_registry
 from collabmap.errors import DataError
 from collabmap.exports.geo import display_size, export_geo, great_circle_points
@@ -41,9 +41,8 @@ def small_subnetwork():
 def fixture_subnetwork():
     rng = random.Random(113)
     documents = make_documents(rng, 60, 8, intl_prob=0.6)
-    m = build_incidence(documents)
-    net = build_coauth_network(m, integer_counts(m), fractional_counts(m))
-    return m, net, threshold_network(net, 1, 1)
+    net = build_coauth_network(documents)
+    return net, threshold_network(net, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_pajek_with_coordinates_in_unit_box():
 
 
 def test_pajek_write_read_write_byte_identical():
-    _m, _net, sub = fixture_subnetwork()
+    _net, sub = fixture_subnetwork()
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
     first = export_pajek(sub, layout)
     model = read_net(first)
@@ -142,7 +141,7 @@ def test_vosviewer_single_node():
 
 
 def test_vosviewer_ids_consistent_between_files():
-    _m, _net, sub = fixture_subnetwork()
+    _net, sub = fixture_subnetwork()
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
     map_text, net_text = export_vosviewer(sub, layout)
     map_ids = {int(line.split("\t")[0]) for line in map_text.splitlines()[1:]}
@@ -350,7 +349,7 @@ def test_geojson_text_equals_the_json_dumps_oracle(seed, great_circle):
 @pytest.mark.parametrize("great_circle", [False, True])
 def test_geojson_text_of_real_countries_equals_the_oracle(great_circle):
     registry = load_registry()
-    _m, _net, sub = fixture_subnetwork()
+    _net, sub = fixture_subnetwork()
     names = sorted(registry.entries)
     renamed = dict(zip(sorted(sub.parent.nodes), names[::7]))
     net = fake_network(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmap.corpus.filtering import Document
-from collabmap.counting import build_incidence, fractional_counts, integer_counts
+from collabmap.counting import build_incidence
 from collabmap.errors import DataError
 from collabmap.network import (
     CoauthNetwork,
@@ -27,7 +27,13 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import brute_force_edges, column_doc_sets, make_documents
+from conftest import (
+    brute_force_edges,
+    column_doc_sets,
+    fractional_tally,
+    make_documents,
+    reference_network,
+)
 
 
 def doc(record_id, addresses):
@@ -35,8 +41,7 @@ def doc(record_id, addresses):
 
 
 def network_from_documents(documents):
-    m = build_incidence(documents)
-    return m, build_coauth_network(m, integer_counts(m), fractional_counts(m))
+    return build_incidence(documents), build_coauth_network(documents)
 
 
 def fake_network(node_weights: dict[str, Fraction], edges: dict[tuple[str, str], int]):
@@ -79,12 +84,51 @@ def test_node_attributes_copied_from_counts():
     assert net.degree("A") == 1
 
 
-def test_mismatched_universe_rejected():
-    documents = [doc("d1", {"A": 1, "B": 1})]
-    m = build_incidence(documents)
-    other = build_incidence([doc("d1", {"A": 1, "C": 1})])
-    with pytest.raises(DataError, match="C"):
-        build_coauth_network(m, integer_counts(other), fractional_counts(m))
+def fold_corpus(seed: int) -> list[Document]:
+    """Documents whose country dicts are in random order, with 1 to 60
+    addresses each, about a third of them from a single country."""
+    rng = random.Random(seed)
+    countries = [f"C{i:02d}" for i in range(rng.randint(1, 40))]
+    documents = []
+    for i in range(rng.randint(1, 250)):
+        k = 1 if rng.random() < 0.35 else rng.randint(1, min(8, len(countries)))
+        total = rng.randint(k, 60)
+        cuts = sorted(rng.sample(range(1, total), k - 1))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        documents.append(Document(f"R{i}", "Article", dict(zip(rng.sample(countries, k), counts))))
+    return documents
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_fold_equals_the_reference_chain_and_the_oracles(seed):
+    documents = fold_corpus(seed)
+    net = build_coauth_network(documents)
+    reference = reference_network(documents)
+    assert list(net.nodes.items()) == list(reference.nodes.items())
+    assert list(net.nodes) == sorted(net.nodes)
+    assert [str(info.fractional_papers) for info in net.nodes.values()] == [
+        str(info.fractional_papers) for info in reference.nodes.values()
+    ]
+    assert {c: info.fractional_papers for c, info in net.nodes.items()} == fractional_tally(documents)
+    assert list(net.edges.items()) == list(reference.edges.items())
+    assert list(net.edges.items()) == list(brute_force_edges(documents).items())
+    assert network_json(net) == network_json(reference)
+    assert network_json(build_coauth_network(d for d in documents)) == network_json(net)
+
+
+def test_fold_of_no_documents_is_the_empty_network():
+    for documents in ([], iter(())):
+        net = build_coauth_network(documents)
+        assert net == CoauthNetwork(nodes={}, edges={})
+        assert network_json(net) == '{"nodes": [], "edges": []}\n'
+
+
+def test_fold_sorts_each_documents_countries():
+    net = build_coauth_network([Document("d1", "Article", {"C": 1, "A": 59}),
+                                Document("d2", "Article", {"B": 2, "C": 1, "A": 1})])
+    assert list(net.nodes) == ["A", "B", "C"]
+    assert list(net.edges.items()) == [(("A", "C"), 2), (("A", "B"), 1), (("B", "C"), 1)]
+    assert net.nodes["A"].fractional_papers == Fraction(59, 60) + Fraction(1, 4)
 
 
 def test_edge_weights_equal_binarized_inner_products():

@@ -53,6 +53,30 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_only_counting_names_the_reference_chain():
+    """The incidence chain is the reference the fold is tested against, not a
+    pipeline step: no module but counting.py names it, in code or a string."""
+    chain = {"IncidenceMatrix", "build_incidence", "integer_counts", "fractional_counts"}
+    named = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "counting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in chain:
+                named.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert named == []
+
+
 def test_tracer_records_a_span_for_every_exporter(tmp_path):
     """perfbench/tracer.py rebinds each exporter, extractor and layout step
     on its module; one renamed, or imported into the CLI by name, would
@@ -86,7 +110,7 @@ MODULES_PROBE = (
 MAP_MODULES = {"network", "layout", "counting", "exports.pajek", "exports.vosviewer"}
 COMMAND_MODULES = {
     "synth": {"corpus.records", "corpus.registry", "synth"},
-    "ingest": {"network", "counting", "corpus.records", "corpus.filtering", "corpus.registry"},
+    "ingest": {"network", "corpus.records", "corpus.filtering", "corpus.registry"},
     "summary": {"counting", "network", "corpus.filtering", "corpus.registry"},
     "net": MAP_MODULES,
     "geo": {"network", "counting", "corpus.registry", "exports.geo"},
