@@ -449,6 +449,26 @@ def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callab
     return _sha256_text(text), cls(**obj)
 
 
+# the filter-report.json counts that summary reads
+_SUMMARY_COUNTS = (
+    "n_records", "n_retained", "n_international_docs", "n_addresses_total", "n_addresses_international",
+)
+
+
+def _count(raw) -> int:
+    """A count read back from JSON: a non-negative int, not a bool."""
+    if type(raw) is not int or raw < 0:
+        raise ValueError(f"not a non-negative integer: {raw!r}")
+    return raw
+
+
+def _type_tally(raw) -> dict[str, int]:
+    """Documents by type read back from JSON: an object of positive ints."""
+    if not isinstance(raw, dict) or not all(type(n) is int and n > 0 for n in raw.values()):
+        raise ValueError(f"not an object of positive integers: {raw!r}")
+    return raw
+
+
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -535,7 +555,8 @@ def documents_jsonl(documents: list[filtering.Document]) -> str:
 def load_documents(text: str) -> list[filtering.Document]:
     """The documents of documents.jsonl; a malformed line is a DataError
     that names its line number. Lines end at "\n" only, as JSONL's do:
-    a record id may hold U+2028 or U+0085, which the writer leaves raw."""
+    a record id may hold U+2028 or U+0085, which the writer leaves raw.
+    No stage calls it; it stays while perfbench's tracer wraps the name."""
     from collabmap.corpus import filtering
 
     documents = []
@@ -665,13 +686,11 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
             raise DataError(f"duplicate record id across inputs: {rec.record_id!r}")
         seen.add(rec.record_id)
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
-    documents_text = documents_jsonl(documents)
-    ws.offer("documents.jsonl", documents_text, documents)
     net = network.build_coauth_network(documents)
     network_text = network.network_json(net)
     ws.offer("network.json", network_text, net)
     return input_digests, {
-        "documents.jsonl": documents_text,
+        "documents.jsonl": documents_jsonl(documents),
         "filter-report.json": _json_artifact(report.as_dict()),
         "parse-issues.json": _json_artifact(all_issues),
         "network.json": network_text,
@@ -682,21 +701,24 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
     from collabmap import counting
     from collabmap.corpus import filtering
 
-    documents_digest, documents = ws.parsed("documents.jsonl", load_documents)
     network_digest, net = ws.network()
-    report_digest, report = _read_intermediate(ws, "filter-report.json", filtering.FilterReport)
-    inputs = {
-        "documents.jsonl": documents_digest,
-        "network.json": network_digest,
-        "filter-report.json": report_digest,
-    }
-    summary = counting.summarize(documents, report)
-    # each document's fractional credits sum to exactly 1
-    if (summary.n_countries != len(net.nodes)
-            or summary.n_documents != sum(info.fractional_papers for info in net.nodes.values())):
-        raise DataError("documents.jsonl and network.json describe different corpora; run ingest again")
+    report_digest, report = _read_intermediate(
+        ws, "filter-report.json", filtering.FilterReport, per_type=_type_tally,
+        **dict.fromkeys(_SUMMARY_COUNTS, _count),
+    )
+    inputs = {"network.json": network_digest, "filter-report.json": report_digest}
+    n_docs = report.n_retained
+    # each retained document's fractional credits sum to exactly 1, and it has an address
+    if (n_docs != sum(info.fractional_papers for info in net.nodes.values())
+            or sum(report.per_type.values()) != n_docs
+            or report.n_international_docs > n_docs
+            or report.n_addresses_total < n_docs
+            or report.n_addresses_international > report.n_addresses_total):
+        raise DataError(
+            "filter-report.json: its tallies and network.json describe different corpora; run ingest again"
+        )
     return inputs, {
-        "summary.json": counting.summary_json(summary),
+        "summary.json": counting.summary_json(counting.summarize(report, net)),
         "counts.csv": counting.counts_csv(net, cfg.registry),
     }
 

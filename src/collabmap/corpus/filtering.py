@@ -3,7 +3,10 @@
 A record is retained when it is an article, review, or letter AND at least
 one of its affiliation lines resolves to a registry country. Everything
 else (ephemera such as editorial material or meeting abstracts, and
-records without a usable country address) is dropped and tallied.
+records without a usable country address) is dropped and tallied. The
+retained documents are tallied too, as they are kept: by type, how many
+are international, and their addresses; the corpus summary is built from
+these tallies.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ class FilterReport:
     n_dropped_type: int = 0
     n_dropped_no_address: int = 0
     unrecognized: Counter = field(default_factory=Counter)
+    # tallies of the retained documents
+    per_type: dict[str, int] = field(default_factory=dict)
+    n_international_docs: int = 0
+    n_addresses_total: int = 0
+    n_addresses_international: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -59,6 +67,10 @@ class FilterReport:
             "n_dropped_type": self.n_dropped_type,
             "n_dropped_no_address": self.n_dropped_no_address,
             "unrecognized": dict(sorted(self.unrecognized.items())),
+            "per_type": dict(sorted(self.per_type.items())),
+            "n_international_docs": self.n_international_docs,
+            "n_addresses_total": self.n_addresses_total,
+            "n_addresses_international": self.n_addresses_international,
         }
 
 
@@ -81,7 +93,8 @@ def filter_documents(
     The type condition is checked first, so a typeless record with no
     addresses counts once, under dropped-by-type. Unrecognized country
     tokens are tallied per occurrence but never abort the record; the
-    record survives if any other line resolves.
+    record survives if any other line resolves. Each retained document
+    adds to the report's per-type, international and address tallies.
     """
     report = FilterReport(n_records=len(records))
     documents: list[Document] = []
@@ -89,6 +102,7 @@ def filter_documents(
     # only the text after the last comma, so each distinct tail is resolved once
     type_by_raw: dict[str, str | None] = {}
     resolved_by_tail: dict[str, str | Unrecognized] = {}
+    per_type = report.per_type
     for rec in records:
         try:
             doc_type = type_by_raw[rec.doc_type]
@@ -111,6 +125,12 @@ def filter_documents(
             report.n_dropped_no_address += 1
             continue
         report.n_retained += 1
+        per_type[doc_type] = per_type.get(doc_type, 0) + 1
+        addresses = sum(counts.values())
+        report.n_addresses_total += addresses
+        if len(counts) >= 2:
+            report.n_international_docs += 1
+            report.n_addresses_international += addresses
         documents.append(
             Document(
                 record_id=rec.record_id,

@@ -190,8 +190,10 @@ def _parse_delimited(text: str) -> tuple[list[RawRecord], list[ParseIssue]]:
     if header != ["id", "doc_type", "year", "addresses"]:
         issues.append(ParseIssue(1, "expected header id,doc_type,year,addresses"))
         return records, issues
+    # a row's issues name its first line; a quoted cell may run over several
+    next_line = reader.line_num + 1
     for row in reader:
-        line_no = reader.line_num
+        line_no, next_line = next_line, reader.line_num + 1
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != 4:

@@ -3,6 +3,8 @@
 The pipeline's counts come from ``network.build_coauth_network``. The
 matrix chain below stays as its reference: the counting and Ochiai tests
 read the matrix's columns, and the benchmark's tracer times these names.
+The corpus summary is built from the filter's tallies and the network,
+not from the matrix.
 
 Two credit schemes are computed from the same sparse matrix:
 
@@ -107,27 +109,24 @@ def integer_counts(m: IncidenceMatrix) -> dict[str, int]:
     return dict(zip(m.countries, totals))
 
 
-def summarize(documents: list[Document], report: FilterReport) -> CorpusSummary:
-    if not documents:
+def summarize(report: FilterReport, net: CoauthNetwork) -> CorpusSummary:
+    """The corpus summary: the filter's tallies of the retained documents,
+    and the network's countries."""
+    n_docs = report.n_retained
+    if not n_docs:
         raise DataError("corpus summary undefined for zero documents")
-    per_type: dict[str, int] = {}
-    for doc in documents:
-        per_type[doc.doc_type] = per_type.get(doc.doc_type, 0) + 1
-    n_docs = len(documents)
-    n_intl = sum(1 for doc in documents if doc.is_international)
-    addresses_total = sum(doc.total_addresses for doc in documents)
-    addresses_intl = sum(doc.total_addresses for doc in documents if doc.is_international)
-    countries = {c for doc in documents for c in doc.country_addresses}
     return CorpusSummary(
         n_records=report.n_records,
         n_documents=n_docs,
-        per_type=dict(sorted(per_type.items())),
-        n_international_docs=n_intl,
-        share_international_docs=Fraction(n_intl, n_docs),
-        n_addresses_total=addresses_total,
-        n_addresses_international=addresses_intl,
-        share_addresses_international=Fraction(addresses_intl, addresses_total),
-        n_countries=len(countries),
+        per_type=dict(sorted(report.per_type.items())),
+        n_international_docs=report.n_international_docs,
+        share_international_docs=Fraction(report.n_international_docs, n_docs),
+        n_addresses_total=report.n_addresses_total,
+        n_addresses_international=report.n_addresses_international,
+        share_addresses_international=Fraction(
+            report.n_addresses_international, report.n_addresses_total
+        ),
+        n_countries=len(net.nodes),
     )
 
 

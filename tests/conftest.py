@@ -13,7 +13,13 @@ import pytest
 from collabmap.corpus.filtering import Document, FilterReport, canonical_doc_type
 from collabmap.corpus.records import _FILE_END, _RECORD_END, _RECORD_START, ParseIssue, RawRecord
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, load_registry, resolve_country
-from collabmap.counting import build_incidence, format_fixed, fractional_counts, integer_counts
+from collabmap.counting import (
+    CorpusSummary,
+    build_incidence,
+    format_fixed,
+    fractional_counts,
+    integer_counts,
+)
 from collabmap.errors import DataError
 from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress
 from collabmap.network import CoauthNetwork, NodeInfo, connected_components
@@ -118,6 +124,45 @@ def incidence_summary_stats(m) -> dict[str, int]:
         "n_addresses_international": sum(per_doc_addresses[d] for d in intl),
         "n_countries": len(m.countries),
     }
+
+
+def reference_summarize(documents, report: FilterReport) -> CorpusSummary:
+    """The corpus summary counted over the documents themselves, as summary
+    computed it when it read documents.jsonl back; counting.summarize, which
+    reads the filter's tallies and the network, must equal it."""
+    if not documents:
+        raise DataError("corpus summary undefined for zero documents")
+    per_type: dict[str, int] = {}
+    for doc in documents:
+        per_type[doc.doc_type] = per_type.get(doc.doc_type, 0) + 1
+    n_docs = len(documents)
+    n_intl = sum(1 for doc in documents if doc.is_international)
+    addresses_total = sum(doc.total_addresses for doc in documents)
+    addresses_intl = sum(doc.total_addresses for doc in documents if doc.is_international)
+    countries = {c for doc in documents for c in doc.country_addresses}
+    return CorpusSummary(
+        n_records=report.n_records,
+        n_documents=n_docs,
+        per_type=dict(sorted(per_type.items())),
+        n_international_docs=n_intl,
+        share_international_docs=Fraction(n_intl, n_docs),
+        n_addresses_total=addresses_total,
+        n_addresses_international=addresses_intl,
+        share_addresses_international=Fraction(addresses_intl, addresses_total),
+        n_countries=len(countries),
+    )
+
+
+def tallied(report: FilterReport, documents) -> FilterReport:
+    """``report`` with the tallies of the retained ``documents`` filled in
+    from reference_summarize."""
+    if documents:
+        summary = reference_summarize(documents, report)
+        report.per_type = summary.per_type
+        report.n_international_docs = summary.n_international_docs
+        report.n_addresses_total = summary.n_addresses_total
+        report.n_addresses_international = summary.n_addresses_international
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +274,8 @@ def reference_filter_documents(
     registry: CountryRegistry,
     synonyms: dict[str, str] | None = None,
 ) -> tuple[list[Document], FilterReport]:
-    """filter_documents with one resolve_country call per address line."""
+    """filter_documents with one resolve_country call per address line,
+    its tallies of the retained documents counted afterwards."""
     report = FilterReport(n_records=len(records))
     documents: list[Document] = []
     for rec in records:
@@ -255,7 +301,7 @@ def reference_filter_documents(
                 country_addresses=dict(sorted(counts.items())),
             )
         )
-    return documents, report
+    return documents, tallied(report, documents)
 
 
 # ---------------------------------------------------------------------------

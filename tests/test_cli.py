@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from collabmap import cli, layout, network
 from collabmap.corpus import filtering, registry as registry_mod
+from collabmap.corpus.records import parse_records, write_tagged
 from collabmap.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -524,18 +525,15 @@ def test_inputs_sharing_a_record_id_are_data_errors_before_any_write(tmp_path, c
     pytest.param('{"country_addresses": {}, "doc_type": "Article", "record_id": "X"}',
                  id="no-country"),
 ])
-def test_malformed_documents_line_is_data_error_before_any_write(tmp_path, corpus_file, capsys, line):
+def test_malformed_documents_line_is_data_error_before_any_write(tmp_path, corpus_file, line):
+    """No stage reads documents.jsonl back, but load_documents, kept while
+    the benchmark's tracer wraps it, still refuses a malformed line."""
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
-    documents = ws / "documents.jsonl"
-    lines = documents.read_text().splitlines()
+    lines = (ws / "documents.jsonl").read_text().splitlines()
     lines[1] = line
-    documents.write_text("\n".join(lines) + "\n")
-    before = tree_bytes(ws)
-    capsys.readouterr()
-    assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
-    assert "documents.jsonl line 2:" in capsys.readouterr().err
-    assert tree_bytes(ws) == before
+    with pytest.raises(DataError, match="^documents.jsonl line 2: "):
+        cli.load_documents("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -546,16 +544,51 @@ def net_workspace(tmp_path_factory, corpus_file) -> Path:
     return ws
 
 
-@pytest.mark.parametrize("relpath, stage", [
-    ("filter-report.json", "summary"),
-    ("summary.json", "export"),
-    ("thresholded/stats.json", "export"),
-])
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda obj: json.dumps(obj) + "x", id="not-json"),
-    pytest.param(lambda obj: '{"bogus": 1}', id="unknown-key"),
-    pytest.param(lambda obj: json.dumps(dict(list(obj.items())[1:])), id="missing-key"),
-    pytest.param(lambda obj: json.dumps(list(obj)), id="not-an-object"),
+def _report_edit(**changes) -> Callable[[dict], str]:
+    """An edit of filter-report.json that sets each key to its value, a
+    callable value being applied to the key's old value."""
+    def edit(obj):
+        for key, value in changes.items():
+            obj[key] = value(obj[key]) if callable(value) else value
+        return json.dumps(obj)
+    return edit
+
+
+def _more_of_first_type(per_type: dict) -> dict:
+    first = next(iter(per_type))
+    return {**per_type, first: per_type[first] + 1}
+
+
+_ANY_INTERMEDIATE_EDITS = {
+    "not-json": lambda obj: json.dumps(obj) + "x",
+    "unknown-key": lambda obj: '{"bogus": 1}',
+    "missing-key": lambda obj: json.dumps(dict(list(obj.items())[1:])),
+    "not-an-object": lambda obj: json.dumps(list(obj)),
+}
+_FILTER_REPORT_EDITS = {
+    "per-type-a-list": _report_edit(per_type=list),
+    "per-type-count-true": _report_edit(per_type=lambda per_type: dict.fromkeys(per_type, True)),
+    # each of these three passes the cross-checks if read as it stands
+    "count-negative": _report_edit(n_addresses_international=-1),
+    "count-true": _report_edit(n_international_docs=True),
+    "count-a-string": _report_edit(n_records="3"),
+    # per_type still sums to n_retained, which network.json's counts no longer sum to
+    "n-retained-off-by-one": _report_edit(n_retained=lambda n: n + 1, per_type=_more_of_first_type),
+    "per-type-sum-off": _report_edit(per_type=_more_of_first_type),
+    "international-above-retained": _report_edit(n_international_docs=10**9),
+    "addresses-below-retained": _report_edit(n_addresses_total=0, n_addresses_international=0),
+    "international-addresses-above-total": _report_edit(n_addresses_international=10**9),
+}
+
+
+@pytest.mark.parametrize("relpath, stage, edit", [
+    pytest.param(relpath, stage, edit, id=f"{name}-{relpath}-{stage}")
+    for name, edit in _ANY_INTERMEDIATE_EDITS.items()
+    for relpath, stage in (("filter-report.json", "summary"), ("summary.json", "export"),
+                           ("thresholded/stats.json", "export"))
+] + [
+    pytest.param("filter-report.json", "summary", edit, id=f"{name}-filter-report.json-summary")
+    for name, edit in _FILTER_REPORT_EDITS.items()
 ])
 def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
                                                                relpath, stage, edit):
@@ -696,17 +729,24 @@ def _drop_one_whose_countries_survive(lines: list[str]) -> list[str]:
 @pytest.mark.parametrize("cut", [_drop_first_five_kept, _drop_one_whose_countries_survive],
                          ids=["first-five-lines", "one-line-whose-countries-survive"])
 def test_summary_of_documents_and_network_of_different_corpora_is_data_error(tmp_path, capsys, cut):
-    """summary.json comes from documents.jsonl and counts.csv from
-    network.json, so summary refuses the two when they disagree."""
+    """summary.json comes from filter-report.json and counts.csv from
+    network.json, so summary refuses the two when they disagree: here the
+    report is the one ingest writes for the cut's documents alone."""
+    golden = DATA_DIR / "golden_corpus.txt"
     ws = tmp_path / "ws"
-    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "golden_corpus.txt")]) == EXIT_OK
-    path = ws / "documents.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(cut(lines)), encoding="utf-8")
+    assert main(["ingest", "--workspace", str(ws), "--input", str(golden)]) == EXIT_OK
+    lines = (ws / "documents.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = {json.loads(line)["record_id"] for line in cut(lines)}
+    records, _issues = parse_records(golden.read_text(encoding="utf-8"), "tagged")
+    cut_corpus = tmp_path / "cut.txt"
+    cut_corpus.write_text(write_tagged([rec for rec in records if rec.record_id in kept]), encoding="utf-8")
+    assert main(["ingest", "--workspace", str(tmp_path / "cut"), "--input", str(cut_corpus)]) == EXIT_OK
+    shutil.copyfile(tmp_path / "cut" / "filter-report.json", ws / "filter-report.json")
     before = tree_bytes(ws)
     capsys.readouterr()
     assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
-    assert "error: documents.jsonl and network.json describe different corpora" in capsys.readouterr().err
+    assert ("error: filter-report.json: its tallies and network.json describe different corpora"
+            in capsys.readouterr().err)
     assert tree_bytes(ws) == before
 
 
@@ -900,9 +940,9 @@ def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
 
 
 def test_line_separators_in_record_ids_run_like_the_chain(tmp_path, corpus_file):
-    """JSON leaves U+0085, U+2028 and U+2029 raw, so documents.jsonl lines
-    end at "\\n" alone: run, which takes the corpus from ingest, and the
-    chain, which reads documents.jsonl, agree on the exit code and tree."""
+    """JSON leaves U+0085, U+2028 and U+2029 raw in documents.jsonl's
+    record ids: run, which takes the network from ingest, and the chain,
+    which reads network.json back, agree on the exit code and tree."""
     odd = tmp_path / "odd.txt"
     seps = iter(["\u2028", "\u2029", "\x85"] * 3)
     lines = corpus_file.read_text(encoding="utf-8").split("\n")
@@ -982,8 +1022,8 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     assert main(["run", "--workspace", str(tmp_path / "ws"), "--input", str(corpus_file)] + flags) == EXIT_OK
     assert calls["cosine_similarity"] <= 1
     del calls["cosine_similarity"]
-    # run takes the documents and the network from ingest instead of
-    # re-reading documents.jsonl and network.json
+    # no stage reads documents.jsonl back, and run takes the network from
+    # ingest instead of re-reading network.json
     assert calls["load_documents"] == 0
     assert calls["load_network"] == 0
     assert calls == dict.fromkeys(
@@ -991,9 +1031,9 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
     )
 
 
-def test_only_ingest_builds_and_only_summary_loads_documents(tmp_path, corpus_file, monkeypatch):
+def test_only_ingest_builds_and_no_stage_loads_documents(tmp_path, corpus_file, monkeypatch):
     """In a chain of stage processes, ingest alone folds the documents into
-    the network, summary alone reads documents.jsonl back, each later stage
+    the network, no stage reads documents.jsonl back, each later stage
     loads network.json once, and only net builds the dense cosine matrix."""
     calls: dict[str, Counter] = {}
     running = [""]
@@ -1022,12 +1062,25 @@ def test_only_ingest_builds_and_only_summary_loads_documents(tmp_path, corpus_fi
         assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_OK, argv
     assert calls == {
         "ingest": {"build_coauth_network": 1},
-        "summary": {"load_documents": 1, "load_network": 1},
+        "summary": {"load_network": 1},
         "net": {"load_network": 1, "cosine_similarity": 1},
         "geo": {"load_network": 1},
         "core": {"load_network": 1},
         "ego": {"load_network": 1},
     }
+
+
+def test_summary_runs_without_documents_jsonl(tmp_path, corpus_file):
+    """documents.jsonl is an audit artifact: summary writes run's bytes
+    from a workspace that no longer holds it."""
+    run = tmp_path / "run"
+    assert main(["run", "--workspace", str(run), "--input", str(corpus_file)]) == EXIT_OK
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
+    (ws / "documents.jsonl").unlink()
+    assert main(["summary", "--workspace", str(ws)]) == EXIT_OK
+    for relpath in ("summary.json", "counts.csv"):
+        assert (ws / relpath).read_bytes() == (run / relpath).read_bytes(), relpath
 
 
 def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_file, monkeypatch):

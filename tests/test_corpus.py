@@ -137,6 +137,16 @@ def test_delimited_round_trip():
     assert reparsed == records
 
 
+def test_delimited_issue_names_the_first_line_of_a_row_that_spans_lines():
+    text = ('id,doc_type,year,addresses\n'
+            'A1,Article,20x1,"Univ Oslo, Oslo,\nNorway"\n'
+            'A2,Article,20x2,"Univ Lund, Lund, Sweden"\n')
+    records, issues = parse_records(text, "delimited")
+    assert issues == [ParseIssue(2, "bad year '20x1' in A1"), ParseIssue(4, "bad year '20x2' in A2")]
+    # the newline inside the quoted cell stays in the address
+    assert records[0].address_lines == ("Univ Oslo, Oslo,\nNorway",)
+
+
 def test_delimited_bad_header():
     records, issues = parse_records("a,b,c\n1,2,3\n", "delimited")
     assert records == []

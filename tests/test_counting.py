@@ -20,6 +20,7 @@ from collabmap.counting import (
 )
 from collabmap.errors import DataError
 from collabmap.network import build_coauth_network
+from collabmap.synth import generate_corpus_text
 
 from conftest import (
     DATA_DIR,
@@ -27,6 +28,8 @@ from conftest import (
     incidence_row,
     incidence_summary_stats,
     make_documents,
+    reference_summarize,
+    tallied,
 )
 
 
@@ -185,28 +188,42 @@ def test_count_ordering_invariants():
 
 def test_summary_single_domestic_document():
     documents = [doc("d1", {"A": 2})]
-    report = FilterReport(n_records=1, n_retained=1)
-    summary = summarize(documents, report)
+    report = tallied(FilterReport(n_records=1, n_retained=1), documents)
+    summary = summarize(report, build_coauth_network(documents))
     assert summary.n_international_docs == 0
     assert display_percent(summary.share_international_docs) == 0.0
 
 
 def test_summary_empty_corpus_rejected():
     with pytest.raises(DataError):
-        summarize([], FilterReport())
+        summarize(FilterReport(), build_coauth_network([]))
 
 
 def test_summary_two_paths_agree():
     rng = random.Random(23)
     documents = make_documents(rng, 160, 14)
-    report = FilterReport(n_records=len(documents), n_retained=len(documents))
-    summary = summarize(documents, report)
+    report = tallied(FilterReport(n_records=len(documents), n_retained=len(documents)), documents)
+    summary = summarize(report, build_coauth_network(documents))
     stats = incidence_summary_stats(build_incidence(documents))
     assert stats["n_documents"] == summary.n_documents
     assert stats["n_international_docs"] == summary.n_international_docs
     assert stats["n_addresses_total"] == summary.n_addresses_total
     assert stats["n_addresses_international"] == summary.n_addresses_international
     assert stats["n_countries"] == summary.n_countries
+
+
+def test_summarize_equals_the_reference_over_synth_seeds_and_the_golden_corpus(registry):
+    """The summary from the filter's tallies and the network equals the one
+    counted over the retained documents themselves."""
+    texts = [
+        generate_corpus_text(registry, n_docs=60, n_countries=3 + seed % 9,
+                             intl_prob=seed / 21, seed=seed)
+        for seed in range(21)
+    ]
+    texts.append((DATA_DIR / "golden_corpus.txt").read_text(encoding="utf-8"))
+    for text in texts:
+        documents, report = filter_documents(parse_records(text, "tagged")[0], registry)
+        assert summarize(report, build_coauth_network(documents)) == reference_summarize(documents, report)
 
 
 def test_paper_percentages_render_exactly():
@@ -229,13 +246,13 @@ def test_summary_json_and_counts_csv(registry):
         doc("d1", {"NETHERLANDS": 2, "UK": 1}),
         doc("d2", {"UK": 1}, doc_type="Review"),
     ]
-    report = FilterReport(n_records=3, n_retained=2, n_dropped_type=1)
-    summary = summarize(documents, report)
+    report = tallied(FilterReport(n_records=3, n_retained=2, n_dropped_type=1), documents)
+    net = build_coauth_network(documents)
+    summary = summarize(report, net)
     text = summary_json(summary)
     assert '"n_records": 3' in text
     assert '"share_international_docs": "1/2"' in text
 
-    net = build_coauth_network(documents)
     csv_text = counts_csv(net, registry)
     lines = csv_text.splitlines()
     assert lines[0] == "country,iso3,scheme,value"
