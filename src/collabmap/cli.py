@@ -20,12 +20,11 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, make_dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
 
@@ -135,11 +134,10 @@ def _size_attr(cfg, stage: str) -> str:
     return cfg.size_attr or ("degree" if stage == "core" else "fractional_papers")
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One configuration value: RunConfig field, flag, checks and consumers."""
 
-    name: str  # RunConfig field and config-file key
+    name: str  # RunConfig attribute and config-file key
     flag: str | None  # None: settable from the config file only
     default: Any
     parse: Callable[[Any], Any]
@@ -231,8 +229,17 @@ OPTIONS = (
 _OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
 
 
-class _RunConfigBase:
-    """Methods of RunConfig, whose fields are the rows of OPTIONS."""
+class RunConfig:
+    """One attribute per row of OPTIONS, set by keyword or to the row's
+    default; a list default is copied for each instance."""
+
+    def __init__(self, **values):
+        unknown = values.keys() - _OPTION_BY_NAME.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unexpected keyword arguments {sorted(unknown)}")
+        for opt in OPTIONS:
+            default = list(opt.default) if isinstance(opt.default, list) else opt.default
+            setattr(self, opt.name, values.get(opt.name, default))
 
     def validate(self, require_inputs: bool = False) -> None:
         for opt in OPTIONS:
@@ -287,18 +294,6 @@ class _RunConfigBase:
                 group, _, key = (opt.key or opt.name).rpartition(".")
                 (view.setdefault(group, {}) if group else view)[key] = value
         return view
-
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    [
-        (opt.name, Any, field(default_factory=list) if isinstance(opt.default, list)
-         else field(default=opt.default))
-        for opt in OPTIONS
-    ],
-    bases=(_RunConfigBase,),
-)
-RunConfig.__module__ = __name__
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +427,13 @@ def _json_object(relpath: str, text: str) -> dict:
 
 
 def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callable) -> tuple[str, Any]:
-    """The sha256 of a JSON intermediate's text and the ``cls`` dataclass it
-    holds, each field named in ``convert`` parsed back from its JSON form. A
-    file that is not such an object is a DataError that names the file."""
+    """The sha256 of a JSON intermediate's text and the ``cls`` record it
+    holds, built from keywords named by ``cls._fields``, each one named in
+    ``convert`` parsed back from its JSON form. A file that is not such an
+    object is a DataError that names the file."""
     text = ws.read_text(relpath)
     obj = _json_object(relpath, text)
-    names = {f.name for f in fields(cls)}
+    names = set(cls._fields)
     unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
     if unknown or missing:
         raise DataError(f"{relpath}: unknown keys {unknown}, missing keys {missing}")
@@ -801,9 +797,12 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
     from collabmap import counting, network
     from collabmap.exports import report as report_export
 
+    # every count, named n_..., goes into report.json as it is read
+    counts = [name for name in counting.CorpusSummary._fields if name.startswith("n_")]
     summary_digest, summary = _read_intermediate(
-        ws, "summary.json", counting.CorpusSummary,
+        ws, "summary.json", counting.CorpusSummary, per_type=_type_tally,
         share_international_docs=Fraction, share_addresses_international=Fraction,
+        **dict.fromkeys(counts, _count),
     )
     stats_digest, stats = _read_intermediate(
         ws, "thresholded/stats.json", network.NetworkStats,

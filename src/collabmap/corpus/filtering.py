@@ -12,8 +12,7 @@ these tallies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
 
@@ -30,8 +29,7 @@ DEFAULT_TYPE_SYNONYMS = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A retained record: canonical type plus per-country address counts."""
 
     record_id: str
@@ -47,18 +45,43 @@ class Document:
         return len(self.country_addresses) >= 2
 
 
-@dataclass
 class FilterReport:
-    n_records: int = 0
-    n_retained: int = 0
-    n_dropped_type: int = 0
-    n_dropped_no_address: int = 0
-    unrecognized: Counter = field(default_factory=Counter)
-    # tallies of the retained documents
-    per_type: dict[str, int] = field(default_factory=dict)
-    n_international_docs: int = 0
-    n_addresses_total: int = 0
-    n_addresses_international: int = 0
+    """The filter's tallies, which filter_documents adds to as it goes."""
+
+    # the keyword arguments, which are also the keys of as_dict
+    _fields = (
+        "n_records", "n_retained", "n_dropped_type", "n_dropped_no_address", "unrecognized",
+        "per_type", "n_international_docs", "n_addresses_total", "n_addresses_international",
+    )
+
+    def __init__(
+        self,
+        n_records: int = 0,
+        n_retained: int = 0,
+        n_dropped_type: int = 0,
+        n_dropped_no_address: int = 0,
+        unrecognized: Counter | None = None,
+        per_type: dict[str, int] | None = None,
+        n_international_docs: int = 0,
+        n_addresses_total: int = 0,
+        n_addresses_international: int = 0,
+    ):
+        self.n_records = n_records
+        self.n_retained = n_retained
+        self.n_dropped_type = n_dropped_type
+        self.n_dropped_no_address = n_dropped_no_address
+        self.unrecognized = Counter() if unrecognized is None else unrecognized
+        # tallies of the retained documents
+        self.per_type = {} if per_type is None else per_type
+        self.n_international_docs = n_international_docs
+        self.n_addresses_total = n_addresses_total
+        self.n_addresses_international = n_addresses_international
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FilterReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def as_dict(self) -> dict:
         return {
@@ -131,11 +154,5 @@ def filter_documents(
         if len(counts) >= 2:
             report.n_international_docs += 1
             report.n_addresses_international += addresses
-        documents.append(
-            Document(
-                record_id=rec.record_id,
-                doc_type=doc_type,
-                country_addresses=dict(sorted(counts.items())),
-            )
-        )
+        documents.append(Document(rec.record_id, doc_type, dict(sorted(counts.items()))))
     return documents, report

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import ParseError
+
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 _RECORD_START = "PT"
 _RECORD_END = "ER"
@@ -28,8 +31,7 @@ _FILE_END = "EF"
 _STRUCTURE_TAGS = frozenset((_RECORD_START, _RECORD_END, _FILE_END))
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     record_id: str
     doc_type: str
     pub_year: int
@@ -37,8 +39,7 @@ class RawRecord:
     title: str | None = None
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     line_no: int
     message: str
 
@@ -103,15 +104,10 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
             issues.append(ParseIssue(py_line + 1, f"bad year {year_raw!r} in {record_id}"))
             year = 0
         title = " ".join(fields["TI"]) if "TI" in fields else None
-        records.append(
-            RawRecord(
-                record_id=record_id,
-                doc_type=fields["DT"][0] if "DT" in fields else "",
-                pub_year=year,
-                address_lines=tuple(filter(None, fields.get("C1", ()))),
-                title=title,
-            )
-        )
+        records.append(RawRecord(
+            record_id, fields["DT"][0] if "DT" in fields else "", year,
+            tuple(filter(None, fields.get("C1", ()))), title,
+        ))
         fields.clear()
         in_record = False
         current_tag = None
@@ -217,7 +213,7 @@ def _parse_delimited(text: str) -> tuple[list[RawRecord], list[ParseIssue]]:
     return records, issues
 
 
-def write_tagged(records: list[RawRecord]) -> str:
+def write_tagged(records: Iterable[RawRecord]) -> str:
     """Serialize records in the tagged-field layout (round-trips with parse)."""
     lines: list[str] = []
     for rec in records:

@@ -11,9 +11,9 @@ unknown token, but are documented data rather than omissions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from collabmap.errors import ConfigError
 
@@ -29,23 +29,20 @@ _TRAILING_COUNTRY_SUFFIXES = {
 _REQUIRED_UK_ALIASES = ("ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND")
 
 
-@dataclass(frozen=True)
-class CountryEntry:
+class CountryEntry(NamedTuple):
     name: str
     iso3: str
     latitude: float
     longitude: float
 
 
-@dataclass(frozen=True)
-class Unrecognized:
+class Unrecognized(NamedTuple):
     """Resolution outcome for a token absent from the registry."""
 
     token: str
 
 
-@dataclass
-class CountryRegistry:
+class CountryRegistry(NamedTuple):
     entries: dict[str, CountryEntry]
     aliases: dict[str, str]
 
@@ -129,7 +126,7 @@ def load_registry(
             lat, lon = float(row[2]), float(row[3])
         except ValueError as exc:
             raise ConfigError(f"{countries_path}: bad coordinates for {name!r}") from exc
-        entries[name] = CountryEntry(name=name, iso3=row[1].strip().upper(), latitude=lat, longitude=lon)
+        entries[name] = CountryEntry(name, row[1].strip().upper(), lat, lon)
 
     aliases: dict[str, str] = {}
     for row in _read_csv(aliases_path, ["alias", "canonical_name"]):
@@ -143,6 +140,6 @@ def load_registry(
             raise ConfigError(f"{aliases_path}: conflicting alias {alias!r}")
         aliases[alias] = target
 
-    registry = CountryRegistry(entries=entries, aliases=aliases)
+    registry = CountryRegistry(entries, aliases)
     registry.validate()
     return registry

@@ -25,9 +25,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import DataError
 
@@ -37,16 +36,14 @@ if TYPE_CHECKING:
     from collabmap.network import CoauthNetwork
 
 
-@dataclass
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     """Sparse document x country address-count matrix, one row per document."""
 
     countries: list[str]
     rows: list[dict[int, int]]
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     n_records: int
     n_documents: int
     per_type: dict[str, int]

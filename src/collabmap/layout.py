@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from collabmap.errors import DataError
 from collabmap.network import connected_components
@@ -43,8 +43,7 @@ class DisconnectedGraphError(DataError):
     """Ideal distances need a connected graph; lay out components separately."""
 
 
-@dataclass(frozen=True)
-class LayoutConfig:
+class _LayoutSettings(NamedTuple):
     transform: EdgeLengthTransform = EdgeLengthTransform.INVERSE_LOG_WEIGHT
     diameter: float = 1.0
     spring_constant: float = 1.0
@@ -52,17 +51,28 @@ class LayoutConfig:
     tolerance: float = 1e-4
     seed: int = 42
 
-    def __post_init__(self):
+
+class LayoutConfig(_LayoutSettings):
+    """Layout settings, checked whenever one is made, ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tolerance <= 0:
             raise DataError("layout tolerance must be positive")
         if self.diameter <= 0 or self.spring_constant <= 0:
             raise DataError("layout scale parameters must be positive")
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
             raise DataError("max_outer_iterations must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass
-class Layout:
+class Layout(NamedTuple):
     coordinates: dict[str, tuple[float, float]]
     final_stress: float
     iterations_used: int

@@ -20,10 +20,9 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import DataError
 
@@ -33,22 +32,34 @@ if TYPE_CHECKING:
     from collabmap.corpus.filtering import Document
 
 
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     country: str
     integer_papers: int
     fractional_papers: Fraction
 
 
-@dataclass
 class CoauthNetwork:
     """Symmetric weighted country graph plus per-node paper counts. An
     extracted subnetwork is one too, with the network it came from as
     ``parent``. A node's degree is counted from ``edges``, never stored."""
 
-    nodes: dict[str, NodeInfo]
-    edges: dict[tuple[str, str], int]
-    parent: CoauthNetwork | None = None
+    def __init__(
+        self,
+        nodes: dict[str, NodeInfo],
+        edges: dict[tuple[str, str], int],
+        parent: CoauthNetwork | None = None,
+    ):
+        self.nodes = nodes
+        self.edges = edges
+        self.parent = parent
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nodes, self.edges, self.parent) == (other.nodes, other.edges, other.parent)
+
+    def __repr__(self) -> str:
+        return f"CoauthNetwork(nodes={self.nodes!r}, edges={self.edges!r}, parent={self.parent!r})"
 
     def countries(self) -> list[str]:
         return sorted(self.nodes)
@@ -79,8 +90,7 @@ class CoauthNetwork:
         return [c for c in self.nodes if c not in self.degrees]
 
 
-@dataclass
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Dense symmetric cosine values over country collaboration profiles."""
 
     countries: list[str]
@@ -92,8 +102,7 @@ class SimilarityMatrix:
         return self.values.get(_pair(a, b), 0.0)
 
 
-@dataclass(frozen=True)
-class NetworkStats:
+class NetworkStats(NamedTuple):
     n_nodes: int
     n_edges: int
     n_parent_links: int
@@ -151,8 +160,8 @@ def build_coauth_network(documents: Iterable[Document]) -> CoauthNetwork:
         by_denominator = numerators[c]
         common = math.lcm(*by_denominator)
         fractional = Fraction(sum(n * (common // d) for d, n in by_denominator.items()), common)
-        nodes[c] = NodeInfo(country=c, integer_papers=integer[c], fractional_papers=fractional)
-    return CoauthNetwork(nodes=nodes, edges=edges)
+        nodes[c] = NodeInfo(c, integer[c], fractional)
+    return CoauthNetwork(nodes, edges)
 
 
 def ochiai(shared: int, size_a: int, size_b: int) -> float:

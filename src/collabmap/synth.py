@@ -11,9 +11,13 @@ Everything is a pure function of the seed.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from collabmap.corpus.records import RawRecord, write_tagged
 from collabmap.corpus.registry import CountryRegistry
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 # alias spellings occasionally substituted for their canonical country
 _ALIAS_FLAVORS = {
@@ -59,6 +63,25 @@ def generate_records(
     seed: int = 42,
 ) -> list[RawRecord]:
     """The records of the corpus; an argument out of range is a ValueError."""
+    return list(_draw_records(registry, n_docs, n_countries, intl_prob, seed))
+
+
+def generate_corpus_text(
+    registry: CountryRegistry,
+    n_docs: int = 200,
+    n_countries: int = 20,
+    intl_prob: float = 0.3,
+    seed: int = 42,
+) -> str:
+    """The tagged text of the corpus, each record written as it is drawn."""
+    return write_tagged(_draw_records(registry, n_docs, n_countries, intl_prob, seed))
+
+
+def _draw_records(
+    registry: CountryRegistry, n_docs: int, n_countries: int, intl_prob: float, seed: int
+) -> Iterator[RawRecord]:
+    """The corpus's records, drawn one at a time; an argument out of range
+    is a ValueError at the first draw."""
     if n_docs < 0:
         raise ValueError(f"the number of documents must be at least 0, got {n_docs}")
     # false for nan as well
@@ -69,7 +92,6 @@ def generate_records(
     # Zipf-like attractiveness by sampled rank
     weights = [1.0 / (rank + 1) for rank in range(n_countries)]
 
-    records: list[RawRecord] = []
     for i in range(n_docs):
         roll = rng.random()
         if roll < 0.06:
@@ -98,28 +120,7 @@ def generate_records(
                 address_lines.append("Atlantis Inst Marine Res, Atlantis")
             lines = tuple(address_lines)
 
-        records.append(
-            RawRecord(
-                record_id=f"SYN{i:06d}",
-                doc_type=doc_type,
-                pub_year=2011,
-                address_lines=lines,
-                title=f"Synthetic study {i:06d}",
-            )
-        )
-    return records
-
-
-def generate_corpus_text(
-    registry: CountryRegistry,
-    n_docs: int = 200,
-    n_countries: int = 20,
-    intl_prob: float = 0.3,
-    seed: int = 42,
-) -> str:
-    return write_tagged(
-        generate_records(registry, n_docs=n_docs, n_countries=n_countries, intl_prob=intl_prob, seed=seed)
-    )
+        yield RawRecord(f"SYN{i:06d}", doc_type, 2011, lines, f"Synthetic study {i:06d}")
 
 
 def _geometric(rng: random.Random, p: float) -> int:

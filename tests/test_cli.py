@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -545,7 +544,7 @@ def net_workspace(tmp_path_factory, corpus_file) -> Path:
 
 
 def _report_edit(**changes) -> Callable[[dict], str]:
-    """An edit of filter-report.json that sets each key to its value, a
+    """An edit of a JSON intermediate that sets each key to its value, a
     callable value being applied to the key's old value."""
     def edit(obj):
         for key, value in changes.items():
@@ -579,6 +578,17 @@ _FILTER_REPORT_EDITS = {
     "addresses-below-retained": _report_edit(n_addresses_total=0, n_addresses_international=0),
     "international-addresses-above-total": _report_edit(n_addresses_international=10**9),
 }
+# summary.json values that export would copy into report.json as they stand
+_SUMMARY_EDITS = {
+    "n-documents-a-string": _report_edit(n_documents="x"),
+    "n-international-docs-true": _report_edit(n_international_docs=True),
+    "n-records-a-float": _report_edit(n_records=float),
+    "n-countries-negative": _report_edit(n_countries=-1),
+    "n-addresses-total-null": _report_edit(n_addresses_total=None),
+    "n-addresses-international-a-list": _report_edit(n_addresses_international=lambda n: [n]),
+    "per-type-a-list": _report_edit(per_type=list),
+    "per-type-count-a-string": _report_edit(per_type=lambda per_type: dict.fromkeys(per_type, "1")),
+}
 
 
 @pytest.mark.parametrize("relpath, stage, edit", [
@@ -589,6 +599,9 @@ _FILTER_REPORT_EDITS = {
 ] + [
     pytest.param("filter-report.json", "summary", edit, id=f"{name}-filter-report.json-summary")
     for name, edit in _FILTER_REPORT_EDITS.items()
+] + [
+    pytest.param("summary.json", "export", edit, id=f"{name}-summary.json-export")
+    for name, edit in _SUMMARY_EDITS.items()
 ])
 def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
                                                                relpath, stage, edit):
@@ -928,8 +941,8 @@ def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
     maps = [
         (nodes, dict(reversed(edges.items())), cfg),
         (nodes[::-1], edges, cfg),
-        (nodes, edges, dataclasses.replace(cfg, seed=7)),
-        (nodes, edges, dataclasses.replace(cfg, transform=layout.EdgeLengthTransform.UNIT)),
+        (nodes, edges, cfg._replace(seed=7)),
+        (nodes, edges, cfg._replace(transform=layout.EdgeLengthTransform.UNIT)),
         (nodes, {**edges, ("A", "B"): 3.0}, cfg),
     ]
     layouts = [ws.layout(*args) for args in maps]
@@ -1150,7 +1163,7 @@ _jsonl_text = st.text(st.one_of(
 @example([])
 def test_documents_jsonl_lines_are_sorted_key_json(docs):
     expected = "".join(
-        json.dumps(dataclasses.asdict(doc), sort_keys=True, ensure_ascii=False) + "\n" for doc in docs
+        json.dumps(doc._asdict(), sort_keys=True, ensure_ascii=False) + "\n" for doc in docs
     )
     assert cli.documents_jsonl(docs) == expected
 
@@ -1322,10 +1335,14 @@ def test_benchmark_trace_targets_exist():
     for module_name, attr, _span in tracer.WRAPPED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
     assert set(_STAGE_FUNCS) == {"ingest", "summary", "net", "geo", "core", "ego", "export"}
-    # result fields that the tracer's counters read
+    # result fields that the tracer's counters read: a record's fields, or
+    # the attributes of an instance of a mutable class
+    instances = {filtering.FilterReport: filtering.FilterReport(),
+                 network.CoauthNetwork: network.CoauthNetwork({}, {})}
     for cls, name in ((layout.Layout, "iterations_used"),
                       (layout.LayoutConfig, "max_outer_iterations"),
                       (filtering.FilterReport, "n_records"),
                       (filtering.FilterReport, "n_retained"),
                       (network.CoauthNetwork, "edges")):
-        assert name in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
+        names = vars(instances[cls]) if cls in instances else cls._fields
+        assert name in names, (cls.__name__, name)

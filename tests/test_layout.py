@@ -71,6 +71,42 @@ def random_distance_matrix(rng, n):
 
 
 # ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+_BAD_SETTINGS = [
+    ({"tolerance": 0.0}, "layout tolerance must be positive"),
+    ({"tolerance": -1e-4}, "layout tolerance must be positive"),
+    ({"diameter": 0.0}, "layout scale parameters must be positive"),
+    ({"diameter": -1.0}, "layout scale parameters must be positive"),
+    ({"spring_constant": 0.0}, "layout scale parameters must be positive"),
+    ({"spring_constant": -2.0}, "layout scale parameters must be positive"),
+    ({"max_outer_iterations": 0}, "max_outer_iterations must be at least 1"),
+    ({"max_outer_iterations": -3}, "max_outer_iterations must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("changes, message", _BAD_SETTINGS)
+def test_bad_layout_settings_are_data_errors(changes, message):
+    """Settings are checked when made, and when a copy is made with a change."""
+    with pytest.raises(DataError, match=f"^{message}$"):
+        LayoutConfig(**changes)
+    good = LayoutConfig(max_outer_iterations=5)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        good._replace(**changes)
+
+
+def test_layout_settings_are_values():
+    """Equal settings are equal and hash alike, as keys of the layouts a
+    workspace keeps; a copy with a change keeps the other settings."""
+    cfg = LayoutConfig(diameter=2.0, seed=7)
+    assert cfg == LayoutConfig(diameter=2.0, seed=7) and hash(cfg) == hash(LayoutConfig(diameter=2.0, seed=7))
+    changed = cfg._replace(max_outer_iterations=1)
+    assert changed != cfg and type(changed) is LayoutConfig
+    assert changed == LayoutConfig(diameter=2.0, seed=7, max_outer_iterations=1)
+
+
+# ---------------------------------------------------------------------------
 # ideal distances
 # ---------------------------------------------------------------------------
 

@@ -97,14 +97,18 @@ def test_tracer_records_a_span_for_every_exporter(tmp_path):
     } <= names
 
 
-# Runs one command and prints the collabmap modules loaded by its end.
+# Runs one command and prints the collabmap modules loaded by its end, and
+# dataclasses and inspect if they are loaded.
 MODULES_PROBE = (
     "import json, sys\n"
     "from collabmap import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'collabmap')))\n"
+    "tops = ('collabmap', 'dataclasses', 'inspect')\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in tops)))\n"
     "sys.exit(code)\n"
 )
+# start-up a command need not pay: importing these, and generating classes with them
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 # the modules each command loads beyond collabmap, cli and errors
 MAP_MODULES = {"network", "layout", "counting", "exports.pajek", "exports.vosviewer"}
@@ -122,7 +126,8 @@ COMMAND_MODULES = {
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """A stage process imports what its stage calls, so a fresh interpreter
-    ends each command with exactly the table's modules loaded."""
+    ends each command with exactly the table's modules loaded, and with
+    neither dataclasses nor inspect."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     workspace = ["--workspace", str(tmp_path / "ws")]
     argvs = {
@@ -141,6 +146,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                               capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, (command, proc.stderr)
         loaded[command] = set(json.loads(proc.stdout.splitlines()[-1]))
+    for command, names in loaded.items():
+        assert not names & SLOW_IMPORTS, (command, sorted(names & SLOW_IMPORTS))
     for command, modules in COMMAND_MODULES.items():
         names = {f"collabmap.{m}" for m in modules | {"cli", "errors"}}
         packages = {name.rpartition(".")[0] for name in names}
