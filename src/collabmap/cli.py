@@ -315,6 +315,9 @@ class Workspace:
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        # the running stage's reads: workspace path, or input file name -> sha256
+        # of what was read; _run_stage clears it and records it in the manifest
+        self.inputs: dict[str, str] = {}
         # relative path -> (sha256 of the file's text, what the text parses into)
         self._parsed: dict[str, tuple[str, Any]] = {}
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
@@ -367,23 +370,38 @@ class Workspace:
                     break
 
     def read_text(self, relpath: str) -> str:
+        """The text of a workspace file, its digest recorded as an input."""
         path = self.root / relpath
         if not path.is_file():
             raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
         try:
-            return path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
+        self.inputs[relpath] = _sha256_text(text)
+        return text
 
-    def parsed(self, relpath: str, parse: Callable[[str], Any]) -> tuple[str, Any]:
-        """The sha256 of the file's text and ``parse(text)``, which is reused
-        while the file's digest holds."""
+    def read_input(self, path: Path) -> str:
+        """An input file's text decoded as UTF-8 (a leading byte-order mark
+        dropped) with CRLF and CR line ends as LF; the sha256 of its bytes is
+        recorded under its file name."""
+        raw = path.read_bytes()
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
+        self.inputs[path.name] = hashlib.sha256(raw).hexdigest()
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def parsed(self, relpath: str, parse: Callable[[str], Any]) -> Any:
+        """``parse`` of the file's text, which is reused while the file's
+        digest holds."""
         text = self.read_text(relpath)
-        digest = _sha256_text(text)
+        digest = self.inputs[relpath]
         held = self._parsed.get(relpath)
         if held is None or held[0] != digest:
             held = self._parsed[relpath] = (digest, parse(text))
-        return held
+        return held[1]
 
     def offer(self, relpath: str, text: str, value: Any) -> None:
         """Keep ``value``, equal to what parsing ``text`` returns, for
@@ -391,15 +409,15 @@ class Workspace:
         that text."""
         self._parsed[relpath] = (_sha256_text(text), value)
 
-    def network(self) -> tuple[str, network.CoauthNetwork]:
-        """The digest and network of network.json; a network without
-        countries, which ingest writes for zero documents, is a DataError."""
+    def network(self) -> network.CoauthNetwork:
+        """The network of network.json; a network without countries, which
+        ingest writes for zero documents, is a DataError."""
         from collabmap import network
 
-        digest, net = self.parsed("network.json", network.load_network)
+        net = self.parsed("network.json", network.load_network)
         if not net.nodes:
             raise DataError("network.json: the network has no countries; ingest retained no documents")
-        return digest, net
+        return net
 
     def layout(self, nodes: list[str], edges: dict[tuple[str, str], float], cfg: LayoutConfig) -> Layout:
         """``layout_components(nodes, edges, cfg)``, computed once for each
@@ -426,14 +444,12 @@ def _json_object(relpath: str, text: str) -> dict:
     return obj
 
 
-def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callable) -> tuple[str, Any]:
-    """The sha256 of a JSON intermediate's text and the ``cls`` record it
-    holds, built from keywords named by ``cls._fields``, each one named in
-    ``convert`` parsed back from its JSON form. A file that is not such an
-    object is a DataError that names the file."""
-    text = ws.read_text(relpath)
-    obj = _json_object(relpath, text)
-    names = set(cls._fields)
+def _read_intermediate(ws: Workspace, relpath: str, fields: tuple[str, ...], **convert: Callable) -> dict:
+    """The JSON object of an intermediate whose keys are ``fields``, each
+    one named in ``convert`` parsed back from its JSON form. A file that is
+    not such an object is a DataError that names the file."""
+    obj = _json_object(relpath, ws.read_text(relpath))
+    names = set(fields)
     unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
     if unknown or missing:
         raise DataError(f"{relpath}: unknown keys {unknown}, missing keys {missing}")
@@ -442,7 +458,7 @@ def _read_intermediate(ws: Workspace, relpath: str, cls: type, **convert: Callab
             obj[name] = parse(obj[name])
         except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise DataError(f"{relpath}: bad {name}: {exc}") from exc
-    return _sha256_text(text), cls(**obj)
+    return obj
 
 
 # the filter-report.json counts that summary reads
@@ -463,6 +479,20 @@ def _type_tally(raw) -> dict[str, int]:
     if not isinstance(raw, dict) or not all(type(n) is int and n > 0 for n in raw.values()):
         raise ValueError(f"not an object of positive integers: {raw!r}")
     return raw
+
+
+def _histogram(raw) -> dict[int, int]:
+    """A degree histogram read back from JSON: counts keyed by degrees
+    written as non-negative decimal integers."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"not a JSON object: {raw!r}")
+    histogram = {}
+    for key, count in raw.items():
+        degree = int(key)
+        if degree < 0 or key != str(degree):
+            raise ValueError(f"not a degree: {key!r}")
+        histogram[degree] = _count(count)
+    return histogram
 
 
 def _sha256_text(text: str) -> str:
@@ -645,34 +675,20 @@ def _subnetwork_files(
 # stages
 # ---------------------------------------------------------------------------
 
-# (digest of each input read, text of each output by relative path)
-StageOutput = tuple[dict[str, str], dict[str, str]]
+# Each stage returns the text of each of its files by relative path; what
+# it read, the Workspace records.
 
-
-def _read_input(path: Path) -> tuple[str, str]:
-    """The sha256 of an input file's bytes, and its text decoded as UTF-8
-    (a leading byte-order mark dropped) with CRLF and CR line ends as LF."""
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
-    return hashlib.sha256(raw).hexdigest(), text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.corpus import filtering, records
 
     reg = cfg.registry
     all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
-    input_digests: dict[str, str] = {}
     for path_str in cfg.inputs:
         path = Path(path_str)
-        input_digests[path.name], data = _read_input(path)
         recs, issues = records.parse_records(
-            data, fmt=cfg.input_format, strict=cfg.strict, source_name=path.name
+            ws.read_input(path), fmt=cfg.input_format, strict=cfg.strict, source_name=path.name
         )
         all_records.extend(recs)
         all_issues.extend({"file": path.name, "line_no": i.line_no, "message": i.message} for i in issues)
@@ -685,7 +701,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     net = network.build_coauth_network(documents)
     network_text = network.network_json(net)
     ws.offer("network.json", network_text, net)
-    return input_digests, {
+    return {
         "documents.jsonl": documents_jsonl(documents),
         "filter-report.json": _json_artifact(report.as_dict()),
         "parse-issues.json": _json_artifact(all_issues),
@@ -693,16 +709,15 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> StageOutput:
     }
 
 
-def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import counting
     from collabmap.corpus import filtering
 
-    network_digest, net = ws.network()
-    report_digest, report = _read_intermediate(
-        ws, "filter-report.json", filtering.FilterReport, per_type=_type_tally,
+    net = ws.network()
+    report = filtering.FilterReport(**_read_intermediate(
+        ws, "filter-report.json", filtering.FilterReport._fields, per_type=_type_tally,
         **dict.fromkeys(_SUMMARY_COUNTS, _count),
-    )
-    inputs = {"network.json": network_digest, "filter-report.json": report_digest}
+    ))
     n_docs = report.n_retained
     # each retained document's fractional credits sum to exactly 1, and it has an address
     if (n_docs != sum(info.fractional_papers for info in net.nodes.values())
@@ -713,16 +728,16 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> StageOutput:
         raise DataError(
             "filter-report.json: its tallies and network.json describe different corpora; run ingest again"
         )
-    return inputs, {
+    return {
         "summary.json": counting.summary_json(counting.summarize(report, net)),
         "counts.csv": counting.counts_csv(net, cfg.registry),
     }
 
 
-def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_net(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import counting, network
 
-    digest, full = ws.network()
+    full = ws.network()
     net = _restrict_network(cfg, full)
 
     files = {"network/edges.csv": network.cooccurrence_triples_csv(net.edges)}
@@ -745,43 +760,39 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> StageOutput:
         net, cfg.min_node_fractional, cfg.min_edge_weight, comparator=cfg.comparator
     )
     files.update(_subnetwork_files(ws, "thresholded", sub, cfg, _size_attr(cfg, "net")))
-    return {"network.json": digest}, files
+    return files
 
 
-def stage_geo(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_geo(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.exports import geo as geo_export
 
-    digest, net = ws.network()
     sub = network.threshold_network(
-        _restrict_network(cfg, net), cfg.min_node_fractional, cfg.min_edge_weight,
+        _restrict_network(cfg, ws.network()), cfg.min_node_fractional, cfg.min_edge_weight,
         comparator=cfg.comparator,
     )
     doc, nodes, links = geo_export.export_geo(
         sub, cfg.registry, cfg.size_min, cfg.size_scale, cfg.great_circle
     )
-    files = {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
-    return {"network.json": digest}, files
+    return {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
 
 
-def stage_core(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_core(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
 
     if cfg.core_k is None:
         raise ConfigError("core stage needs --core-k")
-    digest, net = ws.network()
-    sub = network.extract_core(_restrict_network(cfg, net), cfg.core_min_edge_weight, cfg.core_k)
-    files = _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
-    return {"network.json": digest}, files
+    sub = network.extract_core(_restrict_network(cfg, ws.network()), cfg.core_min_edge_weight, cfg.core_k)
+    return _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
 
 
-def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_ego(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.exports import report as report_export
 
     if not cfg.ego_focus:
         raise ConfigError("ego stage needs --focus")
-    digest, net = ws.network()
+    net = ws.network()
     focus = cfg.ego_focus.strip().upper()
     sub = network.ego_network(
         _restrict_network(cfg, net), focus, min_edge_weight=cfg.ego_min_edge_weight,
@@ -790,33 +801,50 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> StageOutput:
     prefix = f"ego/{focus}"
     files = _subnetwork_files(ws, prefix, sub, cfg, _size_attr(cfg, "ego"))
     files[f"{prefix}/focus.json"] = _json_artifact(report_export.focus_stats(focus, net))
-    return {"network.json": digest}, files
+    return files
 
 
-def stage_export(cfg: RunConfig, ws: Workspace) -> StageOutput:
+def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import counting, network
     from collabmap.exports import report as report_export
 
     # every count, named n_..., goes into report.json as it is read
     counts = [name for name in counting.CorpusSummary._fields if name.startswith("n_")]
-    summary_digest, summary = _read_intermediate(
-        ws, "summary.json", counting.CorpusSummary, per_type=_type_tally,
-        share_international_docs=Fraction, share_addresses_international=Fraction,
+    summary = _read_intermediate(
+        ws, "summary.json", counting.CorpusSummary._fields, per_type=_type_tally,
         **dict.fromkeys(counts, _count),
     )
-    stats_digest, stats = _read_intermediate(
-        ws, "thresholded/stats.json", network.NetworkStats,
-        degree_histogram=lambda histogram: {int(k): v for k, v in histogram.items()},
+    for share, count, total in (("share_international_docs", "n_international_docs", "n_documents"),
+                                ("share_addresses_international", "n_addresses_international",
+                                 "n_addresses_total")):
+        # summary writes each share as its two counts, which report.json restates
+        if summary[share] != f"{summary[count]}/{summary[total]}" or not summary[total]:
+            raise DataError(f"summary.json: {share} is {summary[share]!r}, "
+                            f"not {count}/{total} over a positive {total}")
+        summary[share] = Fraction(summary[count], summary[total])
+    stats = _read_intermediate(
+        ws, "thresholded/stats.json", network.NetworkStats._fields, degree_histogram=_histogram,
+        **dict.fromkeys(("n_nodes", "n_edges", "n_parent_links", "possible_links", "n_connected_nodes"),
+                        _count),
     )
-    inputs = {"summary.json": summary_digest, "thresholded/stats.json": stats_digest}
     focus = None
     if cfg.ego_focus:
-        focus_path = f"ego/{cfg.ego_focus.strip().upper()}/focus.json"
+        country = cfg.ego_focus.strip().upper()
+        focus_path = f"ego/{country}/focus.json"
         if (ws.root / focus_path).is_file():
-            focus_text = ws.read_text(focus_path)
-            focus = _json_object(focus_path, focus_text)
-            inputs["focus.json"] = _sha256_text(focus_text)
-    return inputs, {"report.json": report_export.export_report(summary, stats, focus)}
+            read = _read_intermediate(
+                ws, focus_path, report_export.FOCUS_FIELDS,
+                integer_papers=_count, fractional_papers=network.positive_ratio,
+            )
+            focus = report_export.focus_dict(country, read["integer_papers"], read["fractional_papers"])
+            # the country and both displays follow from the focus and its two counts
+            for key in ("country", "fractional_papers_display", "mean_coauthorship_ratio"):
+                if read[key] != focus[key]:
+                    raise DataError(f"{focus_path}: {key} is {read[key]!r}, not {focus[key]!r}")
+    report = report_export.export_report(
+        counting.CorpusSummary(**summary), network.NetworkStats(**stats), focus
+    )
+    return {"report.json": report}
 
 
 _STAGE_FUNCS = {
@@ -843,7 +871,10 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def _run_stage(stage: str, cfg: RunConfig, ws: Workspace, fresh: bool = False) -> None:
-    inputs, files = _STAGE_FUNCS[stage](cfg, ws)
+    ws.inputs.clear()
+    files = _STAGE_FUNCS[stage](cfg, ws)
+    # copied before update_manifest reads the manifest, which is no input
+    inputs = dict(ws.inputs)
     manifest, stale = update_manifest(ws, stage, cfg.stage_view(stage), inputs, files, fresh)
     # one batch, so the files and the manifest that lists them change together
     ws.write_files({**files, MANIFEST_NAME: manifest}, stale)

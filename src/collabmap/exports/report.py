@@ -15,23 +15,34 @@ from collabmap.counting import (
 from collabmap.errors import DataError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from collabmap.network import CoauthNetwork, NetworkStats
+
+
+# the keys of focus.json, in the order it writes them
+FOCUS_FIELDS = (
+    "country", "integer_papers", "fractional_papers", "fractional_papers_display", "mean_coauthorship_ratio",
+)
 
 
 def focus_stats(country: str, net: CoauthNetwork) -> dict:
     """Per-country paper counts and the mean co-authorship multiplier."""
     if country not in net.nodes:
         raise DataError(f"unknown focus country: {country!r}")
-    n_integer = net.nodes[country].integer_papers
-    n_fractional = net.nodes[country].fractional_papers
+    return focus_dict(country, net.nodes[country].integer_papers, net.nodes[country].fractional_papers)
+
+
+def focus_dict(country: str, n_integer: int, n_fractional: Fraction) -> dict:
+    """The focus.json object of a country's two paper counts."""
     ratio = mean_coauthorship_ratio(n_integer, n_fractional)
-    return {
-        "country": country,
-        "integer_papers": n_integer,
-        "fractional_papers": f"{n_fractional.numerator}/{n_fractional.denominator}",
-        "fractional_papers_display": display_decimal(n_fractional),
-        "mean_coauthorship_ratio": display_decimal(ratio),
-    }
+    return dict(zip(FOCUS_FIELDS, (
+        country,
+        n_integer,
+        f"{n_fractional.numerator}/{n_fractional.denominator}",
+        display_decimal(n_fractional),
+        display_decimal(ratio),
+    )))
 
 
 def report_dict(

@@ -341,6 +341,18 @@ def _positive_int(value) -> bool:
     return type(value) is int and value > 0
 
 
+def positive_ratio(raw) -> Fraction:
+    """The positive fraction that ``raw`` writes as ``"p/q"`` in lowest
+    terms, the form network_json writes; any other value is a ValueError."""
+    try:
+        value = Fraction(raw) if isinstance(raw, str) else None
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0 or raw != f"{value.numerator}/{value.denominator}":
+        raise ValueError(f'not a positive "p/q" in lowest terms: {raw!r}')
+    return value
+
+
 def load_network(text: str) -> CoauthNetwork:
     """The network whose network_json text ``text`` is. Text of any other
     shape is a DataError that names the file."""
@@ -362,14 +374,9 @@ def load_network(text: str) -> CoauthNetwork:
         if not _positive_int(integer):
             raise DataError(f"network.json: integer count of {country!r} is not a positive integer")
         try:
-            fractional = Fraction(ratio)
-        except (ValueError, ZeroDivisionError):
-            fractional = None
-        if (fractional is None or fractional <= 0
-                or ratio != f"{fractional.numerator}/{fractional.denominator}"):
-            raise DataError(f"network.json: fractional count of {country!r} is not a positive \"p/q\" "
-                            f"in lowest terms: {ratio!r}")
-        nodes[country] = NodeInfo(country, integer, fractional)
+            nodes[country] = NodeInfo(country, integer, positive_ratio(ratio))
+        except ValueError as exc:
+            raise DataError(f"network.json: fractional count of {country!r}: {exc}") from exc
     edges: dict[tuple[str, str], int] = {}
     for entry in obj["edges"]:
         if not (isinstance(entry, list) and len(entry) == 3

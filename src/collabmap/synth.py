@@ -55,17 +55,6 @@ def _address_line(country: str, rng: random.Random) -> str:
     return f"{institute}, {dept}, {city}, {rendered}"
 
 
-def generate_records(
-    registry: CountryRegistry,
-    n_docs: int = 200,
-    n_countries: int = 20,
-    intl_prob: float = 0.3,
-    seed: int = 42,
-) -> list[RawRecord]:
-    """The records of the corpus; an argument out of range is a ValueError."""
-    return list(_draw_records(registry, n_docs, n_countries, intl_prob, seed))
-
-
 def generate_corpus_text(
     registry: CountryRegistry,
     n_docs: int = 200,

@@ -588,6 +588,29 @@ _SUMMARY_EDITS = {
     "n-addresses-international-a-list": _report_edit(n_addresses_international=lambda n: [n]),
     "per-type-a-list": _report_edit(per_type=list),
     "per-type-count-a-string": _report_edit(per_type=lambda per_type: dict.fromkeys(per_type, "1")),
+    # a share that is not the text of its two counts, which report.json restates beside its percent
+    "share-international-docs-one": _report_edit(share_international_docs="1/1"),
+    "share-international-docs-doubled": lambda obj: _report_edit(
+        share_international_docs=f"{2 * obj['n_international_docs']}/{2 * obj['n_documents']}")(obj),
+    "share-addresses-international-inverted": lambda obj: _report_edit(
+        share_addresses_international=f"{obj['n_addresses_total']}/{obj['n_addresses_international']}")(obj),
+    "share-addresses-international-a-number": _report_edit(share_addresses_international=0.5),
+    "share-over-zero-documents": _report_edit(n_documents=0, n_international_docs=0,
+                                              share_international_docs="0/0"),
+}
+# thresholded/stats.json values that export would copy into report.json as they stand
+_STATS_EDITS = {
+    "n-nodes-a-string": _report_edit(n_nodes="x"),
+    "n-edges-negative": _report_edit(n_edges=-1),
+    "n-parent-links-true": _report_edit(n_parent_links=True),
+    "possible-links-a-float": _report_edit(possible_links=float),
+    "n-connected-nodes-null": _report_edit(n_connected_nodes=None),
+    "histogram-a-list": _report_edit(degree_histogram=list),
+    "histogram-degree-a-word": _report_edit(degree_histogram={"two": 1}),
+    "histogram-degree-negative": _report_edit(degree_histogram={"-1": 1}),
+    "histogram-degree-zero-padded": _report_edit(degree_histogram={"01": 1}),
+    "histogram-count-a-string": _report_edit(degree_histogram=lambda h: dict.fromkeys(h, "1")),
+    "histogram-count-negative": _report_edit(degree_histogram=lambda h: dict.fromkeys(h, -1)),
 }
 
 
@@ -602,6 +625,9 @@ _SUMMARY_EDITS = {
 ] + [
     pytest.param("summary.json", "export", edit, id=f"{name}-summary.json-export")
     for name, edit in _SUMMARY_EDITS.items()
+] + [
+    pytest.param("thresholded/stats.json", "export", edit, id=f"{name}-thresholded/stats.json-export")
+    for name, edit in _STATS_EDITS.items()
 ])
 def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_workspace, capsys,
                                                                relpath, stage, edit):
@@ -616,18 +642,44 @@ def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_wor
     assert tree_bytes(ws) == before
 
 
+def _doubled_fractional_papers(obj):
+    p, q = obj["fractional_papers"].split("/")
+    return _report_edit(fractional_papers=f"{2 * int(p)}/{2 * int(q)}")(obj)
+
+
+# focus.json values that export would copy into report.json as they stand
+_FOCUS_EDITS = {
+    "integer-papers-a-string-and-unknown-key": _report_edit(integer_papers="x", bogus=1),
+    "unknown-key": _report_edit(bogus=1),
+    "missing-key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "mean_coauthorship_ratio"}),
+    "integer-papers-a-string": _report_edit(integer_papers="x"),
+    "integer-papers-true": _report_edit(integer_papers=True),
+    "integer-papers-negative": _report_edit(integer_papers=-1),
+    "fractional-papers-a-number": _report_edit(fractional_papers=1.5),
+    "fractional-papers-decimal": _report_edit(fractional_papers="1.5"),
+    "fractional-papers-zero": _report_edit(fractional_papers="0/1"),
+    "fractional-papers-negative": _report_edit(fractional_papers="-1/2"),
+    "fractional-papers-not-in-lowest-terms": _doubled_fractional_papers,
+    "country-another": _report_edit(country="ATLANTIS"),
+    "display-off": _report_edit(fractional_papers_display=lambda x: x + 1),
+    "ratio-off": _report_edit(mean_coauthorship_ratio=lambda x: x + 1),
+}
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b'{"country": 1}x', id="not-json"),
     pytest.param(b'["country"]', id="not-an-object"),
     pytest.param(b'\xff{}', id="not-utf8"),
-])
+] + [pytest.param(edit, id=name) for name, edit in _FOCUS_EDITS.items()])
 def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_workspace, capsys, data):
+    """``data`` is the new file's bytes, or an edit of its JSON object."""
     ws = tmp_path / "ws"
     shutil.copytree(net_workspace, ws)
     focus = focus_country(ws)
     assert main(["ego", "--workspace", str(ws), "--focus", focus]) == EXIT_OK
     relpath = f"ego/{focus}/focus.json"
-    (ws / relpath).write_bytes(data)
+    path = ws / relpath
+    path.write_bytes(data if isinstance(data, bytes) else data(json.loads(path.read_text())).encode())
     before = tree_bytes(ws)
     capsys.readouterr()
     assert main(["export", "--workspace", str(ws), "--focus", focus]) == EXIT_DATA
@@ -1004,12 +1056,42 @@ def test_stages_return_their_files_and_write_nothing(tmp_path, corpus_file):
     cfg = config_from_args(build_parser().parse_args(argv))
     workspace = Workspace(ws)
     for stage, stage_func in _STAGE_FUNCS.items():
-        inputs, files = stage_func(cfg, workspace)
-        assert inputs == manifest[stage]["inputs"], stage
+        workspace.inputs.clear()
+        files = stage_func(cfg, workspace)
+        assert workspace.inputs == manifest[stage]["inputs"], stage
         assert set(files) == set(manifest[stage]["artifacts"]), stage
         for relpath, text in files.items():
             assert text.encode("utf-8") == before[relpath], relpath
     assert tree_bytes(ws) == before
+
+
+def test_every_stage_input_is_its_producers_artifact(tmp_path, corpus_file):
+    """ingest keys each input file by its name and the sha256 of its bytes;
+    every later stage keys each file it reads by the path under which an
+    earlier stage lists it, with the digest that stage recorded."""
+    probe = tmp_path / "probe"
+    assert main(["run", "--workspace", str(probe), "--input", str(corpus_file)] + RUN_FLAGS) == EXIT_OK
+    ws = tmp_path / "ws"
+    focus = focus_country(probe)
+    argv = ["run", "--workspace", str(ws), "--input", str(corpus_file)] + RUN_FLAGS + ["--focus", focus]
+    assert main(argv) == EXIT_OK
+    stages = json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert stages["ingest"]["inputs"] == {corpus_file.name: hashlib.sha256(corpus_file.read_bytes()).hexdigest()}
+    producers = {
+        relpath: (stage, digest)
+        for stage, entry in stages.items()
+        for relpath, digest in entry["artifacts"].items()
+    }
+    read = set()
+    for stage, entry in stages.items():
+        if stage == "ingest":
+            continue
+        for relpath, digest in entry["inputs"].items():
+            assert relpath in producers, (stage, relpath)
+            producer, produced = producers[relpath]
+            assert producer != stage and produced == digest, (stage, relpath)
+            read.add(relpath)
+    assert f"ego/{focus}/focus.json" in read
 
 
 def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
