@@ -461,12 +461,6 @@ def _read_intermediate(ws: Workspace, relpath: str, fields: tuple[str, ...], **c
     return obj
 
 
-# the filter-report.json counts that summary reads
-_SUMMARY_COUNTS = (
-    "n_records", "n_retained", "n_international_docs", "n_addresses_total", "n_addresses_international",
-)
-
-
 def _count(raw) -> int:
     """A count read back from JSON: a non-negative int, not a bool."""
     if type(raw) is not int or raw < 0:
@@ -479,6 +473,27 @@ def _type_tally(raw) -> dict[str, int]:
     if not isinstance(raw, dict) or not all(type(n) is int and n > 0 for n in raw.values()):
         raise ValueError(f"not an object of positive integers: {raw!r}")
     return raw
+
+
+def _counts(fields: tuple[str, ...]) -> dict[str, Callable]:
+    """``_count`` for each field that names a count, n_..."""
+    return {name: _count for name in fields if name.startswith("n_")}
+
+
+def _check_tallies(relpath: str, tallies: dict, documents: str) -> None:
+    """Refuse tallies of the retained documents that contradict each other:
+    the documents, counted under ``documents``, are the per-type counts'
+    sum; none is international more than once, and each has an address."""
+    n_docs, n_intl = tallies[documents], tallies["n_international_docs"]
+    n_addresses, n_addresses_intl = tallies["n_addresses_total"], tallies["n_addresses_international"]
+    if sum(tallies["per_type"].values()) != n_docs:
+        raise DataError(f"{relpath}: per_type does not sum to {documents} ({n_docs})")
+    if not n_intl <= n_docs <= n_addresses:
+        raise DataError(f"{relpath}: n_international_docs ({n_intl}) <= {documents} ({n_docs}) "
+                        f"<= n_addresses_total ({n_addresses}) fails")
+    if n_addresses_intl > n_addresses:
+        raise DataError(f"{relpath}: n_addresses_international ({n_addresses_intl}) "
+                        f"is above n_addresses_total ({n_addresses})")
 
 
 def _histogram(raw) -> dict[int, int]:
@@ -714,17 +729,18 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap.corpus import filtering
 
     net = ws.network()
-    report = filtering.FilterReport(**_read_intermediate(
+    tallies = _read_intermediate(
         ws, "filter-report.json", filtering.FilterReport._fields, per_type=_type_tally,
-        **dict.fromkeys(_SUMMARY_COUNTS, _count),
-    ))
-    n_docs = report.n_retained
-    # each retained document's fractional credits sum to exactly 1, and it has an address
-    if (n_docs != sum(info.fractional_papers for info in net.nodes.values())
-            or sum(report.per_type.values()) != n_docs
-            or report.n_international_docs > n_docs
-            or report.n_addresses_total < n_docs
-            or report.n_addresses_international > report.n_addresses_total):
+        **_counts(filtering.FilterReport._fields),
+    )
+    _check_tallies("filter-report.json", tallies, "n_retained")
+    report = filtering.FilterReport(**tallies)
+    # the filter counts each record once: retained, dropped by type or dropped for no address
+    if report.n_retained + report.n_dropped_type + report.n_dropped_no_address != report.n_records:
+        raise DataError(f"filter-report.json: n_records ({report.n_records}) is not the sum of "
+                        "n_retained, n_dropped_type and n_dropped_no_address")
+    # each retained document's fractional credits sum to exactly 1
+    if report.n_retained != sum(info.fractional_papers for info in net.nodes.values()):
         raise DataError(
             "filter-report.json: its tallies and network.json describe different corpora; run ingest again"
         )
@@ -809,11 +825,14 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap.exports import report as report_export
 
     # every count, named n_..., goes into report.json as it is read
-    counts = [name for name in counting.CorpusSummary._fields if name.startswith("n_")]
     summary = _read_intermediate(
         ws, "summary.json", counting.CorpusSummary._fields, per_type=_type_tally,
-        **dict.fromkeys(counts, _count),
+        **_counts(counting.CorpusSummary._fields),
     )
+    _check_tallies("summary.json", summary, "n_documents")
+    if summary["n_documents"] > summary["n_records"]:
+        raise DataError(f"summary.json: n_documents ({summary['n_documents']}) "
+                        f"is above n_records ({summary['n_records']})")
     for share, count, total in (("share_international_docs", "n_international_docs", "n_documents"),
                                 ("share_addresses_international", "n_addresses_international",
                                  "n_addresses_total")):
@@ -823,10 +842,16 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
                             f"not {count}/{total} over a positive {total}")
         summary[share] = Fraction(summary[count], summary[total])
     stats = _read_intermediate(
-        ws, "thresholded/stats.json", network.NetworkStats._fields, degree_histogram=_histogram,
-        **dict.fromkeys(("n_nodes", "n_edges", "n_parent_links", "possible_links", "n_connected_nodes"),
-                        _count),
+        ws, "thresholded/stats.json", network.NetworkStats._fields,
+        **{**dict.fromkeys(network.NetworkStats._fields, _count), "degree_histogram": _histogram},
     )
+    histogram = stats["degree_histogram"]
+    # the histogram counts each node once by its degree, and each edge has two ends
+    if (sum(histogram.values()) != stats["n_nodes"]
+            or sum(degree * count for degree, count in histogram.items()) != 2 * stats["n_edges"]
+            or stats["n_connected_nodes"] != stats["n_nodes"] - histogram.get(0, 0)
+            or not stats["n_edges"] <= stats["n_parent_links"] <= stats["possible_links"]):
+        raise DataError("thresholded/stats.json: its counts contradict its degree_histogram or each other")
     focus = None
     if cfg.ego_focus:
         country = cfg.ego_focus.strip().upper()

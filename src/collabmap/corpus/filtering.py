@@ -45,55 +45,27 @@ class Document(NamedTuple):
         return len(self.country_addresses) >= 2
 
 
-class FilterReport:
-    """The filter's tallies, which filter_documents adds to as it goes."""
+class FilterReport(NamedTuple):
+    """The filter's tallies: every record once, as retained, dropped by type
+    or dropped for no address, and the retained documents by type, how many
+    are international and their addresses. The dict defaults are shared
+    between reports, so a report is never changed once built."""
 
-    # the keyword arguments, which are also the keys of as_dict
-    _fields = (
-        "n_records", "n_retained", "n_dropped_type", "n_dropped_no_address", "unrecognized",
-        "per_type", "n_international_docs", "n_addresses_total", "n_addresses_international",
-    )
-
-    def __init__(
-        self,
-        n_records: int = 0,
-        n_retained: int = 0,
-        n_dropped_type: int = 0,
-        n_dropped_no_address: int = 0,
-        unrecognized: Counter | None = None,
-        per_type: dict[str, int] | None = None,
-        n_international_docs: int = 0,
-        n_addresses_total: int = 0,
-        n_addresses_international: int = 0,
-    ):
-        self.n_records = n_records
-        self.n_retained = n_retained
-        self.n_dropped_type = n_dropped_type
-        self.n_dropped_no_address = n_dropped_no_address
-        self.unrecognized = Counter() if unrecognized is None else unrecognized
-        # tallies of the retained documents
-        self.per_type = {} if per_type is None else per_type
-        self.n_international_docs = n_international_docs
-        self.n_addresses_total = n_addresses_total
-        self.n_addresses_international = n_addresses_international
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FilterReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    n_records: int = 0
+    n_retained: int = 0
+    n_dropped_type: int = 0
+    n_dropped_no_address: int = 0
+    unrecognized: Counter = Counter()
+    per_type: dict[str, int] = {}
+    n_international_docs: int = 0
+    n_addresses_total: int = 0
+    n_addresses_international: int = 0
 
     def as_dict(self) -> dict:
         return {
-            "n_records": self.n_records,
-            "n_retained": self.n_retained,
-            "n_dropped_type": self.n_dropped_type,
-            "n_dropped_no_address": self.n_dropped_no_address,
+            **self._asdict(),
             "unrecognized": dict(sorted(self.unrecognized.items())),
             "per_type": dict(sorted(self.per_type.items())),
-            "n_international_docs": self.n_international_docs,
-            "n_addresses_total": self.n_addresses_total,
-            "n_addresses_international": self.n_addresses_international,
         }
 
 
@@ -119,20 +91,21 @@ def filter_documents(
     record survives if any other line resolves. Each retained document
     adds to the report's per-type, international and address tallies.
     """
-    report = FilterReport(n_records=len(records))
     documents: list[Document] = []
     # each distinct raw type is canonicalized once; resolve_country reads
     # only the text after the last comma, so each distinct tail is resolved once
     type_by_raw: dict[str, str | None] = {}
     resolved_by_tail: dict[str, str | Unrecognized] = {}
-    per_type = report.per_type
+    unrecognized: Counter = Counter()
+    per_type: dict[str, int] = {}
+    n_dropped_type = n_dropped_no_address = n_international = n_addresses = n_addresses_international = 0
     for rec in records:
         try:
             doc_type = type_by_raw[rec.doc_type]
         except KeyError:
             doc_type = type_by_raw[rec.doc_type] = canonical_doc_type(rec.doc_type, synonyms)
         if doc_type is None:
-            report.n_dropped_type += 1
+            n_dropped_type += 1
             continue
         counts: dict[str, int] = {}
         for line in rec.address_lines:
@@ -141,18 +114,20 @@ def filter_documents(
             if resolved is None:
                 resolved = resolved_by_tail[tail] = resolve_country(tail, registry)
             if isinstance(resolved, Unrecognized):
-                report.unrecognized[resolved.token] += 1
+                unrecognized[resolved.token] += 1
             else:
                 counts[resolved] = counts.get(resolved, 0) + 1
         if not counts:
-            report.n_dropped_no_address += 1
+            n_dropped_no_address += 1
             continue
-        report.n_retained += 1
         per_type[doc_type] = per_type.get(doc_type, 0) + 1
         addresses = sum(counts.values())
-        report.n_addresses_total += addresses
+        n_addresses += addresses
         if len(counts) >= 2:
-            report.n_international_docs += 1
-            report.n_addresses_international += addresses
+            n_international += 1
+            n_addresses_international += addresses
         documents.append(Document(rec.record_id, doc_type, dict(sorted(counts.items()))))
-    return documents, report
+    return documents, FilterReport(
+        len(records), len(documents), n_dropped_type, n_dropped_no_address, unrecognized, per_type,
+        n_international, n_addresses, n_addresses_international,
+    )

@@ -174,15 +174,9 @@ def counts_csv(net: CoauthNetwork, registry: CountryRegistry) -> str:
 def summary_dict(summary: CorpusSummary) -> dict:
     """JSON-ready view; shares carried as exact ``numerator/denominator``."""
     return {
-        "n_records": summary.n_records,
-        "n_documents": summary.n_documents,
-        "per_type": summary.per_type,
-        "n_international_docs": summary.n_international_docs,
+        **summary._asdict(),
         "share_international_docs": f"{summary.n_international_docs}/{summary.n_documents}",
-        "n_addresses_total": summary.n_addresses_total,
-        "n_addresses_international": summary.n_addresses_international,
         "share_addresses_international": f"{summary.n_addresses_international}/{summary.n_addresses_total}",
-        "n_countries": summary.n_countries,
     }
 
 

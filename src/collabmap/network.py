@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 
 class NodeInfo(NamedTuple):
-    country: str
     integer_papers: int
     fractional_papers: Fraction
 
@@ -112,11 +111,7 @@ class NetworkStats(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "n_parent_links": self.n_parent_links,
-            "possible_links": self.possible_links,
-            "n_connected_nodes": self.n_connected_nodes,
+            **self._asdict(),
             "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
         }
 
@@ -160,7 +155,7 @@ def build_coauth_network(documents: Iterable[Document]) -> CoauthNetwork:
         by_denominator = numerators[c]
         common = math.lcm(*by_denominator)
         fractional = Fraction(sum(n * (common // d) for d, n in by_denominator.items()), common)
-        nodes[c] = NodeInfo(c, integer[c], fractional)
+        nodes[c] = NodeInfo(integer[c], fractional)
     return CoauthNetwork(nodes, edges)
 
 
@@ -374,7 +369,7 @@ def load_network(text: str) -> CoauthNetwork:
         if not _positive_int(integer):
             raise DataError(f"network.json: integer count of {country!r} is not a positive integer")
         try:
-            nodes[country] = NodeInfo(country, integer, positive_ratio(ratio))
+            nodes[country] = NodeInfo(integer, positive_ratio(ratio))
         except ValueError as exc:
             raise DataError(f"network.json: fractional count of {country!r}: {exc}") from exc
     edges: dict[tuple[str, str], int] = {}

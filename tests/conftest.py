@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -89,7 +90,7 @@ def reference_network(documents) -> CoauthNetwork:
             for b in members[i + 1:]:
                 key = (m.countries[a], m.countries[b])
                 edges[key] = edges.get(key, 0) + 1
-    return CoauthNetwork(nodes={c: NodeInfo(c, ints[c], fracs[c]) for c in m.countries}, edges=edges)
+    return CoauthNetwork(nodes={c: NodeInfo(ints[c], fracs[c]) for c in m.countries}, edges=edges)
 
 
 def incidence_row(m, doc_index: int) -> dict[int, int]:
@@ -156,13 +157,15 @@ def reference_summarize(documents, report: FilterReport) -> CorpusSummary:
 def tallied(report: FilterReport, documents) -> FilterReport:
     """``report`` with the tallies of the retained ``documents`` filled in
     from reference_summarize."""
-    if documents:
-        summary = reference_summarize(documents, report)
-        report.per_type = summary.per_type
-        report.n_international_docs = summary.n_international_docs
-        report.n_addresses_total = summary.n_addresses_total
-        report.n_addresses_international = summary.n_addresses_international
-    return report
+    if not documents:
+        return report
+    summary = reference_summarize(documents, report)
+    return report._replace(
+        per_type=summary.per_type,
+        n_international_docs=summary.n_international_docs,
+        n_addresses_total=summary.n_addresses_total,
+        n_addresses_international=summary.n_addresses_international,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +279,24 @@ def reference_filter_documents(
 ) -> tuple[list[Document], FilterReport]:
     """filter_documents with one resolve_country call per address line,
     its tallies of the retained documents counted afterwards."""
-    report = FilterReport(n_records=len(records))
     documents: list[Document] = []
+    unrecognized: Counter = Counter()
+    n_dropped_type = n_dropped_no_address = 0
     for rec in records:
         doc_type = canonical_doc_type(rec.doc_type, synonyms)
         if doc_type is None:
-            report.n_dropped_type += 1
+            n_dropped_type += 1
             continue
         counts: dict[str, int] = {}
         for line in rec.address_lines:
             resolved = resolve_country(line, registry)
             if isinstance(resolved, Unrecognized):
-                report.unrecognized[resolved.token] += 1
+                unrecognized[resolved.token] += 1
             else:
                 counts[resolved] = counts.get(resolved, 0) + 1
         if not counts:
-            report.n_dropped_no_address += 1
+            n_dropped_no_address += 1
             continue
-        report.n_retained += 1
         documents.append(
             Document(
                 record_id=rec.record_id,
@@ -301,6 +304,7 @@ def reference_filter_documents(
                 country_addresses=dict(sorted(counts.items())),
             )
         )
+    report = FilterReport(len(records), len(documents), n_dropped_type, n_dropped_no_address, unrecognized)
     return documents, tallied(report, documents)
 
 

@@ -577,6 +577,9 @@ _FILTER_REPORT_EDITS = {
     "international-above-retained": _report_edit(n_international_docs=10**9),
     "addresses-below-retained": _report_edit(n_addresses_total=0, n_addresses_international=0),
     "international-addresses-above-total": _report_edit(n_addresses_international=10**9),
+    # the filter counts each record once: retained, dropped by type or dropped for no address
+    "n-records-a-million": _report_edit(n_records=1000000),
+    "n-dropped-type-a-string": _report_edit(n_dropped_type="x"),
 }
 # summary.json values that export would copy into report.json as they stand
 _SUMMARY_EDITS = {
@@ -597,6 +600,18 @@ _SUMMARY_EDITS = {
     "share-addresses-international-a-number": _report_edit(share_addresses_international=0.5),
     "share-over-zero-documents": _report_edit(n_documents=0, n_international_docs=0,
                                               share_international_docs="0/0"),
+    # counts that contradict each other, each share still the text of its two counts
+    "international-docs-above-documents": lambda obj: _report_edit(
+        n_international_docs=2 * obj["n_documents"],
+        share_international_docs=f"{2 * obj['n_documents']}/{obj['n_documents']}")(obj),
+    "documents-above-addresses": lambda obj: _report_edit(
+        n_addresses_total=obj["n_documents"] - 1, n_addresses_international=0,
+        share_addresses_international=f"0/{obj['n_documents'] - 1}")(obj),
+    "international-addresses-above-addresses": lambda obj: _report_edit(
+        n_addresses_international=obj["n_addresses_total"] + 1,
+        share_addresses_international=f"{obj['n_addresses_total'] + 1}/{obj['n_addresses_total']}")(obj),
+    "per-type-sum-off": _report_edit(per_type=_more_of_first_type),
+    "documents-above-records": lambda obj: _report_edit(n_records=obj["n_documents"] - 1)(obj),
 }
 # thresholded/stats.json values that export would copy into report.json as they stand
 _STATS_EDITS = {
@@ -611,6 +626,14 @@ _STATS_EDITS = {
     "histogram-degree-zero-padded": _report_edit(degree_histogram={"01": 1}),
     "histogram-count-a-string": _report_edit(degree_histogram=lambda h: dict.fromkeys(h, "1")),
     "histogram-count-negative": _report_edit(degree_histogram=lambda h: dict.fromkeys(h, -1)),
+    # counts that contradict the histogram or each other
+    "counts-of-another-network": _report_edit(n_nodes=99, n_edges=0),
+    "n-nodes-above-histogram": _report_edit(n_nodes=lambda n: n + 1, n_connected_nodes=lambda n: n + 1),
+    "n-edges-not-half-the-degree-sum": _report_edit(n_edges=lambda n: n + 1, n_parent_links=lambda n: n + 1),
+    "n-connected-nodes-off-by-one": _report_edit(n_connected_nodes=lambda n: n - 1),
+    "n-parent-links-below-n-edges": lambda obj: _report_edit(n_parent_links=obj["n_edges"] - 1)(obj),
+    "possible-links-below-n-parent-links": lambda obj: _report_edit(
+        possible_links=obj["n_parent_links"] - 1)(obj),
 }
 
 
@@ -1419,8 +1442,7 @@ def test_benchmark_trace_targets_exist():
     assert set(_STAGE_FUNCS) == {"ingest", "summary", "net", "geo", "core", "ego", "export"}
     # result fields that the tracer's counters read: a record's fields, or
     # the attributes of an instance of a mutable class
-    instances = {filtering.FilterReport: filtering.FilterReport(),
-                 network.CoauthNetwork: network.CoauthNetwork({}, {})}
+    instances = {network.CoauthNetwork: network.CoauthNetwork({}, {})}
     for cls, name in ((layout.Layout, "iterations_used"),
                       (layout.LayoutConfig, "max_outer_iterations"),
                       (filtering.FilterReport, "n_records"),

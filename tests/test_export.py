@@ -420,7 +420,7 @@ def test_report_renders_paper_arithmetic():
 
 
 def test_report_focus_block_renders_ratio():
-    indonesia = NodeInfo("INDONESIA", integer_papers=559, fractional_papers=Fraction(2279, 10))
+    indonesia = NodeInfo(integer_papers=559, fractional_papers=Fraction(2279, 10))
     focus = focus_stats("INDONESIA", CoauthNetwork(nodes={"INDONESIA": indonesia}, edges={}))
     assert focus["mean_coauthorship_ratio"] == 2.5
     assert focus["fractional_papers_display"] == 227.9

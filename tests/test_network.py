@@ -47,7 +47,7 @@ def network_from_documents(documents):
 def fake_network(node_weights: dict[str, Fraction], edges: dict[tuple[str, str], int]):
     """Hand-assembled network for threshold/core/ego tests."""
     nodes = {
-        c: NodeInfo(c, integer_papers=int(w) + 1, fractional_papers=Fraction(w))
+        c: NodeInfo(integer_papers=int(w) + 1, fractional_papers=Fraction(w))
         for c, w in node_weights.items()
     }
     return CoauthNetwork(nodes=nodes, edges={tuple(sorted(k)): v for k, v in edges.items()})
