@@ -97,6 +97,13 @@ def _text(raw) -> str:
     return raw
 
 
+def _nonblank(raw) -> str:
+    """Text with something in it besides white space, kept as given."""
+    if not _text(raw).strip():
+        raise ValueError("blank")
+    return raw
+
+
 def _switch(raw) -> bool:
     if not isinstance(raw, bool):
         raise TypeError("not true or false")
@@ -187,7 +194,7 @@ OPTIONS = (
     Option("core_k", "--core-k", None, _nonnegative(_integer), ("core",), "k of the k-core"),
     Option("core_min_edge_weight", "--core-min-link-weight", 1, _nonnegative(_integer), ("core",),
            "edge threshold applied before the k-core"),
-    Option("ego_focus", "--focus", None, _text, ("ego", "export"),
+    Option("ego_focus", "--focus", None, _nonblank, ("ego", "export"),
            "focal country of the ego network"),
     Option("ego_min_edge_weight", "--ego-min-link-weight", 1, _nonnegative(_integer), ("ego",),
            "edge threshold of the ego network"),
@@ -370,15 +377,17 @@ class Workspace:
                     break
 
     def read_text(self, relpath: str) -> str:
-        """The text of a workspace file, its digest recorded as an input."""
+        """The text of a workspace file, decoded as UTF-8 with its line ends
+        as they are; the sha256 of its bytes is recorded as an input."""
         path = self.root / relpath
         if not path.is_file():
             raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
+        raw = path.read_bytes()
         try:
-            text = path.read_text(encoding="utf-8")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
-        self.inputs[relpath] = _sha256_text(text)
+        self.inputs[relpath] = hashlib.sha256(raw).hexdigest()
         return text
 
     def read_input(self, path: Path) -> str:
@@ -580,12 +589,16 @@ def update_manifest(
 def documents_jsonl(documents: list[filtering.Document]) -> str:
     """One line per document, the text of json.dumps(..., sort_keys=True,
     ensure_ascii=False) built directly: keys and countries in sorted order."""
+    quoted: dict[str, str] = {}  # country -> its JSON string, encoded once
     lines = []
     for doc in documents:
-        countries = ", ".join([
-            f"{encode_basestring(country)}: {count}"
-            for country, count in sorted(doc.country_addresses.items())
-        ])
+        parts = []
+        for country, count in sorted(doc.country_addresses.items()):
+            name = quoted.get(country)
+            if name is None:
+                name = quoted[country] = encode_basestring(country)
+            parts.append(f"{name}: {count}")
+        countries = ", ".join(parts)
         lines.append(
             f'{{"country_addresses": {{{countries}}}, "doc_type": {encode_basestring(doc.doc_type)}, '
             f'"record_id": {encode_basestring(doc.record_id)}}}'
@@ -694,6 +707,23 @@ def _subnetwork_files(
 # it read, the Workspace records.
 
 def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    import gc
+
+    # Everything ingest builds is acyclic (strings, numbers, tuples, lists and
+    # dicts of these, and the record NamedTuples), so reference counting frees
+    # it all. The cyclic collector would only walk it: a NamedTuple is a tuple
+    # subclass, which stays tracked, so each full collection visits every
+    # record kept so far.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _ingest(cfg, ws)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.corpus import filtering, records
 

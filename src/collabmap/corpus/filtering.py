@@ -108,25 +108,28 @@ def filter_documents(
             n_dropped_type += 1
             continue
         counts: dict[str, int] = {}
+        addresses = 0
         for line in rec.address_lines:
-            tail = line.rsplit(",", 1)[-1]
+            tail = line[line.rfind(",") + 1:]
             resolved = resolved_by_tail.get(tail)
             if resolved is None:
                 resolved = resolved_by_tail[tail] = resolve_country(tail, registry)
-            if isinstance(resolved, Unrecognized):
-                unrecognized[resolved.token] += 1
-            else:
+            # a country's name, or an Unrecognized token
+            if type(resolved) is str:
                 counts[resolved] = counts.get(resolved, 0) + 1
+                addresses += 1
+            else:
+                unrecognized[resolved.token] += 1
         if not counts:
             n_dropped_no_address += 1
             continue
         per_type[doc_type] = per_type.get(doc_type, 0) + 1
-        addresses = sum(counts.values())
         n_addresses += addresses
         if len(counts) >= 2:
             n_international += 1
             n_addresses_international += addresses
-        documents.append(Document(rec.record_id, doc_type, dict(sorted(counts.items()))))
+            counts = dict(sorted(counts.items()))
+        documents.append(Document(rec.record_id, doc_type, counts))
     return documents, FilterReport(
         len(records), len(documents), n_dropped_type, n_dropped_no_address, unrecognized, per_type,
         n_international, n_addresses, n_addresses_international,

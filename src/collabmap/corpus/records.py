@@ -80,95 +80,93 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
     ordinal = 0
     current_tag: str | None = None
 
-    def discard(line_no: int, message: str) -> None:
-        nonlocal in_record, current_tag
-        issues.append(ParseIssue(line_no, message))
-        fields.clear()
-        in_record = False
-        current_tag = None
-
-    def close_record(line_no: int) -> None:
-        nonlocal in_record, current_tag
-        # a field's first value is its tag line's text, already stripped
-        record_id = (fields["UT"][0] if "UT" in fields else "") or f"{source_name}#{ordinal}"
-        if record_id in seen_ids:
-            discard(line_no, f"duplicate record id {record_id!r}; record dropped")
-            return
-        seen_ids.add(record_id)
-        year_raw = fields["PY"][0] if "PY" in fields else "0"
-        try:
-            year = int(year_raw) if year_raw else 0
-        except ValueError:
-            # the record's first PY line, looked up only here, off the per-line loop
-            py_line = next(n for n in range(start_line, line_no) if lines[n].startswith("PY "))
-            issues.append(ParseIssue(py_line + 1, f"bad year {year_raw!r} in {record_id}"))
-            year = 0
-        title = " ".join(fields["TI"]) if "TI" in fields else None
-        records.append(RawRecord(
-            record_id, fields["DT"][0] if "DT" in fields else "", year,
-            tuple(filter(None, fields.get("C1", ()))), title,
-        ))
-        fields.clear()
-        in_record = False
-        current_tag = None
-
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
     # a tag line opens with two upper-case letters or digits, alone or before
     # a space, so it is never blank or a continuation line; the test reads
-    # no further than the third character, so it runs once per distinct head
+    # no further than the third character, so it runs once per distinct head.
+    # The heads of field lines (any tag but PT, ER and EF) are kept apart too,
+    # so inside a record a field line, the commonest line, costs one lookup.
     tag_by_head: dict[str, str] = {}
+    field_by_head: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         head = line[:3]
-        tag = tag_by_head.get(head)
+        tag = field_by_head.get(head) if in_record else None
         if tag is None:
-            tag = head[:2]
-            if not (len(tag) == 2 and tag.isalnum() and tag.isupper() and head[2:] in ("", " ")):
-                tag = ""
-            tag_by_head[head] = tag
-        if tag and in_record and tag not in _STRUCTURE_TAGS:
-            current_tag = tag
-            value = line[3:].strip()
-            values = fields.get(tag)
-            if values is None:
-                fields[tag] = [value]
-            else:
-                values.append(value)
-            continue
-        if not tag:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if in_record and line.startswith("   "):
-                if current_tag is None:
-                    issues.append(ParseIssue(line_no, "continuation line without a field"))
+            tag = tag_by_head.get(head)
+            if tag is None:
+                tag = head[:2]
+                if not (len(tag) == 2 and tag.isalnum() and tag.isupper() and head[2:] in ("", " ")):
+                    tag = ""
+                tag_by_head[head] = tag
+                if tag and tag not in _STRUCTURE_TAGS:
+                    field_by_head[head] = tag
+            if not tag:
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                if in_record and line.startswith("   "):
+                    if current_tag is None:
+                        issues.append(ParseIssue(line_no, "continuation line without a field"))
+                    else:
+                        # repeatable fields (C1) gain a new item; scalar fields
+                        # (TI) are re-joined with spaces when the record closes
+                        fields[current_tag].append(stripped)
+                elif in_record:
+                    issues.append(ParseIssue(line_no, f"unparseable line inside record: {stripped!r}"))
                 else:
-                    # repeatable fields (C1) gain a new item; scalar fields
-                    # (TI) are re-joined with spaces when the record closes
-                    fields[current_tag].append(stripped)
-            elif in_record:
-                issues.append(ParseIssue(line_no, f"unparseable line inside record: {stripped!r}"))
-            else:
-                issues.append(ParseIssue(line_no, f"content outside any record: {stripped!r}"))
-            continue
-        if tag == _RECORD_START:
-            if in_record:
-                discard(line_no, "record not terminated by ER; span dropped")
-            in_record = True
-            start_line = line_no
-            ordinal += 1
-            current_tag = None
-            continue
-        if tag == _FILE_END:
-            if in_record:
-                discard(line_no, "record not terminated by ER before EF; span dropped")
-            break
-        if not in_record:
-            issues.append(ParseIssue(line_no, f"field {tag!r} outside any record"))
-            continue
-        # the only tag left is ER
-        close_record(line_no)
+                    issues.append(ParseIssue(line_no, f"content outside any record: {stripped!r}"))
+                continue
+            if tag == _RECORD_START:
+                if in_record:
+                    issues.append(ParseIssue(line_no, "record not terminated by ER; span dropped"))
+                    fields.clear()
+                in_record = True
+                start_line = line_no
+                ordinal += 1
+                current_tag = None
+                continue
+            if tag == _FILE_END:
+                if in_record:
+                    issues.append(ParseIssue(line_no, "record not terminated by ER before EF; span dropped"))
+                    in_record = False
+                break
+            if not in_record:
+                issues.append(ParseIssue(line_no, f"field {tag!r} outside any record"))
+                continue
+            if tag == _RECORD_END:
+                # a field's first value is its tag line's text, already stripped
+                record_id = (fields["UT"][0] if "UT" in fields else "") or f"{source_name}#{ordinal}"
+                if record_id in seen_ids:
+                    issues.append(ParseIssue(line_no, f"duplicate record id {record_id!r}; record dropped"))
+                else:
+                    seen_ids.add(record_id)
+                    year_raw = fields["PY"][0] if "PY" in fields else "0"
+                    try:
+                        year = int(year_raw) if year_raw else 0
+                    except ValueError:
+                        # the record's first PY line, looked up only here, off the per-line loop
+                        py_line = next(n for n in range(start_line, line_no) if lines[n].startswith("PY "))
+                        issues.append(ParseIssue(py_line + 1, f"bad year {year_raw!r} in {record_id}"))
+                        year = 0
+                    records.append(RawRecord(
+                        record_id, fields["DT"][0] if "DT" in fields else "", year,
+                        tuple(filter(None, fields.get("C1", ()))),
+                        " ".join(fields["TI"]) if "TI" in fields else None,
+                    ))
+                fields.clear()
+                in_record = False
+                current_tag = None
+                continue
+            # what is left is a field tag met inside a record for the first time
+        current_tag = tag
+        value = line[3:].strip()
+        values = fields.get(tag)
+        if values is None:
+            fields[tag] = [value]
+        else:
+            values.append(value)
     if in_record:
         issues.append(ParseIssue(start_line, "record not terminated by ER at end of input; span dropped"))
     return records, issues

@@ -8,7 +8,6 @@ optionally interpolated along the great circle.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -84,14 +83,18 @@ def export_geo(
         lat, lon = entry.latitude, entry.longitude
         centroid[country] = (lat, lon)
         fractional = sub.nodes[country].fractional_papers
+        size = round(display_size(fractional, s_min, s_scale), 6)
+        if not math.isfinite(size):
+            # JSON has no infinity
+            raise DataError(f"geo/map.geojson: the marker size of {country} is not finite "
+                            f"(size_min {s_min!r}, size_scale {s_scale!r})")
         features.append(
             '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "Point",\n'
             f'        "coordinates": {_coordinates(lon, lat, "        ")}\n      }},\n'
             f'      "properties": {{\n        "country": {encode_basestring(country)},\n'
             f'        "iso3": {encode_basestring(entry.iso3)},\n'
             f'        "fractional_papers": {round(float(fractional), 6)!r},\n'
-            # a large --size-scale can overflow to inf, which json.dumps writes as Infinity
-            f'        "display_size": {json.dumps(round(display_size(fractional, s_min, s_scale), 6))}\n'
+            f'        "display_size": {size!r}\n'
             '      }\n    }'
         )
         node_lines.append(

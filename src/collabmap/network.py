@@ -138,21 +138,31 @@ def build_coauth_network(documents: Iterable[Document]) -> CoauthNetwork:
     fractional count one Fraction over the least common multiple of its
     address totals, edges in the order the fold first meets each pair."""
     integer: dict[str, int] = {}
-    numerators: dict[str, dict[int, int]] = {}
+    # (country, the document's address total) -> the country's addresses summed
+    numerators: dict[tuple[str, int], int] = {}
     edges: dict[tuple[str, str], int] = {}
     for doc in documents:
         addresses = doc.country_addresses
+        if len(addresses) == 1:
+            # one country: all its addresses over as many, and no pair
+            [(a, total)] = addresses.items()
+            integer[a] = integer.get(a, 0) + 1
+            numerators[a, total] = numerators.get((a, total), 0) + total
+            continue
         total = sum(addresses.values())
         members = sorted(addresses)
         for i, a in enumerate(members):
             integer[a] = integer.get(a, 0) + 1
-            by_denominator = numerators.setdefault(a, {})
-            by_denominator[total] = by_denominator.get(total, 0) + addresses[a]
+            numerators[a, total] = numerators.get((a, total), 0) + addresses[a]
             for b in members[i + 1:]:
                 edges[a, b] = edges.get((a, b), 0) + 1
+    # each country's denominators, in the order the fold first met them
+    by_country: dict[str, dict[int, int]] = {}
+    for (c, total), n in numerators.items():
+        by_country.setdefault(c, {})[total] = n
     nodes: dict[str, NodeInfo] = {}
     for c in sorted(integer):
-        by_denominator = numerators[c]
+        by_denominator = by_country[c]
         common = math.lcm(*by_denominator)
         fractional = Fraction(sum(n * (common // d) for d, n in by_denominator.items()), common)
         nodes[c] = NodeInfo(integer[c], fractional)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmap import cli, layout, network
-from collabmap.corpus import filtering, registry as registry_mod
+from collabmap.corpus import filtering, records as records_mod, registry as registry_mod
 from collabmap.corpus.records import parse_records, write_tagged
 from collabmap.cli import (
     EXIT_CONFIG,
@@ -144,6 +145,17 @@ def test_unknown_focus_is_data_error(tmp_path, corpus_file):
     assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("scale", ["1e308", "-1e308"])
+def test_overflowing_marker_size_is_data_error_before_any_write(tmp_path, net_workspace, capsys, scale):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["geo", "--workspace", str(ws), f"--size-scale={scale}"]) == EXIT_DATA
+    assert "error: geo/map.geojson: the marker size of " in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
 def test_missing_intermediate_is_config_error(tmp_path):
     rc = main(["summary", "--workspace", str(tmp_path / "empty")])
     assert rc == EXIT_CONFIG
@@ -166,9 +178,27 @@ def test_bad_config_file_values_are_config_errors(tmp_path, corpus_file):
         {"min_edge_weight": "x"},
         {"layout_diameter": "big"},
         {"layout_tolerance": float("nan")},
+        {"ego_focus": ""},
+        {"ego_focus": " \t"},
+        {"ego_focus": 7},
     ):
         config_path.write_text(json.dumps(bad))
         assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG, bad
+
+
+@pytest.mark.parametrize("focus", ["", " ", "\t \n"])
+def test_blank_focus_is_config_error_before_any_write(tmp_path, net_workspace, corpus_file, capsys, focus):
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    before = tree_bytes(ws)
+    for command, *flags in (["run", "--input", str(corpus_file)], ["ego"], ["export"]):
+        capsys.readouterr()
+        assert main([command, "--workspace", str(ws), "--focus", focus] + flags) == EXIT_CONFIG, command
+        assert f"configuration error: bad value for ego_focus: {focus!r}" in capsys.readouterr().err
+        assert tree_bytes(ws) == before, command
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--workspace", str(fresh), "--input", str(corpus_file), "--focus", focus]) == EXIT_CONFIG
+    assert not fresh.exists()
 
 
 def test_bad_layout_values_fail_before_any_write(tmp_path, corpus_file):
@@ -461,6 +491,26 @@ def test_ingest_digest_is_of_the_input_bytes(tmp_path):
     assert documents == [documents[0]] * len(inputs)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("relpath, stage", [("network.json", "net"), ("filter-report.json", "summary"),
+                                            ("summary.json", "export"), ("thresholded/stats.json", "export")])
+def test_workspace_digest_is_of_the_bytes_a_stage_read(tmp_path, net_workspace, relpath, stage, newline):
+    plain, ws = tmp_path / "plain", tmp_path / "ws"
+    shutil.copytree(net_workspace, plain)
+    shutil.copytree(net_workspace, ws)
+    path = ws / relpath
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    for root in (plain, ws):
+        assert main([stage, "--workspace", str(root)]) == EXIT_OK
+    manifest = json.loads((ws / "run-manifest.json").read_text())
+    assert manifest["stages"][stage]["inputs"][relpath] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the line ends are JSON white space, so the stage writes what it writes from the LF file
+    expected = tree_bytes(plain)
+    written = tree_bytes(ws)
+    for name in expected.keys() - {relpath, "run-manifest.json"}:
+        assert written[name] == expected[name], name
+
+
 def test_non_utf8_input_is_data_error_before_any_write(tmp_path, capsys):
     latin1 = tmp_path / "latin1.txt"
     record = "PT J\nUT X1\nDT Article\nPY 2001\nC1 Univ Zürich, Zürich, Switzerland\nER\nEF\n"
@@ -505,6 +555,40 @@ def test_inputs_sharing_a_record_id_are_data_errors_before_any_write(tmp_path, c
     assert main(["ingest", "--workspace", str(ws), "--input", str(first), str(second)]) == EXIT_DATA
     assert "error: duplicate record id across inputs: 'A1'" in capsys.readouterr().err
     assert not ws.exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case, code", [("ok", EXIT_OK), ("strict-parse-error", EXIT_PARSE),
+                                        ("duplicate-id-across-inputs", EXIT_DATA)])
+def test_ingest_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, enabled, case, code):
+    """Ingest parses with the cyclic collector paused, and leaves it enabled
+    or disabled as it found it, whether the stage succeeds or fails."""
+    flags = ["--input", str(DATA_DIR / "records_small.txt")]
+    if case == "strict-parse-error":
+        flags = ["--input", str(DATA_DIR / "records_malformed.txt"), "--strict"]
+    elif case == "duplicate-id-across-inputs":
+        flags = ["--input"]
+        for name in ("first.txt", "second.txt"):
+            (tmp_path / name).write_text(_tagged_record("A1"), encoding="utf-8")
+            flags.append(str(tmp_path / name))
+    paused = []
+    parse = records_mod.parse_records
+
+    def spy(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(records_mod, "parse_records", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = main(["ingest", "--workspace", str(tmp_path / "ws")] + flags)
+        left_enabled = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert rc == code
+    assert left_enabled == enabled
+    assert paused and all(paused)
 
 
 @pytest.mark.parametrize("line", [

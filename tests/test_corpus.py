@@ -381,6 +381,15 @@ def test_filter_equals_per_line_oracle_on_fixtures(registry, name):
     assert filter_documents(records, registry) == reference_filter_documents(records, registry)
 
 
+def test_filtered_documents_list_their_countries_in_sorted_order(registry):
+    records = [RawRecord("a", "Article", 2011, ("X, Norway", "Y, Chile", "Z, Norway", "W, Belgium")),
+               RawRecord("b", "Review", 2011, ("X, Oslo, Norway", "Y, Norway"))]
+    docs, _ = filter_documents(records, registry)
+    assert [list(doc.country_addresses.items()) for doc in docs] == [
+        [("BELGIUM", 1), ("CHILE", 1), ("NORWAY", 2)], [("NORWAY", 2)],
+    ]
+
+
 def test_filter_equals_per_line_oracle_on_repeated_tails(registry):
     tails = ["Moscow, USSR", "Brussels, Belgium.", "New York, NY 10012 USA", "Oslo, Norway",
              "Leeds, England", "Atlantis", "", " ", "Lab, ", "Paris, France;", "Kyoto, JAPAN"]

@@ -362,13 +362,18 @@ def test_geojson_text_of_real_countries_equals_the_oracle(great_circle):
     assert doc == oracle_geojson(sub, registry, great_circle=great_circle)
 
 
-def test_geojson_text_of_an_overflowing_marker_size_equals_the_oracle():
+def test_an_overflowing_marker_size_is_a_data_error():
+    """JSON has no infinity, so a marker size that overflows is refused, not written."""
     registry = load_registry()
     sub = threshold_network(fake_network({"CHILE": Fraction(300), "SPAIN": Fraction(2)},
                                          {("CHILE", "SPAIN"): 4}), 0, 0)
-    doc, _nodes, _links = export_geo(sub, registry, 1.0, 1e308)
-    assert '"display_size": Infinity' in doc
-    assert doc == oracle_geojson(sub, registry, 1.0, 1e308)
+    spain = threshold_network(fake_network({"SPAIN": Fraction(2)}, {}), 0, 0)
+    for s_scale in (1e308, -1e308):
+        with pytest.raises(DataError, match=r"^geo/map\.geojson: the marker size of CHILE is not finite"):
+            export_geo(sub, registry, 1.0, s_scale)
+        # SPAIN's size, 1 ± 1e308 * ln 2, is finite
+        doc, _nodes, _links = export_geo(spain, registry, 1.0, s_scale)
+        assert doc == oracle_geojson(spain, registry, 1.0, s_scale)
 
 
 def test_geojson_text_of_an_empty_subnetwork_equals_the_oracle():

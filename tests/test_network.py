@@ -116,6 +116,23 @@ def test_fold_equals_the_reference_chain_and_the_oracles(seed):
     assert network_json(build_coauth_network(d for d in documents)) == network_json(net)
 
 
+def test_fold_of_single_country_documents_equals_the_reference_chain():
+    """Single-country documents with several address counts for one country,
+    countries first seen alone and later shared (A, C) or the other way round
+    (B), and one address total (3) reached both alone and shared by A."""
+    documents = [doc("d1", {"A": 3}), doc("d2", {"A": 1}), doc("d3", {"A": 2, "B": 1}),
+                 doc("d4", {"C": 2}), doc("d5", {"B": 2, "C": 1}), doc("d6", {"A": 3}),
+                 doc("d7", {"A": 1, "C": 3}), doc("d8", {"B": 4}), doc("d9", {"C": 5})]
+    net = build_coauth_network(documents)
+    reference = reference_network(documents)
+    assert list(net.nodes.items()) == list(reference.nodes.items())
+    assert list(net.edges.items()) == list(reference.edges.items())
+    assert network_json(net) == network_json(reference)
+    assert {c: info.fractional_papers for c, info in net.nodes.items()} == fractional_tally(documents)
+    assert net.nodes["A"] == NodeInfo(5, Fraction(47, 12))
+    assert net.nodes["C"] == NodeInfo(4, Fraction(37, 12))
+
+
 def test_fold_of_no_documents_is_the_empty_network():
     for documents in ([], iter(())):
         net = build_coauth_network(documents)
