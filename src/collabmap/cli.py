@@ -123,9 +123,14 @@ def _countries(raw) -> list[str]:
 
 
 def _synonyms(raw) -> dict[str, str]:
+    """Document-type tags onto retained types. A tag is looked up stripped
+    and lower-cased, so a key of any other form could never match."""
     if not isinstance(raw, dict):
         raise TypeError("not an object")
-    return {_text(key): _text(value) for key, value in raw.items()}
+    synonyms = {_text(key): _text(value) for key, value in raw.items()}
+    if any(key != key.strip().lower() for key in synonyms):
+        raise ValueError("a tag that is not lower case and stripped")
+    return synonyms
 
 
 # Manifest renderings, called as show(config, stage). Paths are reduced to
@@ -325,8 +330,8 @@ class Workspace:
         # the running stage's reads: workspace path, or input file name -> sha256
         # of what was read; _run_stage clears it and records it in the manifest
         self.inputs: dict[str, str] = {}
-        # relative path -> (sha256 of the file's text, what the text parses into)
-        self._parsed: dict[str, tuple[str, Any]] = {}
+        # (sha256 of network.json's text, the network it holds), once read or handed on
+        self._network: tuple[str, network.CoauthNetwork] | None = None
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
 
@@ -402,28 +407,22 @@ class Workspace:
         self.inputs[path.name] = hashlib.sha256(raw).hexdigest()
         return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    def parsed(self, relpath: str, parse: Callable[[str], Any]) -> Any:
-        """``parse`` of the file's text, which is reused while the file's
-        digest holds."""
-        text = self.read_text(relpath)
-        digest = self.inputs[relpath]
-        held = self._parsed.get(relpath)
-        if held is None or held[0] != digest:
-            held = self._parsed[relpath] = (digest, parse(text))
-        return held[1]
-
-    def offer(self, relpath: str, text: str, value: Any) -> None:
-        """Keep ``value``, equal to what parsing ``text`` returns, for
-        parsed(), which uses it only if the file on disk turns out to hold
-        that text."""
-        self._parsed[relpath] = (_sha256_text(text), value)
+    def keep_network(self, text: str, net: network.CoauthNetwork) -> None:
+        """Keep ``net``, the network of the network.json text ``text``, for
+        network(), which uses it only while the file on disk holds that text."""
+        self._network = (_sha256_text(text), net)
 
     def network(self) -> network.CoauthNetwork:
-        """The network of network.json; a network without countries, which
-        ingest writes for zero documents, is a DataError."""
+        """The network of network.json, reused while the file's digest holds;
+        a network without countries, which ingest writes for zero documents,
+        is a DataError."""
         from collabmap import network
 
-        net = self.parsed("network.json", network.load_network)
+        text = self.read_text("network.json")
+        digest = self.inputs["network.json"]
+        if self._network is None or self._network[0] != digest:
+            self._network = (digest, network.load_network(text))
+        net = self._network[1]
         if not net.nodes:
             raise DataError("network.json: the network has no countries; ingest retained no documents")
         return net
@@ -745,7 +744,7 @@ def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
     net = network.build_coauth_network(documents)
     network_text = network.network_json(net)
-    ws.offer("network.json", network_text, net)
+    ws.keep_network(network_text, net)
     return {
         "documents.jsonl": documents_jsonl(documents),
         "filter-report.json": _json_artifact(report.as_dict()),
@@ -886,16 +885,15 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     if cfg.ego_focus:
         country = cfg.ego_focus.strip().upper()
         focus_path = f"ego/{country}/focus.json"
-        if (ws.root / focus_path).is_file():
-            read = _read_intermediate(
-                ws, focus_path, report_export.FOCUS_FIELDS,
-                integer_papers=_count, fractional_papers=network.positive_ratio,
-            )
-            focus = report_export.focus_dict(country, read["integer_papers"], read["fractional_papers"])
-            # the country and both displays follow from the focus and its two counts
-            for key in ("country", "fractional_papers_display", "mean_coauthorship_ratio"):
-                if read[key] != focus[key]:
-                    raise DataError(f"{focus_path}: {key} is {read[key]!r}, not {focus[key]!r}")
+        read = _read_intermediate(
+            ws, focus_path, report_export.FOCUS_FIELDS,
+            integer_papers=_count, fractional_papers=network.positive_ratio,
+        )
+        focus = report_export.focus_dict(country, read["integer_papers"], read["fractional_papers"])
+        # the country and both displays follow from the focus and its two counts
+        for key in ("country", "fractional_papers_display", "mean_coauthorship_ratio"):
+            if read[key] != focus[key]:
+                raise DataError(f"{focus_path}: {key} is {read[key]!r}, not {focus[key]!r}")
     report = report_export.export_report(
         counting.CorpusSummary(**summary), network.NetworkStats(**stats), focus
     )

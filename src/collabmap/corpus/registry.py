@@ -50,6 +50,11 @@ class CountryRegistry(NamedTuple):
         for name, entry in self.entries.items():
             if not name:
                 raise ConfigError("registry: empty canonical name")
+            # every CSV and TSV artifact writes names unquoted
+            if any(ch in name for ch in ',"\t\r\n'):
+                raise ConfigError(
+                    f"registry: canonical name {name!r} holds a comma, quote, tab or line break"
+                )
             if not -90.0 <= entry.latitude <= 90.0:
                 raise ConfigError(f"registry: latitude out of range for {name}")
             if not -180.0 <= entry.longitude <= 180.0:

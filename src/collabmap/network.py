@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from collabmap.errors import DataError
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
 
     from collabmap.corpus.filtering import Document
 
@@ -120,17 +121,17 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def _extract(net: CoauthNetwork, kept, edges: dict[tuple[str, str], int]) -> CoauthNetwork:
-    """``net``'s subnetwork of ``edges`` on the countries ``kept``, sorted."""
+_COMPARATORS = {"ge": operator.ge, "gt": operator.gt}
+
+
+def _extract(net: CoauthNetwork, kept, heavy: Callable[[int], bool]) -> CoauthNetwork:
+    """``net``'s subnetwork induced on the countries ``kept``, sorted: the
+    parent's edges, in the parent's order, whose two ends are kept and whose
+    weight passes ``heavy``."""
+    edges = {
+        pair: w for pair, w in net.edges.items() if pair[0] in kept and pair[1] in kept and heavy(w)
+    }
     return CoauthNetwork({c: net.nodes[c] for c in sorted(kept)}, edges, parent=net)
-
-
-def _compare(value, threshold, comparator: str) -> bool:
-    if comparator == "ge":
-        return value >= threshold
-    if comparator == "gt":
-        return value > threshold
-    raise ValueError(f"comparator must be 'ge' or 'gt', got {comparator!r}")
 
 
 def build_coauth_network(documents: Iterable[Document]) -> CoauthNetwork:
@@ -205,16 +206,11 @@ def threshold_network(
     min_node = Fraction(min_node_fractional)
     if min_node < 0 or min_edge_weight < 0:
         raise DataError("thresholds must be non-negative")
-    kept = {
-        c for c, info in net.nodes.items()
-        if _compare(info.fractional_papers, min_node, comparator)
-    }
-    edges = {
-        pair: w
-        for pair, w in net.edges.items()
-        if pair[0] in kept and pair[1] in kept and _compare(w, min_edge_weight, comparator)
-    }
-    return _extract(net, kept, edges)
+    passes = _COMPARATORS.get(comparator)
+    if passes is None:
+        raise ValueError(f"comparator must be 'ge' or 'gt', got {comparator!r}")
+    kept = {c for c, info in net.nodes.items() if passes(info.fractional_papers, min_node)}
+    return _extract(net, kept, lambda w: passes(w, min_edge_weight))
 
 
 def connected_components(nodes: set[str], adjacency: dict[str, set[str]]) -> list[set[str]]:
@@ -250,26 +246,13 @@ def extract_core(net: CoauthNetwork, min_edge_weight: int, k: int) -> CoauthNetw
         if w >= min_edge_weight:
             adjacency[a].add(b)
             adjacency[b].add(a)
-
-    # iterative deletion to the k-core fixed point
+    # peel every country with fewer than k live neighbours until none has
     alive = set(net.nodes)
-    changed = True
-    while changed:
-        changed = False
-        doomed = [c for c in alive if sum(1 for n in adjacency[c] if n in alive) < k]
-        if doomed:
-            for c in doomed:
-                alive.discard(c)
-            changed = True
-
+    while doomed := {c for c in alive if len(adjacency[c] & alive) < k}:
+        alive -= doomed
     components = connected_components(alive, adjacency)
     core = min(components, key=lambda comp: (-len(comp), min(comp)), default=set())
-    edges = {
-        pair: w
-        for pair, w in net.edges.items()
-        if w >= min_edge_weight and pair[0] in core and pair[1] in core
-    }
-    return _extract(net, core, edges)
+    return _extract(net, core, lambda w: w >= min_edge_weight)
 
 
 def ego_network(
@@ -285,18 +268,11 @@ def ego_network(
     """
     if focus not in net.nodes:
         raise DataError(f"unknown focus country: {focus!r}")
-    alters = sorted(
-        c for c, w in net.neighbors(focus).items() if w >= min_edge_weight
-    )
-    kept = set(alters) | {focus}
-    edges: dict[tuple[str, str], int] = {}
-    for alter in alters:
-        edges[_pair(focus, alter)] = net.weight(focus, alter)
-    if include_alter_ties:
-        for pair, w in net.edges.items():
-            if pair[0] in kept and pair[1] in kept and focus not in pair and w >= min_edge_weight:
-                edges[pair] = w
-    return _extract(net, kept, edges)
+    ties = {c: w for c, w in net.neighbors(focus).items() if w >= min_edge_weight}
+    sub = _extract(net, ties.keys() | {focus}, lambda w: w >= min_edge_weight)
+    # the focus ties first, in alter order; a union keeps each key where it first stands
+    edges = {_pair(focus, alter): ties[alter] for alter in sorted(ties)}
+    return CoauthNetwork(sub.nodes, edges | sub.edges if include_alter_ties else edges, parent=net)
 
 
 def subnetwork_by_list(
@@ -315,14 +291,8 @@ def subnetwork_by_list(
             listed.append(c)
         else:
             warnings.warn(f"country not in network, skipped: {c}", stacklevel=2)
-    if mode == "include":
-        kept = set(listed)
-    else:
-        kept = set(net.nodes) - set(listed)
-    edges = {
-        pair: w for pair, w in net.edges.items() if pair[0] in kept and pair[1] in kept
-    }
-    return _extract(net, kept, edges)
+    kept = set(listed) if mode == "include" else set(net.nodes) - set(listed)
+    return _extract(net, kept, lambda w: True)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_overflowing_marker_size_is_data_error_before_any_write(tmp_path, net_wo
     assert tree_bytes(ws) == before
 
 
+def test_negative_real_flag_value_is_written_with_equals(tmp_path, net_workspace):
+    """argparse reads "-1e3" after a space as a flag; "--size-scale=-1e3"
+    hands it to the option, which records the float."""
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    assert main(["geo", "--workspace", str(ws), "--size-scale=-1e3", "--size-min=-2"]) == EXIT_OK
+    config = json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))["stages"]["geo"]["config"]
+    assert (config["size_scale"], config["size_min"]) == (-1000.0, -2.0)
+
+
 def test_missing_intermediate_is_config_error(tmp_path):
     rc = main(["summary", "--workspace", str(tmp_path / "empty")])
     assert rc == EXIT_CONFIG
@@ -181,9 +191,51 @@ def test_bad_config_file_values_are_config_errors(tmp_path, corpus_file):
         {"ego_focus": ""},
         {"ego_focus": " \t"},
         {"ego_focus": 7},
+        {"type_synonyms": {"Article": "Article", "review": "Review"}},
+        {"type_synonyms": {" article": "Article"}},
     ):
         config_path.write_text(json.dumps(bad))
         assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG, bad
+
+
+@pytest.mark.parametrize("synonyms, code", [
+    ({"Article": "Article", "review": "Review"}, EXIT_CONFIG),
+    ({"article\t": "Article"}, EXIT_CONFIG),
+    ({"article": "Article", "review": "Review"}, EXIT_OK),
+])
+def test_type_synonym_keys_are_lower_case_tags(tmp_path, capsys, synonyms, code):
+    """Tags are looked up stripped and lower-cased, so a key of any other
+    form could never match; ingest refuses it before anything is written."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"type_synonyms": synonyms}))
+    ws = tmp_path / "ws"
+    capsys.readouterr()
+    rc = main(["--config", str(config_path), "ingest", "--workspace", str(ws),
+               "--input", str(DATA_DIR / "records_synth20.txt")])
+    assert rc == code
+    if code == EXIT_CONFIG:
+        assert "configuration error: bad value for type_synonyms: " in capsys.readouterr().err
+        assert not ws.exists()
+    else:
+        assert json.loads((ws / "filter-report.json").read_text())["n_retained"] > 0
+
+
+def test_registry_name_that_would_break_a_csv_row_is_config_error_before_any_write(tmp_path, capsys):
+    """Country names go unquoted into every CSV and TSV artifact, so a
+    registry name holding a comma stops the run before a workspace exists."""
+    bundled = Path(registry_mod.__file__).parent / "data"
+    countries, aliases = tmp_path / "countries.csv", tmp_path / "aliases.csv"
+    countries.write_text((bundled / "countries.csv").read_text() + '"KOREA, REP",KOR,36.4,127.8\n')
+    aliases.write_text((bundled / "aliases.csv").read_text() + 'KOREAREP,"KOREA, REP"\n')
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text((DATA_DIR / "records_synth20.txt").read_text().replace("South Korea", "KoreaRep"))
+    ws = tmp_path / "ws"
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws), "--input", str(corpus), "--registry", str(countries),
+                 "--aliases", str(aliases)]) == EXIT_CONFIG
+    assert ("configuration error: registry: canonical name 'KOREA, REP' holds a comma, quote, tab "
+            "or line break") in capsys.readouterr().err
+    assert not ws.exists()
 
 
 @pytest.mark.parametrize("focus", ["", " ", "\t \n"])
@@ -791,6 +843,21 @@ def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_works
     capsys.readouterr()
     assert main(["export", "--workspace", str(ws), "--focus", focus]) == EXIT_DATA
     assert f"error: {relpath}: " in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("focus", ["ATLANTIS", "USA"])
+def test_export_focus_without_its_ego_map_is_config_error_before_any_write(tmp_path, capsys, focus):
+    """export reads the focus's focus.json like every other intermediate, so
+    a focus whose ego map was never made, in the network or not, stops it."""
+    ws = tmp_path / "ws"
+    assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt"),
+                 "--core-k", "1"]) == EXIT_OK
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main(["export", "--workspace", str(ws), "--focus", focus]) == EXIT_CONFIG
+    assert (f"configuration error: missing intermediate 'ego/{focus}/focus.json'; "
+            "run the earlier stages first") in capsys.readouterr().err
     assert tree_bytes(ws) == before
 
 

@@ -1,3 +1,4 @@
+import csv
 import random
 import string
 
@@ -225,6 +226,34 @@ def test_registry_rejects_alias_to_unknown(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_registry(countries, aliases)
+
+
+@pytest.mark.parametrize("name, valid", [
+    ("KOREA, REP", False),
+    ('KOREA "REP"', False),
+    ("KOREA\tREP", False),
+    ("KOREA\rREP", False),
+    ("KOREA\nREP", False),
+    ("KOREA (REP) & CO.; 'SOUTH'", True),
+])
+def test_registry_rejects_a_name_that_would_break_a_csv_row(tmp_path, name, valid):
+    """Every CSV and TSV artifact writes country names unquoted, so a name
+    holding a separator, a quote or a line break is refused at load."""
+    countries = tmp_path / "countries.csv"
+    with open(countries, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([
+            ["canonical_name", "iso3", "latitude", "longitude"],
+            ["UK", "GBR", "54.0", "-2.0"],
+            [name, "KOR", "36.4", "127.8"],
+        ])
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("alias,canonical_name\nENGLAND,UK\nSCOTLAND,UK\nWALES,UK\nNORTH IRELAND,UK\n")
+    if valid:
+        assert name in load_registry(countries, aliases).entries
+    else:
+        message = r"^registry: canonical name .* holds a comma, quote, tab or line break$"
+        with pytest.raises(ConfigError, match=message):
+            load_registry(countries, aliases)
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,53 @@ def test_ego_matches_adjacency_oracle():
         assert sub.edges == expected
 
 
+def shuffled_network(seed: int) -> CoauthNetwork:
+    """A random network whose edges are in neither sorted nor build order,
+    so an extractor's edge order shows whether it kept the parent's."""
+    rng = random.Random(seed)
+    names = [f"N{i:02d}" for i in range(30)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.25]
+    rng.shuffle(pairs)
+    net = fake_network({c: Fraction(rng.randint(0, 6)) for c in names},
+                       {pair: rng.randint(1, 6) for pair in pairs})
+    assert list(net.edges) != sorted(net.edges)
+    return net
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_threshold_core_and_list_keep_the_parents_edge_order(seed):
+    """Layout tie-breaking and the layout key read the edge order, so each
+    induced extractor lists its edges in the parent's order."""
+    net = shuffled_network(seed)
+    subs = [threshold_network(net, 2, 2), threshold_network(net, 2, 2, comparator="gt"),
+            extract_core(net, 2, 2), extract_core(net, 1, 3),
+            subnetwork_by_list(net, net.countries()[::2]),
+            subnetwork_by_list(net, net.countries()[::3], mode="exclude")]
+    for sub in subs:
+        assert len(sub.edges) > 1
+        assert list(sub.edges) == [pair for pair in net.edges if pair in sub.edges]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_ego_lists_the_focus_ties_by_alter_then_the_alter_ties_in_parent_order(seed):
+    net = shuffled_network(seed)
+    focus = max(net.countries(), key=net.degree)
+    for alter_ties in (True, False):
+        sub = ego_network(net, focus, min_edge_weight=2, include_alter_ties=alter_ties)
+        alters = sorted(c for c in sub.nodes if c != focus)
+        focus_ties = [tuple(sorted((focus, alter))) for alter in alters]
+        alter_ties_in_order = [pair for pair in net.edges if pair in sub.edges and focus not in pair]
+        assert len(focus_ties) > 1 and (len(alter_ties_in_order) > 1 or not alter_ties)
+        assert list(sub.edges) == focus_ties + alter_ties_in_order
+
+
+@pytest.mark.parametrize("node_weights", [{}, {"A": Fraction(1), "B": Fraction(2)}])
+def test_unknown_comparator_is_value_error_on_any_network(node_weights):
+    net = fake_network(node_weights, {("A", "B"): 1} if node_weights else {})
+    with pytest.raises(ValueError, match="^comparator must be 'ge' or 'gt', got 'sideways'$"):
+        threshold_network(net, 0, 0, comparator="sideways")
+
+
 # ---------------------------------------------------------------------------
 # explicit node lists
 # ---------------------------------------------------------------------------
