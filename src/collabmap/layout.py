@@ -5,7 +5,9 @@ distances: E = 1/2 * sum_{i<j} k_ij * (|p_i - p_j| - d_ij)^2 with spring
 stiffness k_ij = K / d_ij^2. Nodes are relaxed one at a time (always the
 one with the largest gradient norm) using damped 2x2 Newton steps with
 backtracking, which keeps total stress non-increasing across outer
-iterations. As in Kamada & Kawai's node-by-node relaxation, every node's
+iterations. One O(n) pass over the other nodes gives a trial point's
+energy, gradient and Hessian together, so each point a relaxation tries is
+evaluated once. As in Kamada & Kawai's node-by-node relaxation, every node's
 gradient is kept up to date after each move in O(n) rather than recomputed
 in O(n^2), and the moved node keeps the exact gradient its relaxation ended
 with; the kept gradients only choose the next node, while relaxing and the
@@ -59,10 +61,10 @@ class LayoutConfig(_LayoutSettings):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.tolerance <= 0:
-            raise DataError("layout tolerance must be positive")
-        if self.diameter <= 0 or self.spring_constant <= 0:
-            raise DataError("layout scale parameters must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise DataError("layout tolerance must be positive and finite")
+        if not (0 < self.diameter < math.inf and 0 < self.spring_constant < math.inf):
+            raise DataError("layout scale parameters must be positive and finite")
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
             raise DataError("max_outer_iterations must be at least 1")
         return self
@@ -217,50 +219,42 @@ def _update_gradients(grads, m, before, positions, d, cfg) -> None:
         grads[i] = (gx + (f1 * dx1 - f0 * dx0), gy + (f1 * dy1 - f0 * dy0))
 
 
-def _node_energy(i, p, positions, d, cfg):
+def _node_terms(i, p, positions, d, cfg):
+    """Node i's energy, gradient and Hessian with node i placed at ``p``,
+    from one pass over the other nodes: (E, gx, gy, hxx, hyy, hxy)."""
     K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
     row = d[i]
     px, py = p
-    total = 0.0
-    for j, (xj, yj) in enumerate(positions):
-        if j == i:
-            continue
-        dij = row[j]
-        r = hypot(px - xj, py - yj) or jitter
-        total += K / (dij * dij) * (r - dij) ** 2
-    return 0.5 * total
-
-
-def _node_hessian(i, positions, d, cfg):
-    K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
-    row = d[i]
-    xi, yi = positions[i]
-    hxx = hyy = hxy = 0.0
+    total = gx = gy = hxx = hyy = hxy = 0.0
     for j, (xj, yj) in enumerate(positions):
         if j == i:
             continue
         dij = row[j]
         k = K / (dij * dij)
-        dx, dy = xi - xj, yi - yj
+        dx, dy = px - xj, py - yj
         r = hypot(dx, dy)
         if r == 0.0:
             dx, dy, r = jitter, 0.0, jitter
+        total += k * (r - dij) ** 2
+        factor = k * (1.0 - dij / r)
+        gx += factor * dx
+        gy += factor * dy
         r3 = r * r * r
         hxx += k * (1.0 - dij * dy * dy / r3)
         hyy += k * (1.0 - dij * dx * dx / r3)
         hxy += k * dij * dx * dy / r3
-    return hxx, hyy, hxy
+    return 0.5 * total, gx, gy, hxx, hyy, hxy
 
 
-def _relax_node(i, gradient, positions, d, cfg) -> tuple[float, float]:
-    """Drive node i's gradient, starting from ``gradient``, below tolerance
-    without raising its energy; return the exact gradient at its final place."""
-    gx, gy = gradient
-    before = _node_energy(i, positions[i], positions, d, cfg)
+def _relax_node(i, terms, positions, d, cfg) -> tuple[float, float]:
+    """Drive node i's gradient below tolerance without raising its energy,
+    starting from ``terms``, its ``_node_terms`` where it stands; return the
+    exact gradient at its final place. Each trial point is evaluated once,
+    and an accepted point's terms start the next step."""
+    before, gx, gy, hxx, hyy, hxy = terms
     for _ in range(_MAX_INNER_STEPS):
         if math.hypot(gx, gy) < cfg.tolerance:
             break
-        hxx, hyy, hxy = _node_hessian(i, positions, d, cfg)
         det = hxx * hyy - hxy * hxy
         if abs(det) > 1e-12:
             step_x = (-gx * hyy + gy * hxy) / det
@@ -271,20 +265,16 @@ def _relax_node(i, gradient, positions, d, cfg) -> tuple[float, float]:
         else:
             step_x, step_y = -gx, -gy
         t = 1.0
-        moved = False
         while t > 1e-7:
             candidate = (positions[i][0] + t * step_x, positions[i][1] + t * step_y)
-            energy = _node_energy(i, candidate, positions, d, cfg)
-            if energy <= before:
+            trial = _node_terms(i, candidate, positions, d, cfg)
+            if trial[0] <= before:
                 positions[i] = candidate
-                # the next step starts from this candidate, whose energy is known
-                before = energy
-                moved = True
+                before, gx, gy, hxx, hyy, hxy = trial
                 break
             t *= 0.5
-        if not moved:
-            break
-        gx, gy = _node_gradient(i, positions, d, cfg)
+        else:
+            break  # no step lowered the energy
     return gx, gy
 
 
@@ -344,18 +334,20 @@ def minimize_stress(
     its spring force from m at the new place minus that at the old, and g_m
     is the exact gradient that relaxing m ended with. Every n moves all
     gradients are recomputed afresh. The kept gradients only choose the
-    node: it is relaxed from its exact gradient, and when that is below
-    tolerance, or the kept ones say stop while not fresh, all gradients are
-    recomputed and the choice made again. So a run differs from a full recompute before every move only if
-    drift in the last bits flips a near-tie for the largest gradient norm.
+    node: one ``_node_terms`` pass at its place gives its exact energy,
+    gradient and Hessian, and it is relaxed from those unless that gradient
+    is below tolerance; then, or when the kept ones say stop while not
+    fresh, all gradients are recomputed and the choice made again. So a run
+    differs from a full recompute before every move only if drift in the
+    last bits flips a near-tie for the largest gradient norm.
     """
     n = len(d)
     if any(len(row) != n for row in d):
         raise DataError("ideal distance matrix must be square")
     for i, row in enumerate(d):
         for j, (dij, other) in enumerate(zip(row, d)):
-            if i != j and not dij > 0:
-                raise DataError("ideal distances must be positive off the diagonal")
+            if i != j and not 0 < dij < math.inf:
+                raise DataError("ideal distances must be positive and finite off the diagonal")
             if abs(dij - other[i]) > 1e-12:
                 raise DataError("ideal distance matrix must be symmetric")
     if nodes is None:
@@ -378,17 +370,17 @@ def minimize_stress(
                 worst_norm = norm
                 worst = i
         # relaxing and stopping read the exact gradient, never the kept one
-        gradient = (0.0, 0.0)
+        terms = None
         if worst_norm >= cfg.tolerance:
-            gradient = _node_gradient(worst, positions, d, cfg)
-        if math.hypot(*gradient) < cfg.tolerance:
+            terms = _node_terms(worst, positions[worst], positions, d, cfg)
+        if terms is None or math.hypot(terms[1], terms[2]) < cfg.tolerance:
             if fresh:
                 break
             grads = stress_gradient(positions, d, cfg)
             fresh = True
             continue
         before = positions[worst]
-        grads[worst] = _relax_node(worst, gradient, positions, d, cfg)
+        grads[worst] = _relax_node(worst, terms, positions, d, cfg)
         iterations += 1
         if iterations % n == 0:
             grads = stress_gradient(positions, d, cfg)
@@ -414,10 +406,14 @@ def layout_components(
 
     Components are ordered largest first (name tie-break) and separated by
     a gap of a quarter diameter; the combined picture is recentred on its
-    centroid.
+    centroid. Every edge weight must lie in the domain of the edge length
+    transform: finite, and above 0 for the inverse log.
     """
+    low = 0.0 if cfg.transform is EdgeLengthTransform.INVERSE_LOG_WEIGHT else -math.inf
     adjacency: dict[str, set[str]] = {c: set() for c in nodes}
-    for a, b in edges:
+    for (a, b), w in edges.items():
+        if not low < w < math.inf:
+            raise DataError(f"edge {a}-{b} has weight {w!r}, outside the domain of {cfg.transform.value}")
         if a in adjacency and b in adjacency:
             adjacency[a].add(b)
             adjacency[b].add(a)

@@ -75,12 +75,18 @@ def random_distance_matrix(rng, n):
 # ---------------------------------------------------------------------------
 
 _BAD_SETTINGS = [
-    ({"tolerance": 0.0}, "layout tolerance must be positive"),
-    ({"tolerance": -1e-4}, "layout tolerance must be positive"),
-    ({"diameter": 0.0}, "layout scale parameters must be positive"),
-    ({"diameter": -1.0}, "layout scale parameters must be positive"),
-    ({"spring_constant": 0.0}, "layout scale parameters must be positive"),
-    ({"spring_constant": -2.0}, "layout scale parameters must be positive"),
+    ({"tolerance": 0.0}, "layout tolerance must be positive and finite"),
+    ({"tolerance": -1e-4}, "layout tolerance must be positive and finite"),
+    ({"tolerance": math.nan}, "layout tolerance must be positive and finite"),
+    ({"tolerance": math.inf}, "layout tolerance must be positive and finite"),
+    ({"diameter": 0.0}, "layout scale parameters must be positive and finite"),
+    ({"diameter": -1.0}, "layout scale parameters must be positive and finite"),
+    ({"diameter": math.nan}, "layout scale parameters must be positive and finite"),
+    ({"diameter": math.inf}, "layout scale parameters must be positive and finite"),
+    ({"spring_constant": 0.0}, "layout scale parameters must be positive and finite"),
+    ({"spring_constant": -2.0}, "layout scale parameters must be positive and finite"),
+    ({"spring_constant": math.nan}, "layout scale parameters must be positive and finite"),
+    ({"spring_constant": -math.inf}, "layout scale parameters must be positive and finite"),
     ({"max_outer_iterations": 0}, "max_outer_iterations must be at least 1"),
     ({"max_outer_iterations": -3}, "max_outer_iterations must be at least 1"),
 ]
@@ -283,7 +289,8 @@ def full_recompute_layout(d, cfg):
                 worst = i
         if worst < 0 or worst_norm < cfg.tolerance:
             break
-        layout_mod._relax_node(worst, grads[worst], positions, d, cfg)
+        terms = layout_mod._node_terms(worst, positions[worst], positions, d, cfg)
+        layout_mod._relax_node(worst, terms, positions, d, cfg)
         iterations += 1
     return layout_mod._canonical_orientation(positions), iterations
 
@@ -353,10 +360,13 @@ def test_kernels_equal_the_per_pair_oracles():
         assert stress(positions, d, cfg) == oracle_stress(positions, d, cfg)
         for i in range(n):
             assert layout_mod._node_gradient(i, positions, d, cfg) == oracle_node_gradient(i, positions, d, cfg)
-            assert layout_mod._node_hessian(i, positions, d, cfg) == oracle_node_hessian(i, positions, d, cfg)
+            # at its place, at a place it shares with some node, at a random place
             for p in (positions[i], positions[rng.randrange(n)], random_positions(rng, 1)[0]):
-                assert layout_mod._node_energy(i, p, positions, d, cfg) == oracle_node_energy(
-                    i, p, positions, d, cfg
+                placed = positions[:i] + [p] + positions[i + 1:]
+                assert layout_mod._node_terms(i, p, positions, d, cfg) == (
+                    oracle_node_energy(i, p, positions, d, cfg),
+                    *oracle_node_gradient(i, placed, d, cfg),
+                    *oracle_node_hessian(i, placed, d, cfg),
                 )
         m = rng.randrange(n)
         before = positions[m]
@@ -373,7 +383,8 @@ def test_kernels_equal_the_per_pair_oracles():
 def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
     def relax(positions, d, cfg, i=0):
         start = list(positions)
-        relaxed = layout_mod._relax_node(i, layout_mod._node_gradient(i, positions, d, cfg), positions, d, cfg)
+        terms = layout_mod._node_terms(i, positions[i], positions, d, cfg)
+        relaxed = layout_mod._relax_node(i, terms, positions, d, cfg)
         assert relaxed == layout_mod._node_gradient(i, positions, d, cfg)
         return start, relaxed
 
@@ -389,26 +400,23 @@ def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
     assert positions == start and relaxed == gradient
 
     # no accepted step: after the first move every candidate place costs more
-    energy = layout_mod._node_energy
+    node_terms = layout_mod._node_terms
     place = positions[0]
     with monkeypatch.context() as patch:
-        patch.setattr(layout_mod, "_node_energy", lambda i, p, pos, d, cfg: (
-            energy(i, p, pos, d, cfg) if p is pos[i] or pos[i] == place else math.inf
+        patch.setattr(layout_mod, "_node_terms", lambda i, p, pos, d, cfg: (
+            node_terms(i, p, pos, d, cfg) if p is pos[i] or pos[i] == place
+            else (math.inf, *node_terms(i, p, pos, d, cfg)[1:])
         ))
         start, relaxed = relax(positions, d, LayoutConfig())
     assert positions[0] != start[0] and positions[1:] == start[1:]
     assert relaxed != gradient and math.hypot(*relaxed) >= LayoutConfig().tolerance
     positions = start
 
-    # the inner-step cap: both allowed steps are taken and the node is still
-    # above tolerance
-    calls = []
-    node_gradient = layout_mod._node_gradient
+    # the inner-step cap: both allowed steps are taken (as the next test
+    # counts) and the node is still above tolerance
     monkeypatch.setattr(layout_mod, "_MAX_INNER_STEPS", 2)
-    monkeypatch.setattr(layout_mod, "_node_gradient", lambda *args: calls.append(1) or node_gradient(*args))
     cfg = LayoutConfig(tolerance=1e-12)
     start, relaxed = relax(positions, d, cfg)
-    assert len(calls) == 1 + 2 + 1  # start, one per accepted step, check
     assert positions != start and math.hypot(*relaxed) >= cfg.tolerance
 
     # and on whatever exits full runs take
@@ -423,6 +431,111 @@ def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
     monkeypatch.setattr(layout_mod, "_relax_node", checked)
     for _ in range(5):
         minimize_stress(random_distance_matrix(rng, rng.randint(3, 20)), LayoutConfig(seed=rng.randint(0, 99)))
+
+
+def test_each_trial_point_is_evaluated_once(monkeypatch):
+    """Relaxing calls ``_node_terms`` once for each point it tries and never
+    ``_node_gradient``; a capped run calls ``_node_gradient`` only through
+    ``stress_gradient``."""
+    rng = random.Random(131)
+    n = 8
+    d = random_distance_matrix(rng, n)
+    positions = random_positions(rng, n, spread=2.0)
+    cfg = LayoutConfig(tolerance=1e-12)
+    start = positions[0]
+    terms = layout_mod._node_terms(0, start, positions, d, cfg)
+    trials, places, gradients = [], [], []
+    node_terms, node_gradient = layout_mod._node_terms, layout_mod._node_gradient
+
+    def counted_terms(i, p, pos, d, cfg):
+        trials.append(p)
+        places.append(pos[i])
+        return node_terms(i, p, pos, d, cfg)
+
+    monkeypatch.setattr(layout_mod, "_MAX_INNER_STEPS", 2)
+    monkeypatch.setattr(layout_mod, "_node_terms", counted_terms)
+    monkeypatch.setattr(layout_mod, "_node_gradient", lambda *args: gradients.append(args) or node_gradient(*args))
+    layout_mod._relax_node(0, terms, positions, d, cfg)
+    assert gradients == []
+    # every call tries a new point, away from where the node stands ...
+    assert len(set(trials)) == len(trials)
+    assert all(p != place for p, place in zip(trials, places))
+    # ... and each of the two allowed steps ends on the point it accepts
+    k = next(j for j, place in enumerate(places) if place != start)
+    assert places == [start] * k + [trials[k - 1]] * (len(trials) - k)
+    assert positions[0] == trials[-1]
+
+    monkeypatch.undo()
+    full_calls, node_calls = [], []
+    full, node_gradient = layout_mod.stress_gradient, layout_mod._node_gradient
+    monkeypatch.setattr(layout_mod, "stress_gradient", lambda *args: full_calls.append(1) or full(*args))
+    monkeypatch.setattr(layout_mod, "_node_gradient", lambda *args: node_calls.append(1) or node_gradient(*args))
+    n = 12
+    layout = minimize_stress(random_distance_matrix(rng, n), LayoutConfig(max_outer_iterations=3 * n))
+    assert layout.iterations_used == 3 * n
+    assert len(node_calls) == n * len(full_calls) > 0
+
+
+def test_node_terms_match_finite_differences():
+    """The Hessian against central differences of the gradient, and the
+    energy against differences of the total stress as the node moves."""
+    rng = random.Random(139)
+    cfg = LayoutConfig()
+    h = 1e-6
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        d = random_distance_matrix(rng, n)
+        positions = random_positions(rng, n, spread=2.0)
+        total = reference_stress(positions, d, cfg.spring_constant)
+        for i in range(n):
+            x, y = positions[i]
+            energy, _gx, _gy, hxx, hyy, hxy = layout_mod._node_terms(i, (x, y), positions, d, cfg)
+
+            def gradient(p):
+                return layout_mod._node_terms(i, p, positions, d, cfg)[1:3]
+
+            along_x = [(a - b) / (2 * h) for a, b in zip(gradient((x + h, y)), gradient((x - h, y)))]
+            along_y = [(a - b) / (2 * h) for a, b in zip(gradient((x, y + h)), gradient((x, y - h)))]
+            scale = max(1.0, abs(hxx), abs(hyy), abs(hxy))
+            for exact, fd in ((hxx, along_x[0]), (hxy, along_x[1]), (hxy, along_y[0]), (hyy, along_y[1])):
+                assert abs(exact - fd) / scale < 1e-5
+
+            q = random_positions(rng, 1, spread=2.0)[0]
+            moved = reference_stress(positions[:i] + [q] + positions[i + 1:], d, cfg.spring_constant)
+            change = layout_mod._node_terms(i, q, positions, d, cfg)[0] - energy
+            assert abs(change - (moved - total)) / max(1.0, total, moved) < 1e-5
+
+
+@pytest.mark.parametrize("transform, weight", [
+    (EdgeLengthTransform.INVERSE_LOG_WEIGHT, 0.0),
+    (EdgeLengthTransform.INVERSE_LOG_WEIGHT, -2.0),
+    (EdgeLengthTransform.INVERSE_LOG_WEIGHT, math.nan),
+    (EdgeLengthTransform.INVERSE_LOG_WEIGHT, math.inf),
+    (EdgeLengthTransform.ONE_MINUS_SIMILARITY, math.nan),
+    (EdgeLengthTransform.ONE_MINUS_SIMILARITY, -math.inf),
+    (EdgeLengthTransform.UNIT, math.inf),
+])
+def test_edge_weight_outside_its_domain_is_data_error_before_any_layout(monkeypatch, transform, weight):
+    cfg = LayoutConfig(transform=transform)
+    calls = []
+    monkeypatch.setattr(layout_mod, "ideal_distances", lambda *args: calls.append(1))
+    # the bad edge's component would be laid out second
+    message = f"^edge C-D has weight {weight!r}, outside the domain of {transform.value}$"
+    with pytest.raises(DataError, match=message):
+        layout_components(["A", "B", "C", "D"], {("A", "B"): 0.5, ("C", "D"): weight}, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("transform, weight", [
+    (EdgeLengthTransform.INVERSE_LOG_WEIGHT, 1e-3),
+    (EdgeLengthTransform.ONE_MINUS_SIMILARITY, -2.0),
+    (EdgeLengthTransform.ONE_MINUS_SIMILARITY, 1.5),
+    (EdgeLengthTransform.UNIT, -5.0),
+])
+def test_edge_weight_inside_its_domain_is_laid_out(transform, weight):
+    layout = layout_components(["A", "B"], {("A", "B"): weight}, LayoutConfig(transform=transform))
+    assert all(math.isfinite(v) for p in layout.coordinates.values() for v in p)
+    assert math.isfinite(layout.final_stress)
 
 
 def test_layout_components_groups_edges_like_the_per_component_filter(monkeypatch):
@@ -580,6 +693,9 @@ def test_minimize_rejects_bad_matrices():
         minimize_stress([[0.0, 0.0], [0.0, 0.0]], cfg)
     with pytest.raises(DataError):
         minimize_stress([[0.0, 1.0], [2.0, 0.0]], cfg)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DataError, match="^ideal distances must be positive and finite off the diagonal$"):
+            minimize_stress([[0.0, 1.0, 1.0], [1.0, 0.0, bad], [1.0, bad, 0.0]], cfg)
 
 
 def test_layout_components_packs_disconnected_graphs():
