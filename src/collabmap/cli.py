@@ -156,8 +156,6 @@ class Option(NamedTuple):
     stages: tuple[str, ...]  # the commands whose output depends on the value
     help: str
     choices: tuple[str, ...] = ()
-    store: bool | None = None  # what a bare switch stores; None if the flag takes a value
-    nargs: str | None = None
     key: str = ""  # manifest key if not the name; "group.key" nests
     show: Callable[[Any, str], Any] | None = None  # manifest value if not the field's
 
@@ -177,12 +175,12 @@ _LIST_USERS = ("net", "geo", "core", "ego")
 _LAYOUT_USERS = ("net", "core", "ego")
 
 OPTIONS = (
-    Option("inputs", "--input", [], _texts, ("ingest",), "record files", nargs="+",
+    Option("inputs", "--input", [], _texts, ("ingest",), "record files",
            show=lambda cfg, _: [Path(p).name for p in cfg.inputs]),
     Option("input_format", "--format", "tagged", _text, ("ingest",), "record file format",
            choices=("tagged", "delimited")),
     Option("strict", "--strict", False, _switch, ("ingest",),
-           "abort on the first malformed record", store=True),
+           "abort on the first malformed record"),
     Option("registry_path", "--registry", None, _text, _REGISTRY_USERS,
            "override the bundled country CSV", show=lambda cfg, _: _file_name(cfg.registry_path)),
     Option("aliases_path", "--aliases", None, _text, _REGISTRY_USERS,
@@ -204,7 +202,7 @@ OPTIONS = (
     Option("ego_min_edge_weight", "--ego-min-link-weight", 1, _nonnegative(_integer), ("ego",),
            "edge threshold of the ego network"),
     Option("ego_alter_ties", "--no-alter-ties", True, _switch, ("ego",),
-           "drop the ties among the focus's neighbours", store=False),
+           "drop the ties among the focus's neighbours"),
     Option("include_countries", "--include-countries", [], _countries, _LIST_USERS,
            "comma-separated inclusion list applied before thresholds",
            show=lambda cfg, _: sorted(cfg.include_countries)),
@@ -234,9 +232,9 @@ OPTIONS = (
     Option("size_scale", "--size-scale", 1.0, _real, ("geo",),
            "geo marker growth per log paper"),
     Option("great_circle", "--great-circle", False, _switch, ("geo",),
-           "interpolate geo links along great circles", store=True),
+           "interpolate geo links along great circles"),
     Option("square_matrices", "--square-matrices", False, _switch, ("net",),
-           "also write square matrix CSVs", store=True),
+           "also write square matrix CSVs"),
 )
 _OPTION_BY_NAME = {opt.name: opt for opt in OPTIONS}
 
@@ -668,11 +666,11 @@ def _subnetwork_files(
 
     files = {f"{prefix}/edges.csv": network.cooccurrence_triples_csv(sub.edges)}
     node_lines = ["country,integer_papers,fractional_papers,degree,isolated"]
-    isolated = set(sub.isolated_nodes())
     for country, info in sub.nodes.items():
+        degree = sub.degree(country)
         node_lines.append(
             f"{country},{info.integer_papers},{counting.format_fixed(info.fractional_papers)},"
-            f"{sub.degree(country)},{'yes' if country in isolated else 'no'}"
+            f"{degree},{'no' if degree else 'yes'}"
         )
     files[f"{prefix}/nodes.csv"] = "\n".join(node_lines) + "\n"
     files[f"{prefix}/stats.json"] = _json_artifact(network.network_stats(sub).as_dict())
@@ -774,7 +772,7 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
             "filter-report.json: its tallies and network.json describe different corpora; run ingest again"
         )
     return {
-        "summary.json": counting.summary_json(counting.summarize(report, net)),
+        "summary.json": _json_artifact(counting.summary_dict(counting.summarize(report, net))),
         "counts.csv": counting.counts_csv(net, cfg.registry),
     }
 
@@ -956,12 +954,12 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     for opt in OPTIONS:
         if opt.flag is None or (command != "run" and command not in opt.stages):
             continue
-        if opt.store is None:
-            parser.add_argument(opt.flag, dest=opt.name, nargs=opt.nargs,
-                                choices=opt.choices or None, help=opt.help)
-        else:
+        if opt.parse is _switch:
             parser.add_argument(opt.flag, dest=opt.name, action="store_const",
-                                const=opt.store, help=opt.help)
+                                const=not opt.default, help=opt.help)
+        else:
+            parser.add_argument(opt.flag, dest=opt.name, nargs="+" if opt.parse is _texts else None,
+                                choices=opt.choices or None, help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -138,17 +137,13 @@ def mean_coauthorship_ratio(n_integer: int, n_fractional: Fraction) -> Fraction:
 # display rounding and serialization
 # ---------------------------------------------------------------------------
 
-def round_half_even(value: Fraction, digits: int = 1) -> Fraction:
-    """Exact half-even rounding of a rational to fixed decimal places."""
-    return round(Fraction(value), digits)
-
-
 def display_decimal(value: Fraction, digits: int = 1) -> float:
-    return float(round_half_even(value, digits))
+    """``value`` rounded half-even, exactly, to ``digits`` decimal places."""
+    return float(round(Fraction(value), digits))
 
 
 def display_percent(ratio: Fraction, digits: int = 1) -> float:
-    return float(round_half_even(Fraction(ratio) * 100, digits))
+    return display_decimal(Fraction(ratio) * 100, digits)
 
 
 def format_fixed(value, digits: int = 6) -> str:
@@ -179,6 +174,3 @@ def summary_dict(summary: CorpusSummary) -> dict:
         "share_addresses_international": f"{summary.n_addresses_international}/{summary.n_addresses_total}",
     }
 
-
-def summary_json(summary: CorpusSummary) -> str:
-    return json.dumps(summary_dict(summary), indent=2) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from collabmap.counting import format_fixed
-from collabmap.errors import DataError
+from collabmap.network import numbered
 
 if TYPE_CHECKING:
     from collabmap.layout import Layout
@@ -35,22 +35,13 @@ def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[fl
 
 def export_pajek(sub: CoauthNetwork, layout: Layout) -> str:
     """The NET file of ``sub`` with every vertex at its layout position."""
-    names = sorted(sub.nodes)
-    missing = [name for name in names if name not in layout.coordinates]
-    if missing:
-        raise DataError(f"layout is missing coordinates for: {', '.join(missing)}")
+    names, edges = numbered(sub, layout)
     boxed = _unit_box({name: layout.coordinates[name] for name in names})
-    ids = {name: i + 1 for i, name in enumerate(names)}
     lines = [f"*Vertices {len(names)}"]
-    for name in names:
+    for k, name in enumerate(names, 1):
         x, y = boxed[name]
         label = name.replace('"', '""')
-        lines.append(f'{ids[name]} "{label}" {format_fixed(x)} {format_fixed(y)} {format_fixed(0.5)}')
+        lines.append(f'{k} "{label}" {format_fixed(x)} {format_fixed(y)} {format_fixed(0.5)}')
     lines.append("*Edges")
-    lines.extend(
-        f"{a} {b} {w}"
-        for a, b, w in sorted(
-            (min(ids[p], ids[q]), max(ids[p], ids[q]), w) for (p, q), w in sub.edges.items()
-        )
-    )
+    lines.extend(f"{a} {b} {w}" for a, b, w in edges)
     return "\n".join(lines) + "\n"

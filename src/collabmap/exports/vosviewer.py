@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING
 
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
+from collabmap.network import numbered
 
 if TYPE_CHECKING:
     from collabmap.layout import Layout
@@ -26,14 +27,9 @@ def export_vosviewer(
     """
     if size_attr not in SIZE_ATTRS:
         raise DataError(f"size_attr must be one of {SIZE_ATTRS}, got {size_attr!r}")
-    names = sorted(sub.nodes)
-    for name in names:
-        if name not in layout.coordinates:
-            raise DataError(f"layout is missing coordinates for: {name}")
-    ids = {name: i + 1 for i, name in enumerate(names)}
-
+    names, edges = numbered(sub, layout)
     map_lines = ["id\tlabel\tx\ty\tweight"]
-    for name in names:
+    for k, name in enumerate(names, 1):
         x, y = layout.coordinates[name]
         if size_attr == "degree":
             weight = str(sub.degree(name))
@@ -41,14 +37,9 @@ def export_vosviewer(
             weight = str(sub.nodes[name].integer_papers)
         else:
             weight = format_fixed(sub.nodes[name].fractional_papers)
-        map_lines.append(f"{ids[name]}\t{name}\t{format_fixed(x)}\t{format_fixed(y)}\t{weight}")
+        map_lines.append(f"{k}\t{name}\t{format_fixed(x)}\t{format_fixed(y)}\t{weight}")
 
-    net_lines = [
-        f"{a}\t{b}\t{w}"
-        for a, b, w in sorted(
-            (min(ids[p], ids[q]), max(ids[p], ids[q]), w) for (p, q), w in sub.edges.items()
-        )
-    ]
+    net_lines = [f"{a}\t{b}\t{w}" for a, b, w in edges]
     map_text = "\n".join(map_lines) + "\n"
     net_text = ("\n".join(net_lines) + "\n") if net_lines else ""
     return map_text, net_text

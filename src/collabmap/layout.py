@@ -61,12 +61,17 @@ class LayoutConfig(_LayoutSettings):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.transform, EdgeLengthTransform):
+            raise DataError(f"layout transform must be an EdgeLengthTransform, got {self.transform!r}")
         if not 0 < self.tolerance < math.inf:
             raise DataError("layout tolerance must be positive and finite")
         if not (0 < self.diameter < math.inf and 0 < self.spring_constant < math.inf):
             raise DataError("layout scale parameters must be positive and finite")
-        if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
-            raise DataError("max_outer_iterations must be at least 1")
+        if self.max_outer_iterations is not None:
+            if type(self.max_outer_iterations) is not int:
+                raise DataError("max_outer_iterations must be an integer")
+            if self.max_outer_iterations < 1:
+                raise DataError("max_outer_iterations must be at least 1")
         return self
 
     @classmethod
@@ -85,9 +90,20 @@ def edge_length(weight: float, transform: EdgeLengthTransform) -> float:
         length = 1.0 / math.log1p(weight)
     elif transform is EdgeLengthTransform.ONE_MINUS_SIMILARITY:
         length = 1.0 - weight
-    else:
+    elif transform is EdgeLengthTransform.UNIT:
         length = 1.0
+    else:
+        raise DataError(f"layout transform must be an EdgeLengthTransform, got {transform!r}")
     return max(length, MIN_EDGE_LENGTH)
+
+
+def _check_weights(edges: dict[tuple[str, str], float], transform: EdgeLengthTransform) -> None:
+    """Refuse an edge weight outside the domain of the edge length transform:
+    every weight must be finite, and above 0 for the inverse log."""
+    low = 0.0 if transform is EdgeLengthTransform.INVERSE_LOG_WEIGHT else -math.inf
+    for (a, b), w in edges.items():
+        if not low < w < math.inf:
+            raise DataError(f"edge {a}-{b} has weight {w!r}, outside the domain of {transform.value}")
 
 
 def ideal_distances(
@@ -99,8 +115,10 @@ def ideal_distances(
 
     Raises DisconnectedGraphError when any pair is unreachable; callers
     should lay out connected components separately (``layout_components``
-    does this and packs them side by side).
+    does this and packs them side by side). A weight outside the domain of
+    the transform is a DataError, as in ``layout_components``.
     """
+    _check_weights(edges, cfg.transform)
     n = len(nodes)
     index = {c: i for i, c in enumerate(nodes)}
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -407,13 +425,11 @@ def layout_components(
     Components are ordered largest first (name tie-break) and separated by
     a gap of a quarter diameter; the combined picture is recentred on its
     centroid. Every edge weight must lie in the domain of the edge length
-    transform: finite, and above 0 for the inverse log.
+    transform, which is checked before any component is laid out.
     """
-    low = 0.0 if cfg.transform is EdgeLengthTransform.INVERSE_LOG_WEIGHT else -math.inf
+    _check_weights(edges, cfg.transform)
     adjacency: dict[str, set[str]] = {c: set() for c in nodes}
-    for (a, b), w in edges.items():
-        if not low < w < math.inf:
-            raise DataError(f"edge {a}-{b} has weight {w!r}, outside the domain of {cfg.transform.value}")
+    for a, b in edges:
         if a in adjacency and b in adjacency:
             adjacency[a].add(b)
             adjacency[b].add(a)

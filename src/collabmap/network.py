@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
 
     from collabmap.corpus.filtering import Document
+    from collabmap.layout import Layout
 
 
 class NodeInfo(NamedTuple):
@@ -310,6 +311,20 @@ def network_json(net: CoauthNetwork) -> str:
     edges = [[a, b, w] for (a, b), w in net.edges.items()]
     # no indent, so the C encoder writes it
     return json.dumps({"nodes": nodes, "edges": edges}, ensure_ascii=False) + "\n"
+
+
+def numbered(sub: CoauthNetwork, layout: Layout) -> tuple[list[str], list[tuple[int, int, int]]]:
+    """The vertex numbering that the Pajek and VOSviewer exports share:
+    ``sub``'s countries in name order, the k-th numbered k, and each edge as
+    (smaller id, larger id, weight) in ascending order. A country the layout
+    does not place is a DataError that lists every such country."""
+    names = sorted(sub.nodes)
+    missing = [name for name in names if name not in layout.coordinates]
+    if missing:
+        raise DataError(f"layout is missing coordinates for: {', '.join(missing)}")
+    ids = {name: k for k, name in enumerate(names, 1)}
+    edges = sorted((min(ids[a], ids[b]), max(ids[a], ids[b]), w) for (a, b), w in sub.edges.items())
+    return names, edges
 
 
 def _positive_int(value) -> bool:

@@ -220,6 +220,23 @@ def test_type_synonym_keys_are_lower_case_tags(tmp_path, capsys, synonyms, code)
         assert json.loads((ws / "filter-report.json").read_text())["n_retained"] > 0
 
 
+def test_a_type_outside_ascii_is_written_alike_in_every_json_artifact(tmp_path):
+    """summary.json, filter-report.json and report.json write a retained type
+    outside ASCII as its own characters, so the three files agree."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"type_synonyms": {"article": "Artículo"}}))
+    ws = tmp_path / "ws"
+    assert main(["--config", str(config_path), "run", "--workspace", str(ws),
+                 "--input", str(DATA_DIR / "records_synth20.txt")]) == EXIT_OK
+    texts = {name: (ws / name).read_text(encoding="utf-8")
+             for name in ("summary.json", "filter-report.json", "report.json")}
+    per_type = {name: json.loads(text)["per_type"] for name, text in texts.items()}
+    assert list(per_type["summary.json"]) == ["Artículo"]
+    assert per_type["filter-report.json"] == per_type["report.json"] == per_type["summary.json"]
+    for name, text in texts.items():
+        assert '"Artículo": ' in text and "\\u00ed" not in text, name
+
+
 def test_registry_name_that_would_break_a_csv_row_is_config_error_before_any_write(tmp_path, capsys):
     """Country names go unquoted into every CSV and TSV artifact, so a
     registry name holding a comma stops the run before a workspace exists."""
@@ -1492,6 +1509,22 @@ def test_option_choices_are_the_library_values():
     choices = {opt.name: opt.choices for opt in OPTIONS}
     assert choices["layout_transform"] == tuple(t.value for t in layout.EdgeLengthTransform)
     assert choices["size_attr"] == vosviewer.SIZE_ATTRS
+    # the table's layout defaults restate LayoutConfig's
+    assert RunConfig().layout_config() == layout.LayoutConfig()
+    cosine = RunConfig(layout_weights="cosine").layout_config()
+    assert cosine.transform is layout.EdgeLengthTransform.ONE_MINUS_SIMILARITY
+
+
+def test_each_switch_flag_turns_its_option_from_the_default():
+    """A bare switch stores the opposite of its default, and --input takes
+    several files."""
+    switches = [opt for opt in OPTIONS if opt.parse is cli._switch]
+    argv = ["run", "--workspace", "ws", "--input", "a.txt", "b.txt"] + [opt.flag for opt in switches]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert {opt.name: getattr(cfg, opt.name) for opt in switches} == {
+        "strict": True, "ego_alter_ties": False, "great_circle": True, "square_matrices": True,
+    }
+    assert cfg.inputs == ["a.txt", "b.txt"]
 
 
 def test_net_example_thresholds(tmp_path, corpus_file):

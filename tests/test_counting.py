@@ -16,7 +16,7 @@ from collabmap.counting import (
     integer_counts,
     mean_coauthorship_ratio,
     summarize,
-    summary_json,
+    summary_dict,
 )
 from collabmap.errors import DataError
 from collabmap.network import build_coauth_network
@@ -249,9 +249,9 @@ def test_summary_json_and_counts_csv(registry):
     report = tallied(FilterReport(n_records=3, n_retained=2, n_dropped_type=1), documents)
     net = build_coauth_network(documents)
     summary = summarize(report, net)
-    text = summary_json(summary)
-    assert '"n_records": 3' in text
-    assert '"share_international_docs": "1/2"' in text
+    body = summary_dict(summary)
+    assert body["n_records"] == 3
+    assert body["share_international_docs"] == "1/2"
 
     csv_text = counts_csv(net, registry)
     lines = csv_text.splitlines()

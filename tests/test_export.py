@@ -102,6 +102,17 @@ def test_pajek_reader_rejects_bad_ids():
         read_net('*Vertices 2\n1 "A"\n3 "B"\n*Edges\n')
 
 
+@pytest.mark.parametrize("export", [export_pajek, export_vosviewer])
+def test_exporters_list_every_country_the_layout_misses(export):
+    """Both exporters refuse a layout that misses two countries, with one message."""
+    sub = threshold_network(
+        fake_network({"A": Fraction(3), "B": Fraction(2), "C": Fraction(1)}, {("A", "B"): 7, ("B", "C"): 1}),
+        0, 0,
+    )
+    with pytest.raises(DataError, match="^layout is missing coordinates for: A, C$"):
+        export(sub, make_layout({"B": (0.0, 0.0)}))
+
+
 def test_pajek_missing_layout_node_rejected():
     sub = small_subnetwork()
     with pytest.raises(DataError, match="B"):

@@ -89,6 +89,12 @@ _BAD_SETTINGS = [
     ({"spring_constant": -math.inf}, "layout scale parameters must be positive and finite"),
     ({"max_outer_iterations": 0}, "max_outer_iterations must be at least 1"),
     ({"max_outer_iterations": -3}, "max_outer_iterations must be at least 1"),
+    ({"max_outer_iterations": 2.5}, "max_outer_iterations must be an integer"),
+    ({"max_outer_iterations": math.inf}, "max_outer_iterations must be an integer"),
+    ({"max_outer_iterations": True}, "max_outer_iterations must be an integer"),
+    ({"transform": "inverse_log_weight"},
+     "layout transform must be an EdgeLengthTransform, got 'inverse_log_weight'"),
+    ({"transform": None}, "layout transform must be an EdgeLengthTransform, got None"),
 ]
 
 
@@ -136,6 +142,9 @@ def test_transforms():
     assert edge_length(7.0, EdgeLengthTransform.UNIT) == 1.0
     # similarity 1.0 clamps rather than collapsing to zero length
     assert edge_length(1.0, EdgeLengthTransform.ONE_MINUS_SIMILARITY) > 0.0
+    # a transform's string value is no transform
+    with pytest.raises(DataError, match="^layout transform must be an EdgeLengthTransform, got 'unit'$"):
+        edge_length(5.0, "unit")
 
 
 def test_six_node_fixture_matches_path_enumeration_oracle():
@@ -524,6 +533,15 @@ def test_edge_weight_outside_its_domain_is_data_error_before_any_layout(monkeypa
     with pytest.raises(DataError, match=message):
         layout_components(["A", "B", "C", "D"], {("A", "B"): 0.5, ("C", "D"): weight}, cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("weight", [0.0, -2.0, math.nan, math.inf])
+def test_ideal_distances_refuses_an_edge_weight_outside_its_domain(weight):
+    """A direct call refuses the weight with the error layout_components gives."""
+    message = f"^edge A-B has weight {weight!r}, outside the domain of inverse_log_weight$"
+    with pytest.raises(DataError, match=message) as caught:
+        ideal_distances(["A", "B"], {("A", "B"): weight}, LayoutConfig())
+    assert type(caught.value) is DataError
 
 
 @pytest.mark.parametrize("transform, weight", [
