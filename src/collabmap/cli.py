@@ -164,9 +164,12 @@ class Option(NamedTuple):
         if raw is None and self.default is None:
             return None
         try:
-            return self.parse(raw)
+            value = self.parse(raw)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for {self.name}: {raw!r}") from exc
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{self.name} must be one of {', '.join(self.choices)}, got {value!r}")
+        return value
 
 
 _REGISTRY_USERS = ("synth", "ingest", "summary", "geo")
@@ -250,27 +253,6 @@ class RunConfig:
         for opt in OPTIONS:
             default = list(opt.default) if isinstance(opt.default, list) else opt.default
             setattr(self, opt.name, values.get(opt.name, default))
-
-    def validate(self, require_inputs: bool = False) -> None:
-        for opt in OPTIONS:
-            value = getattr(self, opt.name)
-            # the default (None for optional fields) is always allowed
-            if opt.choices and value not in opt.choices + (opt.default,):
-                raise ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
-        if self.include_countries and self.exclude_countries:
-            raise ConfigError("give an include list or an exclude list, not both")
-        if require_inputs and not self.inputs:
-            raise ConfigError("no input files given")
-        if require_inputs:
-            # the file name keys the input's digest and seeds its synthesized record ids
-            names: set[str] = set()
-            for path in self.inputs:
-                if not Path(path).is_file():
-                    raise ConfigError(f"input file not found: {path}")
-                name = Path(path).name
-                if name in names:
-                    raise ConfigError(f"two inputs share the file name {name!r}")
-                names.add(name)
 
     @cached_property
     def registry(self) -> registry_mod.CountryRegistry:
@@ -724,6 +706,17 @@ def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.corpus import filtering, records
 
+    if not cfg.inputs:
+        raise ConfigError("no input files given")
+    # the file name keys the input's digest and seeds its synthesized record ids
+    names: set[str] = set()
+    for path_str in cfg.inputs:
+        if not Path(path_str).is_file():
+            raise ConfigError(f"input file not found: {path_str}")
+        name = Path(path_str).name
+        if name in names:
+            raise ConfigError(f"two inputs share the file name {name!r}")
+        names.add(name)
     reg = cfg.registry
     all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
@@ -989,11 +982,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by the flags given."""
     cfg = RunConfig()
     if args.config:
-        config_path = Path(args.config)
-        if not config_path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
         try:
-            base = json.loads(config_path.read_text(encoding="utf-8"))
+            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not JSON: {exc}") from exc
         if not isinstance(base, dict):
@@ -1006,7 +998,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, opt.name, None)
         if raw is not None:
             setattr(cfg, opt.name, opt.coerce(raw))
+    if cfg.include_countries and cfg.exclude_countries:
+        raise ConfigError("give an include list or an exclude list, not both")
     return cfg
+
+
+def _check_output_path(label: str, path: Path, directory: bool) -> None:
+    """Refuse, before any work, an output path that exists as the wrong kind
+    (a directory where a file is written, or the reverse), or whose nearest
+    existing ancestor is not a directory, below which nothing can be made."""
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"{label} is {'not ' if directory else ''}a directory: {path}")
+    for ancestor in path.parents:
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise ConfigError(f"{label} {path} runs through {ancestor}, which is not a directory")
+            break
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1018,6 +1025,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "synth":
                 from collabmap import synth
 
+                out = Path(args.out)
+                _check_output_path("synth --out", out, directory=False)
                 try:
                     text = synth.generate_corpus_text(
                         cfg.registry,
@@ -1028,14 +1037,11 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 except ValueError as exc:
                     raise ConfigError(f"synth: {exc}") from exc
-                out = Path(args.out)
                 out.parent.mkdir(parents=True, exist_ok=True)
                 out.write_text(text, encoding="utf-8", newline="\n")
                 return EXIT_OK
-            cfg.validate(require_inputs=args.command in ("ingest", "run"))
             root = Path(args.workspace)
-            if root.exists() and not root.is_dir():
-                raise ConfigError(f"workspace is not a directory: {args.workspace}")
+            _check_output_path("workspace", root, directory=True)
             ws = Workspace(root)
             if args.command == "run":
                 run_pipeline(cfg, ws)

@@ -36,14 +36,6 @@ class Document(NamedTuple):
     doc_type: str
     country_addresses: dict[str, int]
 
-    @property
-    def total_addresses(self) -> int:
-        return sum(self.country_addresses.values())
-
-    @property
-    def is_international(self) -> bool:
-        return len(self.country_addresses) >= 2
-
 
 class FilterReport(NamedTuple):
     """The filter's tallies: every record once, as retained, dropped by type

@@ -97,15 +97,16 @@ def resolve_country(address_line: str, registry: CountryRegistry) -> str | Unrec
 
 
 def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty registry file") from None
-        if header != expected_header:
-            raise ConfigError(f"{path}: expected header {','.join(expected_header)}")
-        return [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read registry file {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty registry file")
+    if rows[0] != expected_header:
+        raise ConfigError(f"{path}: expected header {','.join(expected_header)}")
+    return [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
 
 
 def _bundled(name: str) -> Path:

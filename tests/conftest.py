@@ -137,9 +137,10 @@ def reference_summarize(documents, report: FilterReport) -> CorpusSummary:
     for doc in documents:
         per_type[doc.doc_type] = per_type.get(doc.doc_type, 0) + 1
     n_docs = len(documents)
-    n_intl = sum(1 for doc in documents if doc.is_international)
-    addresses_total = sum(doc.total_addresses for doc in documents)
-    addresses_intl = sum(doc.total_addresses for doc in documents if doc.is_international)
+    international = [doc for doc in documents if len(doc.country_addresses) >= 2]
+    n_intl = len(international)
+    addresses_total = sum(sum(doc.country_addresses.values()) for doc in documents)
+    addresses_intl = sum(sum(doc.country_addresses.values()) for doc in international)
     countries = {c for doc in documents for c in doc.country_addresses}
     return CorpusSummary(
         n_records=report.n_records,

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -182,6 +184,7 @@ def test_bad_config_file_values_are_config_errors(tmp_path, corpus_file):
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(corpus_file)]) == EXIT_OK
     config_path = tmp_path / "config.json"
+    out = tmp_path / "synth" / "corpus.txt"
     for bad in (
         {"comparator": "sideways"},
         {"layout_transform": "banana"},
@@ -193,9 +196,12 @@ def test_bad_config_file_values_are_config_errors(tmp_path, corpus_file):
         {"ego_focus": 7},
         {"type_synonyms": {"Article": "Article", "review": "Review"}},
         {"type_synonyms": {" article": "Article"}},
+        {"include_countries": ["norway"], "exclude_countries": ["chile"]},
     ):
         config_path.write_text(json.dumps(bad))
         assert main(["--config", str(config_path), "net", "--workspace", str(ws)]) == EXIT_CONFIG, bad
+        assert main(["--config", str(config_path), "synth", "--out", str(out)]) == EXIT_CONFIG, bad
+        assert not out.parent.exists(), bad
 
 
 @pytest.mark.parametrize("synonyms, code", [
@@ -299,13 +305,16 @@ def test_bad_layout_config_values_fail_on_every_command(tmp_path, net_workspace,
     before = tree_bytes(ws)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({field: value}))
+    out = tmp_path / "corpus.txt"
     for command, *flags in (["ingest", "--input", str(corpus_file)], ["summary"], ["geo"],
-                            ["export"], ["net"]):
+                            ["export"], ["net"], ["synth", "--out", str(out)]):
         capsys.readouterr()
-        argv = ["--config", str(config_path), command, "--workspace", str(ws)] + flags
+        where = [] if command == "synth" else ["--workspace", str(ws)]
+        argv = ["--config", str(config_path), command] + where + flags
         assert main(argv) == EXIT_CONFIG, command
         assert f"configuration error: {message}" in capsys.readouterr().err, command
         assert tree_bytes(ws) == before, command
+    assert not out.exists()
 
 
 def test_negative_counts_are_config_errors(tmp_path, corpus_file):
@@ -503,6 +512,45 @@ def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys,
     assert f"artifact {relpath!r} is not a path inside the workspace" in capsys.readouterr().err
     assert tree_bytes(ws) == before
     assert victim.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("case", ["registry-missing", "aliases-missing", "registry-not-utf8",
+                                  "config-not-utf8", "workspace-through-a-file", "out-a-directory",
+                                  "out-through-a-file"])
+def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp_path, case):
+    """Each case runs in a fresh interpreter, where an uncaught OSError or
+    UnicodeDecodeError would show as a traceback and exit 1: it exits 2 with
+    one line that names the path, and changes nothing under tmp_path."""
+    afile, adir, nope = tmp_path / "afile", tmp_path / "adir", tmp_path / "nope.csv"
+    afile.write_text("keep me\n")
+    adir.mkdir()
+    registry_csv, config_json = tmp_path / "countries.csv", tmp_path / "config.json"
+    registry_csv.write_bytes(b"canonical_name,iso3,latitude,longitude\n\xff,XXX,0,0\n")
+    config_json.write_bytes(b"\xff{}")
+    records = ["--input", str(DATA_DIR / "records_small.txt")]
+    ingest = ["ingest", "--workspace", str(tmp_path / "ws")] + records
+    argv, named = {
+        "registry-missing": (ingest + ["--registry", str(nope)], nope),
+        "aliases-missing": (ingest + ["--aliases", str(nope)], nope),
+        "registry-not-utf8": (ingest + ["--registry", str(registry_csv)], registry_csv),
+        "config-not-utf8": (["--config", str(config_json)] + ingest, config_json),
+        "workspace-through-a-file": (["ingest", "--workspace", str(afile / "ws")] + records, afile / "ws"),
+        "out-a-directory": (["synth", "--out", str(adir)], adir),
+        "out-through-a-file": (["synth", "--out", str(afile / "x.txt")], afile / "x.txt"),
+    }[case]
+
+    def snapshot() -> dict[Path, bytes | None]:
+        return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+
+    before = snapshot()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "collabmap.cli", *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("collabmap: configuration error: ") and str(named) in line, line
+    assert snapshot() == before
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
