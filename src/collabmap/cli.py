@@ -320,7 +320,11 @@ class Workspace:
         each file to delete and each existing target aside and the temporary
         into its place. If any step fails, put the originals back, remove
         the new files and the temporaries, and re-raise, so every file stays
-        as it was. On success, remove the directories the deletions empty."""
+        as it was. On success, remove the directories the deletions empty.
+        A target that is a directory, or below a file, is a ConfigError
+        before anything is written."""
+        for relpath in files:
+            _check_output_path("artifact", self.root / relpath, directory=False)
         staged: list[tuple[Path, Path]] = []
         moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
         try:
@@ -376,16 +380,16 @@ class Workspace:
         return text
 
     def read_input(self, path: Path) -> str:
-        """An input file's text decoded as UTF-8 (a leading byte-order mark
-        dropped) with CRLF and CR line ends as LF; the sha256 of its bytes is
+        """An input file's text decoded as UTF-8, byte-order mark and line
+        ends as they are, for parse_records; the sha256 of its bytes is
         recorded under its file name."""
         raw = path.read_bytes()
         try:
-            text = raw.decode("utf-8-sig")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
         self.inputs[path.name] = hashlib.sha256(raw).hexdigest()
-        return text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
 
     def keep_network(self, text: str, net: network.CoauthNetwork) -> None:
         """Keep ``net``, the network of the network.json text ``text``, for
@@ -983,7 +987,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            base = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:

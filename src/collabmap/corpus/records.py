@@ -52,15 +52,17 @@ def parse_records(
 ) -> tuple[list[RawRecord], list[ParseIssue]]:
     """Parse a record file into RawRecords plus an issue ledger.
 
+    Bytes are decoded as UTF-8; then, for bytes and text alike, one leading
+    byte-order mark is dropped and LF, CRLF or a lone CR ends a line.
     ``source_name`` seeds synthesized record ids when a record carries no
     explicit id (``<source_name>#<ordinal>``); a strict-mode error names it.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     if fmt == "tagged":
-        records, issues = _parse_tagged(data, source_name)
+        records, issues = _parse_tagged(text, source_name)
     elif fmt == "delimited":
-        records, issues = _parse_delimited(data)
+        records, issues = _parse_delimited(text)
     else:
         raise ValueError(f"unknown record format: {fmt!r}")
     if strict and issues:
@@ -81,8 +83,6 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
     current_tag: str | None = None
 
     lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.rstrip("\r") for line in lines]
     # a tag line opens with two upper-case letters or digits, alone or before
     # a space, so it is never blank or a continuation line; the test reads
     # no further than the third character, so it runs once per distinct head.

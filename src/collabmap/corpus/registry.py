@@ -98,7 +98,7 @@ def resolve_country(address_line: str, registry: CountryRegistry) -> str | Unrec
 
 def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read registry file {path}: {exc}") from exc

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -237,12 +238,19 @@ def _update_gradients(grads, m, before, positions, d, cfg) -> None:
         grads[i] = (gx + (f1 * dx1 - f0 * dx0), gy + (f1 * dy1 - f0 * dy0))
 
 
-def _node_terms(i, p, positions, d, cfg):
+def _node_terms(i, p, positions, d, cfg, bound=math.inf):
     """Node i's energy, gradient and Hessian with node i placed at ``p``,
-    from one pass over the other nodes: (E, gx, gy, hxx, hyy, hxy)."""
+    from one pass over the other nodes: (E, gx, gy, hxx, hyy, hxy).
+
+    The pass stops early, with partial terms, once E is sure to exceed
+    ``bound``: the spring terms are non-negative, so the partial sums never
+    decrease, and a sum above ``2 * bound`` halves exactly to an E above
+    ``bound`` when ``bound`` is a normal float; any other bound never stops
+    the pass."""
     K, jitter, hypot = cfg.spring_constant, 1e-9 * cfg.diameter, math.hypot
     row = d[i]
     px, py = p
+    limit = 2.0 * bound if bound >= sys.float_info.min else math.inf
     total = gx = gy = hxx = hyy = hxy = 0.0
     for j, (xj, yj) in enumerate(positions):
         if j == i:
@@ -254,6 +262,8 @@ def _node_terms(i, p, positions, d, cfg):
         if r == 0.0:
             dx, dy, r = jitter, 0.0, jitter
         total += k * (r - dij) ** 2
+        if total > limit:
+            break
         factor = k * (1.0 - dij / r)
         gx += factor * dx
         gy += factor * dy
@@ -285,7 +295,7 @@ def _relax_node(i, terms, positions, d, cfg) -> tuple[float, float]:
         t = 1.0
         while t > 1e-7:
             candidate = (positions[i][0] + t * step_x, positions[i][1] + t * step_y)
-            trial = _node_terms(i, candidate, positions, d, cfg)
+            trial = _node_terms(i, candidate, positions, d, cfg, before)
             if trial[0] <= before:
                 positions[i] = candidate
                 before, gx, gy, hxx, hyy, hxy = trial

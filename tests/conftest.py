@@ -226,8 +226,7 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         in_record = False
         current_tag = None
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue

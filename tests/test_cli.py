@@ -245,11 +245,14 @@ def test_a_type_outside_ascii_is_written_alike_in_every_json_artifact(tmp_path):
 
 def test_registry_name_that_would_break_a_csv_row_is_config_error_before_any_write(tmp_path, capsys):
     """Country names go unquoted into every CSV and TSV artifact, so a
-    registry name holding a comma stops the run before a workspace exists."""
+    registry name holding a comma stops the run before a workspace exists.
+    Both files open with a byte-order mark, which the header check passes."""
     bundled = Path(registry_mod.__file__).parent / "data"
     countries, aliases = tmp_path / "countries.csv", tmp_path / "aliases.csv"
-    countries.write_text((bundled / "countries.csv").read_text() + '"KOREA, REP",KOR,36.4,127.8\n')
-    aliases.write_text((bundled / "aliases.csv").read_text() + 'KOREAREP,"KOREA, REP"\n')
+    countries.write_text((bundled / "countries.csv").read_text() + '"KOREA, REP",KOR,36.4,127.8\n',
+                         encoding="utf-8-sig")
+    aliases.write_text((bundled / "aliases.csv").read_text() + 'KOREAREP,"KOREA, REP"\n',
+                       encoding="utf-8-sig")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text((DATA_DIR / "records_synth20.txt").read_text().replace("South Korea", "KoreaRep"))
     ws = tmp_path / "ws"
@@ -516,11 +519,13 @@ def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("case", ["registry-missing", "aliases-missing", "registry-not-utf8",
                                   "config-not-utf8", "workspace-through-a-file", "out-a-directory",
-                                  "out-through-a-file"])
+                                  "out-through-a-file", "artifact-through-a-file", "artifact-a-directory"])
 def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp_path, case):
     """Each case runs in a fresh interpreter, where an uncaught OSError or
     UnicodeDecodeError would show as a traceback and exit 1: it exits 2 with
-    one line that names the path, and changes nothing under tmp_path."""
+    one line that names the path, and changes nothing under tmp_path. A
+    stage's artifact below a file, or one that is a directory, is refused
+    before the stage writes anything."""
     afile, adir, nope = tmp_path / "afile", tmp_path / "adir", tmp_path / "nope.csv"
     afile.write_text("keep me\n")
     adir.mkdir()
@@ -537,7 +542,19 @@ def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp
         "workspace-through-a-file": (["ingest", "--workspace", str(afile / "ws")] + records, afile / "ws"),
         "out-a-directory": (["synth", "--out", str(adir)], adir),
         "out-through-a-file": (["synth", "--out", str(afile / "x.txt")], afile / "x.txt"),
+        "artifact-through-a-file": (["net", "--workspace", str(tmp_path / "ws")],
+                                    tmp_path / "ws" / "thresholded"),
+        "artifact-a-directory": (["net", "--workspace", str(tmp_path / "ws")],
+                                 tmp_path / "ws" / "thresholded" / "edges.csv"),
     }[case]
+    if case.startswith("artifact"):
+        assert main(ingest) == EXIT_OK
+        if case == "artifact-through-a-file":
+            named.write_text("x")
+        else:
+            assert main(argv) == EXIT_OK
+            named.unlink()
+            named.mkdir()
 
     def snapshot() -> dict[Path, bytes | None]:
         return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
@@ -581,6 +598,35 @@ def test_byte_order_mark_inputs_parse_like_plain_ones(tmp_path, name, fmt):
     assert trees[0]["documents.jsonl"]
     for relpath in ("documents.jsonl", "parse-issues.json", "filter-report.json"):
         assert trees[1][relpath] == trees[0][relpath], relpath
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name, fmt", [("records_small.txt", "tagged"),
+                                       ("records_small.csv", "delimited"),
+                                       ("records_malformed.txt", "tagged")])
+def test_library_and_ingest_parse_every_line_end_and_mark_alike(tmp_path, monkeypatch, name, fmt,
+                                                                newline, bom):
+    """parse_records of a file's bytes, of their text and ingest of the file
+    give the records and issues of the plain LF file."""
+    expected = parse_records((DATA_DIR / name).read_text(encoding="utf-8"), fmt, source_name=name)
+    assert expected[0]
+    data = bom + (DATA_DIR / name).read_bytes().replace(b"\n", newline)
+    assert parse_records(data, fmt, source_name=name) == expected
+    assert parse_records(data.decode("utf-8"), fmt, source_name=name) == expected
+
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    path.write_bytes(data)
+    parsed = []
+    parse = records_mod.parse_records
+    monkeypatch.setattr(records_mod, "parse_records", lambda *args, **kwargs: parsed.append(
+        parse(*args, **kwargs)) or parsed[-1])
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(path), "--format", fmt]) == EXIT_OK
+    assert parsed == [expected]
+    issues = json.loads((ws / "parse-issues.json").read_text(encoding="utf-8"))
+    assert [(i["line_no"], i["message"]) for i in issues] == [tuple(i) for i in expected[1]]
 
 
 def test_ingest_digest_is_of_the_input_bytes(tmp_path):
@@ -1507,6 +1553,11 @@ def test_config_file_drives_run(tmp_path, corpus_file):
     via_config = tmp_path / "config-ws"
     assert main(["--config", str(config_path), "run", "--workspace", str(via_config)]) == EXIT_OK
     assert tree_bytes(via_config) == tree_bytes(via_flags)
+    # a config file may open with a byte-order mark, as record files may
+    config_path.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+    via_marked = tmp_path / "marked-ws"
+    assert main(["--config", str(config_path), "run", "--workspace", str(via_marked)]) == EXIT_OK
+    assert tree_bytes(via_marked) == tree_bytes(via_flags)
 
 
 def test_unknown_config_field_rejected(tmp_path, corpus_file):

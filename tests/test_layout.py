@@ -389,6 +389,28 @@ def test_kernels_equal_the_per_pair_oracles():
         assert expected[m] == layout_mod._node_gradient(m, positions, d, cfg)
 
 
+def test_node_terms_bound_stops_only_a_pass_whose_energy_exceeds_it():
+    """With a bound, ``_node_terms`` gives the unbounded terms whenever their
+    energy is within it, and otherwise an energy above it, so the accept
+    test ``energy <= bound`` decides alike; some passes stop early."""
+    rng = random.Random(149)
+    stopped = 0
+    for _ in range(40):
+        positions, d, cfg = kernel_case(rng)
+        for i in range(len(positions)):
+            for p in (positions[i], random_positions(rng, 1)[0]):
+                full = layout_mod._node_terms(i, p, positions, d, cfg)
+                energy = full[0]
+                for bound in (energy, math.nextafter(energy, 0.0), math.nextafter(energy, math.inf),
+                              0.5 * energy, 0.0, 5e-324, 2e-308, math.inf, math.nan):
+                    bounded = layout_mod._node_terms(i, p, positions, d, cfg, bound)
+                    assert (bounded[0] <= bound) == (energy <= bound), bound
+                    if energy <= bound:
+                        assert bounded == full
+                    stopped += bounded != full
+    assert stopped
+
+
 def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
     def relax(positions, d, cfg, i=0):
         start = list(positions)
@@ -412,8 +434,8 @@ def test_relax_node_returns_the_exact_gradient_on_every_exit(monkeypatch):
     node_terms = layout_mod._node_terms
     place = positions[0]
     with monkeypatch.context() as patch:
-        patch.setattr(layout_mod, "_node_terms", lambda i, p, pos, d, cfg: (
-            node_terms(i, p, pos, d, cfg) if p is pos[i] or pos[i] == place
+        patch.setattr(layout_mod, "_node_terms", lambda i, p, pos, d, cfg, *bound: (
+            node_terms(i, p, pos, d, cfg, *bound) if p is pos[i] or pos[i] == place
             else (math.inf, *node_terms(i, p, pos, d, cfg)[1:])
         ))
         start, relaxed = relax(positions, d, LayoutConfig())
@@ -456,10 +478,10 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
     trials, places, gradients = [], [], []
     node_terms, node_gradient = layout_mod._node_terms, layout_mod._node_gradient
 
-    def counted_terms(i, p, pos, d, cfg):
+    def counted_terms(i, p, pos, d, cfg, *bound):
         trials.append(p)
         places.append(pos[i])
-        return node_terms(i, p, pos, d, cfg)
+        return node_terms(i, p, pos, d, cfg, *bound)
 
     monkeypatch.setattr(layout_mod, "_MAX_INNER_STEPS", 2)
     monkeypatch.setattr(layout_mod, "_node_terms", counted_terms)

@@ -166,10 +166,11 @@ def test_every_command_help_exits_zero():
         assert proc.returncode == 0 and proc.stdout.startswith("usage: collabmap"), (command, proc.stderr)
 
 
-def run_tree(python: str, workspace: Path) -> dict[str, bytes]:
+def run_tree(python: str, workspace: Path, **env: str) -> dict[str, bytes]:
     """The files that ``collabmap run`` on the synth corpus writes under
-    ``python``, keyed by their path in the workspace."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ``python``, with ``env`` added to its environment, keyed by their path
+    in the workspace."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
     proc = subprocess.run(
         [python, "-m", "collabmap.cli", "run", "--workspace", str(workspace),
          "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2", "--focus", "USA"],
@@ -180,6 +181,13 @@ def run_tree(python: str, workspace: Path) -> dict[str, bytes]:
         path.relative_to(workspace).as_posix(): path.read_bytes()
         for path in sorted(workspace.rglob("*")) if path.is_file()
     }
+
+
+def test_reruns_under_other_hash_seeds_write_the_same_tree(tmp_path):
+    """No artifact byte hangs on the order of a set or dict of strings."""
+    trees = [run_tree(sys.executable, tmp_path / f"seed{seed}", PYTHONHASHSEED=str(seed)) for seed in (0, 1)]
+    assert trees[0]["documents.jsonl"]
+    assert trees[1] == trees[0]
 
 
 def starts(python: str) -> bool:
