@@ -32,8 +32,10 @@ from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
 # what it runs, and calls them through the module, where perfbench's tracer
 # rebinds them.
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from collabmap import network
-    from collabmap.corpus import filtering, registry as registry_mod
+    from collabmap.corpus import filtering, records, registry as registry_mod
     from collabmap.layout import Layout, LayoutConfig
 
 MANIFEST_NAME = "run-manifest.json"
@@ -42,6 +44,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_DATA = 4
+
+# the bytes of an input file read at once
+READ_SIZE = 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +384,15 @@ class Workspace:
         self.inputs[relpath] = hashlib.sha256(raw).hexdigest()
         return text
 
-    def read_input(self, path: Path) -> str:
-        """An input file's text decoded as UTF-8, byte-order mark and line
-        ends as they are, for parse_records; the sha256 of its bytes is
-        recorded under its file name."""
-        raw = path.read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
-        self.inputs[path.name] = hashlib.sha256(raw).hexdigest()
-        return text
+    def input_chunks(self, path: Path) -> Iterator[bytes]:
+        """An input file's bytes, READ_SIZE at a time; once the last is
+        read, the sha256 of them all is recorded under its file name."""
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            while chunk := fh.read(READ_SIZE):
+                digest.update(chunk)
+                yield chunk
+        self.inputs[path.name] = digest.hexdigest()
 
     def keep_network(self, text: str, net: network.CoauthNetwork) -> None:
         """Keep ``net``, the network of the network.json text ``text``, for
@@ -693,10 +696,10 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     import gc
 
     # Everything ingest builds is acyclic (strings, numbers, tuples, lists and
-    # dicts of these, and the record NamedTuples), so reference counting frees
-    # it all. The cyclic collector would only walk it: a NamedTuple is a tuple
-    # subclass, which stays tracked, so each full collection visits every
-    # record kept so far.
+    # dicts of these, and the record and document NamedTuples), so reference
+    # counting frees it all. The cyclic collector would only walk it: a
+    # NamedTuple is a tuple subclass, which stays tracked, so each full
+    # collection visits every document kept so far.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -708,7 +711,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     from collabmap import network
-    from collabmap.corpus import filtering, records
+    from collabmap.corpus import filtering
 
     if not cfg.inputs:
         raise ConfigError("no input files given")
@@ -721,22 +724,10 @@ def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
         if name in names:
             raise ConfigError(f"two inputs share the file name {name!r}")
         names.add(name)
-    reg = cfg.registry
-    all_records: list[records.RawRecord] = []
     all_issues: list[dict] = []
-    for path_str in cfg.inputs:
-        path = Path(path_str)
-        recs, issues = records.parse_records(
-            ws.read_input(path), fmt=cfg.input_format, strict=cfg.strict, source_name=path.name
-        )
-        all_records.extend(recs)
-        all_issues.extend({"file": path.name, "line_no": i.line_no, "message": i.message} for i in issues)
-    seen: set[str] = set()
-    for rec in all_records:
-        if rec.record_id in seen:
-            raise DataError(f"duplicate record id across inputs: {rec.record_id!r}")
-        seen.add(rec.record_id)
-    documents, report = filtering.filter_documents(all_records, reg, cfg.type_synonyms)
+    documents, report = filtering.filter_documents(
+        _input_records(cfg, ws, all_issues), cfg.registry, cfg.type_synonyms
+    )
     net = network.build_coauth_network(documents)
     network_text = network.network_json(net)
     ws.keep_network(network_text, net)
@@ -746,6 +737,34 @@ def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
         "parse-issues.json": _json_artifact(all_issues),
         "network.json": network_text,
     }
+
+
+def _input_records(cfg: RunConfig, ws: Workspace, all_issues: list[dict]) -> Iterator[records.RawRecord]:
+    """The records of every input in turn, each read to its end before the
+    next; each file's issues are added to ``all_issues`` once it is read,
+    or its first is raised in strict mode. A record id that an earlier
+    input holds is raised once every input is read, so a strict issue in a
+    later input is raised first."""
+    from collabmap.corpus import records
+
+    seen: set[str] = set()
+    repeated: list[str] = []
+    for path_str in cfg.inputs:
+        path = Path(path_str)
+        issues: list[records.ParseIssue] = []
+        try:
+            for rec in records.iter_records(ws.input_chunks(path), issues, cfg.input_format, path.name):
+                if rec.record_id in seen:
+                    repeated.append(rec.record_id)
+                seen.add(rec.record_id)
+                yield rec
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input file is not UTF-8 text: {path}: {exc}") from exc
+        if cfg.strict and issues:
+            raise ParseError(path.name, issues[0].line_no, issues[0].message)
+        all_issues.extend({"file": path.name, "line_no": i.line_no, "message": i.message} for i in issues)
+    if repeated:
+        raise DataError(f"duplicate record id across inputs: {repeated[0]!r}")
 
 
 def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from collabmap.corpus.records import RawRecord
 
 # Raw document-type tag -> canonical retained type, matched after
@@ -71,7 +73,7 @@ def canonical_doc_type(raw: str, synonyms: dict[str, str] | None = None) -> str 
 
 
 def filter_documents(
-    records: list[RawRecord],
+    records: Iterable[RawRecord],
     registry: CountryRegistry,
     synonyms: dict[str, str] | None = None,
 ) -> tuple[list[Document], FilterReport]:
@@ -82,6 +84,7 @@ def filter_documents(
     tokens are tallied per occurrence but never abort the record; the
     record survives if any other line resolves. Each retained document
     adds to the report's per-type, international and address tallies.
+    Each record is counted once, as it passes, so ``records`` may be a stream.
     """
     documents: list[Document] = []
     # each distinct raw type is canonicalized once; resolve_country reads
@@ -122,7 +125,8 @@ def filter_documents(
             n_addresses_international += addresses
             counts = dict(sorted(counts.items()))
         documents.append(Document(rec.record_id, doc_type, counts))
+    n_retained = len(documents)
     return documents, FilterReport(
-        len(records), len(documents), n_dropped_type, n_dropped_no_address, unrecognized, per_type,
+        n_retained + n_dropped_type + n_dropped_no_address, n_retained, n_dropped_type, n_dropped_no_address, unrecognized, per_type,
         n_international, n_addresses, n_addresses_international,
     )

@@ -12,18 +12,22 @@ Two input layouts are supported:
 Parsing is lenient by default: malformed spans are logged to an issue
 ledger (with line numbers) and skipped. Strict mode raises on the first
 issue instead.
+
+``iter_records`` parses a file that arrives in chunks, a record at a time,
+as ingest reads it; ``parse_records`` is that stream over one chunk.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
-import io
+import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import ParseError
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
 
 _RECORD_START = "PT"
 _RECORD_END = "ER"
@@ -52,37 +56,114 @@ def parse_records(
 ) -> tuple[list[RawRecord], list[ParseIssue]]:
     """Parse a record file into RawRecords plus an issue ledger.
 
-    Bytes are decoded as UTF-8; then, for bytes and text alike, one leading
-    byte-order mark is dropped and LF, CRLF or a lone CR ends a line.
-    ``source_name`` seeds synthesized record ids when a record carries no
-    explicit id (``<source_name>#<ordinal>``); a strict-mode error names it.
+    The whole of ``data`` is one chunk for ``iter_records``, so the library
+    parses a file exactly as ingest streams it. ``source_name`` seeds
+    synthesized record ids when a record carries no explicit id
+    (``<source_name>#<ordinal>``); a strict-mode error names it.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    if fmt == "tagged":
-        records, issues = _parse_tagged(text, source_name)
-    elif fmt == "delimited":
-        records, issues = _parse_delimited(text)
-    else:
-        raise ValueError(f"unknown record format: {fmt!r}")
+    issues: list[ParseIssue] = []
+    records = list(iter_records((data,), issues, fmt, source_name))
     if strict and issues:
         first = issues[0]
         raise ParseError(source_name, first.line_no, first.message)
     return records, issues
 
 
-def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[ParseIssue]]:
-    records: list[RawRecord] = []
-    issues: list[ParseIssue] = []
+def iter_records(
+    chunks: Iterable[bytes | str],
+    issues: list[ParseIssue],
+    fmt: str = "tagged",
+    source_name: str = "input",
+) -> Iterator[RawRecord]:
+    """The records of a file that arrives as chunks, each parsed as its last
+    line arrives; each malformed span is appended to ``issues`` as it is met.
+
+    The input is read to its end, past ``EF`` or a header that is not the
+    delimited one, so all of it is decoded (a byte that is not UTF-8 raises
+    UnicodeDecodeError) and whoever yields the chunks sees every byte.
+    """
+    if fmt not in ("tagged", "delimited"):
+        raise ValueError(f"unknown record format: {fmt!r}")
+    return _records(split_lines(chunks), issues, fmt, source_name)
+
+
+def _records(lines: Iterator[str], issues: list[ParseIssue], fmt: str, source_name: str) -> Iterator[RawRecord]:
+    if fmt == "tagged":
+        yield from _parse_tagged(lines, source_name, issues)
+    else:
+        yield from _parse_delimited(lines, issues)
+    for _line in lines:
+        pass
+
+
+def split_lines(chunks: Iterable[bytes | str]) -> Iterator[str]:
+    """The lines of a file that arrives as chunks of UTF-8 bytes or of text.
+
+    One leading byte-order mark is dropped, and LF, CRLF or a lone CR ends
+    a line, wherever the chunks are cut: inside a character, the mark or a
+    CRLF. As with ``str.split``, the piece after the last line end is the
+    last line, even when it is empty.
+    """
+    # a list of lines per chunk, so the parsers' per-line loop resumes no generator
+    return itertools.chain.from_iterable(_line_lists(chunks))
+
+
+def _line_lists(chunks: Iterable[bytes | str]) -> Iterator[list[str]]:
+    start = True  # no text met yet, so a byte-order mark may still come
+    held_cr = False  # the last text ended in a CR, which may start a CRLF
+    pending: list[str] = []  # the pieces of a line that has no end yet
+    for text in _decoded(chunks):
+        if start:
+            if not text:
+                continue
+            start = False
+            text = text.removeprefix("\ufeff")
+        if held_cr:
+            text = "\r" + text
+        held_cr = text.endswith("\r")
+        if held_cr:
+            text = text[:-1]
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        pending.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(pending)
+            pending = [lines.pop()]
+            yield lines
+    last = "".join(pending)
+    # a CR that ends the input ends a line too
+    yield [last, ""] if held_cr else [last]
+
+
+def _decoded(chunks: Iterable[bytes | str]) -> Iterator[str]:
+    """The text of each chunk, bytes decoded strictly as UTF-8 across the cuts."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    fed = 0  # bytes decoded so far
+    try:
+        for chunk in chunks:
+            if isinstance(chunk, str):
+                yield chunk
+            else:
+                fed += len(chunk)
+                yield decode(chunk)
+        yield decode(b"", True)
+    except UnicodeDecodeError as exc:
+        # the decoder counts from the start of the bytes it holds
+        exc.reason += f" at byte {fed - len(exc.object) + exc.start} of the input"
+        raise
+
+
+def _parse_tagged(lines: Iterable[str], source_name: str, issues: list[ParseIssue]) -> Iterator[RawRecord]:
     seen_ids: set[str] = set()
 
     fields: dict[str, list[str]] = {}
     in_record = False
     start_line = 0
+    py_line = 0  # the line of the open record's first PY field
     ordinal = 0
     current_tag: str | None = None
 
-    lines = text.split("\n")
     # a tag line opens with two upper-case letters or digits, alone or before
     # a space, so it is never blank or a continuation line; the test reads
     # no further than the third character, so it runs once per distinct head.
@@ -146,15 +227,13 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
                     try:
                         year = int(year_raw) if year_raw else 0
                     except ValueError:
-                        # the record's first PY line, looked up only here, off the per-line loop
-                        py_line = next(n for n in range(start_line, line_no) if lines[n].startswith("PY "))
-                        issues.append(ParseIssue(py_line + 1, f"bad year {year_raw!r} in {record_id}"))
+                        issues.append(ParseIssue(py_line, f"bad year {year_raw!r} in {record_id}"))
                         year = 0
-                    records.append(RawRecord(
+                    yield RawRecord(
                         record_id, fields["DT"][0] if "DT" in fields else "", year,
                         tuple(filter(None, fields.get("C1", ()))),
                         " ".join(fields["TI"]) if "TI" in fields else None,
-                    ))
+                    )
                 fields.clear()
                 in_record = False
                 current_tag = None
@@ -165,25 +244,24 @@ def _parse_tagged(text: str, source_name: str) -> tuple[list[RawRecord], list[Pa
         values = fields.get(tag)
         if values is None:
             fields[tag] = [value]
+            if tag == "PY":
+                py_line = line_no
         else:
             values.append(value)
     if in_record:
         issues.append(ParseIssue(start_line, "record not terminated by ER at end of input; span dropped"))
-    return records, issues
 
 
-def _parse_delimited(text: str) -> tuple[list[RawRecord], list[ParseIssue]]:
-    records: list[RawRecord] = []
-    issues: list[ParseIssue] = []
+def _parse_delimited(lines: Iterable[str], issues: list[ParseIssue]) -> Iterator[RawRecord]:
     seen_ids: set[str] = set()
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_with_line_ends(lines))
     try:
         header = next(reader)
     except StopIteration:
-        return records, issues
+        return
     if header != ["id", "doc_type", "year", "addresses"]:
         issues.append(ParseIssue(1, "expected header id,doc_type,year,addresses"))
-        return records, issues
+        return
     # a row's issues name its first line; a quoted cell may run over several
     next_line = reader.line_num + 1
     for row in reader:
@@ -207,8 +285,20 @@ def _parse_delimited(text: str) -> tuple[list[RawRecord], list[ParseIssue]]:
             issues.append(ParseIssue(line_no, f"bad year {row[2]!r} in {record_id}"))
             year = 0
         addresses = tuple(a.strip() for a in row[3].split(";") if a.strip())
-        records.append(RawRecord(record_id, row[1].strip(), year, addresses))
-    return records, issues
+        yield RawRecord(record_id, row[1].strip(), year, addresses)
+
+
+def _with_line_ends(lines: Iterable[str]) -> Iterator[str]:
+    """The lines as a text file gives them to csv.reader: each but the last
+    ends in LF, and an empty last line is no line, so a quoted cell keeps
+    the line ends inside it."""
+    lines = iter(lines)
+    line = next(lines)
+    for following in lines:
+        yield line + "\n"
+        line = following
+    if line:
+        yield line
 
 
 def write_tagged(records: Iterable[RawRecord]) -> str:

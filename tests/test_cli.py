@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -607,8 +608,8 @@ def test_byte_order_mark_inputs_parse_like_plain_ones(tmp_path, name, fmt):
                                        ("records_malformed.txt", "tagged")])
 def test_library_and_ingest_parse_every_line_end_and_mark_alike(tmp_path, monkeypatch, name, fmt,
                                                                 newline, bom):
-    """parse_records of a file's bytes, of their text and ingest of the file
-    give the records and issues of the plain LF file."""
+    """parse_records of a file's bytes, of their text and the records ingest
+    streams from the file give the records and issues of the plain LF file."""
     expected = parse_records((DATA_DIR / name).read_text(encoding="utf-8"), fmt, source_name=name)
     assert expected[0]
     data = bom + (DATA_DIR / name).read_bytes().replace(b"\n", newline)
@@ -619,9 +620,16 @@ def test_library_and_ingest_parse_every_line_end_and_mark_alike(tmp_path, monkey
     path.parent.mkdir()
     path.write_bytes(data)
     parsed = []
-    parse = records_mod.parse_records
-    monkeypatch.setattr(records_mod, "parse_records", lambda *args, **kwargs: parsed.append(
-        parse(*args, **kwargs)) or parsed[-1])
+    stream = records_mod.iter_records
+
+    def spy(chunks, issues, *args, **kwargs):
+        streamed: list = []
+        parsed.append((streamed, issues))
+        for rec in stream(chunks, issues, *args, **kwargs):
+            streamed.append(rec)
+            yield rec
+
+    monkeypatch.setattr(records_mod, "iter_records", spy)
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(path), "--format", fmt]) == EXIT_OK
     assert parsed == [expected]
@@ -689,6 +697,74 @@ def _tagged_record(ut: str | None) -> str:
     return head + "DT Article\nPY 2001\nC1 Univ Oslo, Oslo, Norway\nER\nEF\n"
 
 
+# well over one 64 KiB read of valid records, so what follows them is met
+# in a later read than what precedes them
+_PADDING = "".join(f"PT J\nUT P{i}\nDT Article\nPY 2001\nC1 Univ Oslo, Oslo, Norway\nER\n"
+                   for i in range(2000)).encode("utf-8")
+
+
+def test_invalid_byte_after_ef_is_data_error_before_any_write(tmp_path, capsys):
+    path = tmp_path / "tail.txt"
+    path.write_bytes(_tagged_record("A1").encode("utf-8") + _PADDING + b"\xff\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(path) in err
+    assert not ws.exists()
+
+
+def test_ingest_digest_covers_the_text_after_ef(tmp_path):
+    digests, documents = [], []
+    for label, tail in (("plain", b""), ("tail", b"trailing notes\n" + _PADDING)):
+        path = tmp_path / label / "in.txt"
+        path.parent.mkdir()
+        path.write_bytes(_tagged_record("A1").encode("utf-8") + tail)
+        ws = tmp_path / f"ws-{label}"
+        assert main(["ingest", "--workspace", str(ws), "--input", str(path)]) == EXIT_OK
+        manifest = json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))
+        digests.append(manifest["stages"]["ingest"]["inputs"]["in.txt"])
+        assert digests[-1] == hashlib.sha256(path.read_bytes()).hexdigest(), label
+        documents.append((ws / "documents.jsonl").read_bytes())
+    assert digests[0] != digests[1]
+    assert documents[0] == documents[1]
+
+
+def test_strict_issue_before_an_invalid_byte_is_data_error(tmp_path, capsys):
+    path = tmp_path / "strict.txt"
+    path.write_bytes(b"stray line\n" + _PADDING + b"\xff\nEF\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--strict", "--input", str(path)]) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+    assert not ws.exists()
+
+
+def test_strict_issue_in_a_later_input_outranks_a_duplicate_id(tmp_path, capsys):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text(_tagged_record("A1"), encoding="utf-8")
+    second.write_text("stray line\n" + _tagged_record("A1"), encoding="utf-8")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--strict", "--input", str(first), str(second)]) == EXIT_PARSE
+    assert "second.txt: line 1: content outside any record" in capsys.readouterr().err
+    assert not ws.exists()
+
+
+def test_bad_year_line_numbers_after_continuations_and_reopened_records(tmp_path):
+    text = ("PT J\nUT A1\nTI a title\n   that runs on\nPY 20x1\nDT Article\nC1 Univ Oslo, Oslo, Norway\nER\n"
+            "PT J\nUT B1\nPY 1999\n"
+            "PT J\nUT B2\n   B2 runs on\nPY 19y9\nPY 2001\nDT Article\nC1 Univ Oslo, Oslo, Norway\nER\nEF\n")
+    expected = [(5, "bad year '20x1' in A1"), (12, "record not terminated by ER; span dropped"),
+                (15, "bad year '19y9' in B2")]
+    records, issues = parse_records(text, "tagged")
+    assert [r.record_id for r in records] == ["A1", "B2"]
+    assert [tuple(i) for i in issues] == expected
+    path = tmp_path / "years.txt"
+    path.write_text(text, encoding="utf-8")
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(path)]) == EXIT_OK
+    written = json.loads((ws / "parse-issues.json").read_text(encoding="utf-8"))
+    assert [(i["line_no"], i["message"]) for i in written] == expected
+
+
 @pytest.mark.parametrize("command", ["ingest", "run"])
 @pytest.mark.parametrize("case", ["no-ids", "distinct-ids", "same-file"])
 def test_inputs_sharing_a_file_name_are_config_errors_before_any_write(tmp_path, capsys, command, case):
@@ -720,6 +796,29 @@ def test_inputs_sharing_a_record_id_are_data_errors_before_any_write(tmp_path, c
     assert not ws.exists()
 
 
+def test_ingest_memory_stays_below_the_input_size(tmp_path):
+    """Ingest streams its input: its text, lines and records are read,
+    parsed and filtered a chunk at a time, so what it allocates at its peak
+    is less than the input's bytes."""
+    words = "collaboration network country map science "
+    path = tmp_path / "long-titles.txt"
+    path.write_text("".join(
+        f"PT J\nUT L{i}\nTI {i} {words * 48}\nDT Article\nPY 2001\nC1 Univ Oslo, Oslo, Norway\nER\n"
+        for i in range(2000)) + "EF\n", encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 4_000_000
+    ws = tmp_path / "ws"
+    tracemalloc.start()
+    try:
+        rc = main(["ingest", "--workspace", str(ws), "--input", str(path)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert json.loads((ws / "filter-report.json").read_text(encoding="utf-8"))["n_retained"] == 2000
+    assert peak < size, (peak, size)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case, code", [("ok", EXIT_OK), ("strict-parse-error", EXIT_PARSE),
                                         ("duplicate-id-across-inputs", EXIT_DATA)])
@@ -735,13 +834,13 @@ def test_ingest_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatc
             (tmp_path / name).write_text(_tagged_record("A1"), encoding="utf-8")
             flags.append(str(tmp_path / name))
     paused = []
-    parse = records_mod.parse_records
+    stream = records_mod.iter_records
 
     def spy(*args, **kwargs):
         paused.append(not gc.isenabled())
-        return parse(*args, **kwargs)
+        return stream(*args, **kwargs)
 
-    monkeypatch.setattr(records_mod, "parse_records", spy)
+    monkeypatch.setattr(records_mod, "iter_records", spy)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmap.corpus.filtering import filter_documents
-from collabmap.corpus.records import ParseIssue, RawRecord, parse_records, write_tagged
+from collabmap.corpus.records import ParseIssue, RawRecord, iter_records, parse_records, split_lines, write_tagged
 from collabmap.corpus.registry import Unrecognized, load_registry, resolve_country
 from collabmap.errors import ConfigError, ParseError
 
@@ -160,6 +160,91 @@ def test_bytes_with_byte_order_mark_parse_like_plain_text(name, fmt):
     records, issues = parse_records(data.decode("utf-8"), fmt)
     assert records
     assert parse_records(b"\xef\xbb\xbf" + data, fmt) == (records, issues)
+
+
+# ---------------------------------------------------------------------------
+# parsing a stream of chunks
+# ---------------------------------------------------------------------------
+
+# lines of each layout, with two-, three- and four-byte characters, a mark
+# that is not leading, blank lines and a quoted cell over two lines
+_STREAM_LINES = {
+    "tagged": [
+        "PT J", "PT J", "UT \u00c41", "UT A2", "TI \u00dcber die Grenzen \u6771\u4eac \U0001f600", "   weiter",
+        "DT Article", "DT Review", "PY 2011", "PY 2O11", "C1 Univ Z\u00fcrich, Z\u00fcrich, Switzerland",
+        "C1 Univ \u6771\u4eac, Tokyo, Japan", "ER", "ER", "EF", "", "stray \u2603", "\ufeffPT J",
+    ],
+    "delimited": [
+        "id,doc_type,year,addresses", 'A1,Article,2011,"Univ Z\u00fcrich, Switzerland"',
+        'A2,Review,20x1,"X, Japan; Y, \u6771\u4eac"', 'A3,Article,2011,"Univ Oslo', 'Oslo, Norway"', ",,,",
+        "a,b", "A4,Article,2011,Oslo \U0001f600, Norway", "", "\ufeffA5,Letter,2011,Oslo, Norway",
+    ],
+}
+
+
+def _cut(data, cuts):
+    """``data`` in pieces at the sorted ``cuts``; a repeated cut is an empty piece."""
+    bounds = [0, *sorted(cuts), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_streamed_chunks_parse_like_the_whole_bytes(data):
+    fmt = data.draw(st.sampled_from(sorted(_STREAM_LINES)))
+    lines = data.draw(st.lists(st.sampled_from(_STREAM_LINES[fmt]), max_size=14))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text.removesuffix(ends[-1] if ends else "")
+    if data.draw(st.booleans()):
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    # besides any cut: one after each CR, so inside a CRLF, and one inside
+    # each multibyte character, the byte-order mark among them
+    awkward = [i for i in range(1, len(raw)) if raw[i - 1] == 0x0D or 0x80 <= raw[i] < 0xC0] or [0]
+    cuts = data.draw(st.lists(st.one_of(st.integers(0, len(raw)), st.sampled_from(awkward)), max_size=10))
+    whole = parse_records(raw, fmt, source_name="stream")
+    issues: list[ParseIssue] = []
+    assert (list(iter_records(_cut(raw, cuts), issues, fmt, "stream")), issues) == whole
+    issues = []
+    text_cuts = [c * len(text) // max(len(raw), 1) for c in cuts]
+    assert (list(iter_records(_cut(text, text_cuts), issues, fmt, "stream")), issues) == whole
+    # the rule, stated on the whole text
+    lf_text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    assert list(split_lines(_cut(raw, cuts))) == lf_text.split("\n")
+    if fmt == "tagged":
+        assert whole == _parse_tagged(lf_text, "stream")
+    else:
+        assert whole == parse_records(lf_text, fmt, source_name="stream")
+
+
+@pytest.mark.parametrize("data, offset", [(b"PT J\n\xff\n", 5), (b"PT J\nTI Z\xc3", 9),
+                                          (b"\xef\xbb\xbfPT J\nTI \xe6\x9d\n", 11)],
+                         ids=["invalid-start", "truncated", "bad-continuation"])
+@pytest.mark.parametrize("size", [1, 2, 3, 64])
+def test_streamed_bytes_that_are_not_utf8_raise_at_their_offset(data, offset, size):
+    with pytest.raises(UnicodeDecodeError, match=f"at byte {offset} of the input"):
+        parse_records(data)
+    chunks = [data[i:i + size] for i in range(0, len(data), size)]
+    with pytest.raises(UnicodeDecodeError, match=f"at byte {offset} of the input"):
+        list(iter_records(chunks, []))
+
+
+def test_streamed_records_are_read_past_ef():
+    """A record stream reads its chunks to the end, after EF too."""
+    taken = []
+
+    def chunks():
+        for chunk in (b"PT J\nUT A1\nER\nEF\n", b"after the end\n", b"\xff"):
+            taken.append(chunk)
+            yield chunk
+
+    records = iter_records(chunks(), [])
+    assert next(records).record_id == "A1"
+    with pytest.raises(UnicodeDecodeError):
+        next(records)
+    assert len(taken) == 3
 
 
 # ---------------------------------------------------------------------------
