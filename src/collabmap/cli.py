@@ -326,9 +326,11 @@ class Workspace:
         into its place. If any step fails, put the originals back, remove
         the new files and the temporaries, and re-raise, so every file stays
         as it was. On success, remove the directories the deletions empty.
-        A target that is a directory, or below a file, is a ConfigError
-        before anything is written."""
+        Before anything is written, a path that could leave the workspace is
+        a DataError, and a target that is a directory, or below a file, is a
+        ConfigError."""
         for relpath in files:
+            _check_artifact_path(f"workspace {self.root}", relpath)
             _check_output_path("artifact", self.root / relpath, directory=False)
         staged: list[tuple[Path, Path]] = []
         moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
@@ -519,6 +521,13 @@ def _json_artifact(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def _check_artifact_path(where: str, relpath: str) -> None:
+    """Refuse an artifact path not in the form the writer gives: relative,
+    with no empty, "." or ".." part."""
+    if any(part in ("", ".", "..") for part in relpath.split("/")):
+        raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
+
+
 def update_manifest(
     ws: Workspace,
     stage: str,
@@ -547,9 +556,7 @@ def update_manifest(
             if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
                 raise DataError(f"{where}: {key} maps a name to a non-string")
         for relpath in entry["artifacts"]:
-            # the form the writer gives: relative, no empty, "." or ".." part
-            if any(part in ("", ".", "..") for part in relpath.split("/")):
-                raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
+            _check_artifact_path(where, relpath)
     own = {
         "config": config_view,
         "inputs": inputs,

@@ -14,13 +14,16 @@ ledger (with line numbers) and skipped. Strict mode raises on the first
 issue instead.
 
 ``iter_records`` parses a file that arrives in chunks, a record at a time,
-as ingest reads it; ``parse_records`` is that stream over one chunk.
+as ingest reads it; ``parse_records`` is that stream over one chunk. Bytes
+become lines by ``utf-8-sig`` decoding with universal newlines, as registry
+and ``--config`` files do; text input is encoded as UTF-8 first.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
 import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -102,56 +105,38 @@ def split_lines(chunks: Iterable[bytes | str]) -> Iterator[str]:
     One leading byte-order mark is dropped, and LF, CRLF or a lone CR ends
     a line, wherever the chunks are cut: inside a character, the mark or a
     CRLF. As with ``str.split``, the piece after the last line end is the
-    last line, even when it is empty.
+    last line, even when it is empty. Text is encoded as UTF-8 first, so a
+    lone surrogate raises UnicodeDecodeError like a byte that is not UTF-8.
     """
     # a list of lines per chunk, so the parsers' per-line loop resumes no generator
     return itertools.chain.from_iterable(_line_lists(chunks))
 
 
 def _line_lists(chunks: Iterable[bytes | str]) -> Iterator[list[str]]:
-    start = True  # no text met yet, so a byte-order mark may still come
-    held_cr = False  # the last text ended in a CR, which may start a CRLF
-    pending: list[str] = []  # the pieces of a line that has no end yet
-    for text in _decoded(chunks):
-        if start:
-            if not text:
-                continue
-            start = False
-            text = text.removeprefix("\ufeff")
-        if held_cr:
-            text = "\r" + text
-        held_cr = text.endswith("\r")
-        if held_cr:
-            text = text[:-1]
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        pending.append(lines[0])
-        if len(lines) > 1:
-            lines[0] = "".join(pending)
-            pending = [lines.pop()]
-            yield lines
-    last = "".join(pending)
-    # a CR that ends the input ends a line too
-    yield [last, ""] if held_cr else [last]
-
-
-def _decoded(chunks: Iterable[bytes | str]) -> Iterator[str]:
-    """The text of each chunk, bytes decoded strictly as UTF-8 across the cuts."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    # universal newlines over utf-8-sig hold what a cut splits: a character, the mark or a CRLF
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), True)
     fed = 0  # bytes decoded so far
+    pending: list[str] = []  # the pieces of a line that has no end yet
     try:
         for chunk in chunks:
-            if isinstance(chunk, str):
-                yield chunk
-            else:
-                fed += len(chunk)
-                yield decode(chunk)
-        yield decode(b"", True)
+            if isinstance(chunk, str):  # text cut anywhere encodes to the bytes of the whole
+                chunk = chunk.encode("utf-8", "surrogatepass")
+            fed += len(chunk)
+            lines = decoder.decode(chunk).split("\n")
+            pending.append(lines[0])
+            if len(lines) > 1:
+                lines[0] = "".join(pending)
+                pending = [lines.pop()]
+                yield lines
+        last = decoder.decode(b"", True)
+        # utf-8-sig holds, and never decodes, an input that ends inside a mark
+        codecs.utf_8_decode(decoder.getstate()[0], "strict", True)
     except UnicodeDecodeError as exc:
         # the decoder counts from the start of the bytes it holds
         exc.reason += f" at byte {fed - len(exc.object) + exc.start} of the input"
         raise
+    # a CR held at the end of the input ends a line too
+    yield ["".join(pending), ""] if last else ["".join(pending)]
 
 
 def _parse_tagged(lines: Iterable[str], source_name: str, issues: list[ParseIssue]) -> Iterator[RawRecord]:

@@ -17,13 +17,6 @@ from typing import NamedTuple
 
 from collabmap.errors import ConfigError
 
-# Last address token ending with " <key>" collapses to the mapped country.
-# Covers "Ithaca, NY 14853 USA" style lines where state and zip share the
-# final comma-separated token with the country.
-_TRAILING_COUNTRY_SUFFIXES = {
-    "USA": "USA",
-}
-
 # The four UK constituents must recode onto UK; the registry is rejected
 # otherwise because downstream counts would silently split the UK.
 _REQUIRED_UK_ALIASES = ("ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND")
@@ -55,6 +48,11 @@ class CountryRegistry(NamedTuple):
                 raise ConfigError(
                     f"registry: canonical name {name!r} holds a comma, quote, tab or line break"
                 )
+            # each name is the name of its directory under ego/
+            if name in (".", "..") or any(ch in name for ch in "/\\\0"):
+                raise ConfigError(
+                    f"registry: canonical name {name!r} is . or .., or holds a slash, backslash or NUL"
+                )
             if not -90.0 <= entry.latitude <= 90.0:
                 raise ConfigError(f"registry: latitude out of range for {name}")
             if not -180.0 <= entry.longitude <= 180.0:
@@ -84,10 +82,10 @@ def resolve_country(address_line: str, registry: CountryRegistry) -> str | Unrec
     token = _clean_token(address_line.rsplit(",", 1)[-1])
     if not token:
         return Unrecognized("")
-    for suffix, target in _TRAILING_COUNTRY_SUFFIXES.items():
-        if token == suffix or token.endswith(" " + suffix):
-            token = target
-            break
+    # a token ending in " USA" is USA: in "Ithaca, NY 14853 USA" style lines
+    # state and zip share the final comma-separated token with the country
+    if token.endswith(" USA"):
+        token = "USA"
     target = registry.aliases.get(token)
     if target is not None:
         return target

@@ -265,6 +265,24 @@ def test_registry_name_that_would_break_a_csv_row_is_config_error_before_any_wri
     assert not ws.exists()
 
 
+def test_registry_name_that_is_no_directory_name_is_config_error_before_any_write(tmp_path, capsys):
+    """Each country's ego map goes into ego/<name>/, so a registry name that
+    would lead that directory out of the workspace stops the run first."""
+    bundled = Path(registry_mod.__file__).parent / "data"
+    countries = tmp_path / "countries.csv"
+    countries.write_text((bundled / "countries.csv").read_text() + "../../,XXX,0.0,0.0\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text((DATA_DIR / "records_synth20.txt").read_text().replace("South Korea", "../../"))
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(tmp_path / "outer" / "ws"), "--input", str(corpus),
+                 "--registry", str(countries), "--focus", "../../"]) == EXIT_CONFIG
+    assert ("configuration error: registry: canonical name '../../' is . or .., or holds a slash, "
+            "backslash or NUL") in capsys.readouterr().err
+    assert tree_bytes(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "countries.csv"]
+
+
 @pytest.mark.parametrize("focus", ["", " ", "\t \n"])
 def test_blank_focus_is_config_error_before_any_write(tmp_path, net_workspace, corpus_file, capsys, focus):
     ws = tmp_path / "ws"
@@ -342,6 +360,24 @@ def test_failed_stage_leaves_no_partial_outputs(tmp_path, corpus_file):
     assert main(["ego", "--workspace", str(ws), "--focus", "NOWHERELAND"]) == EXIT_DATA
     assert tree_bytes(ws) == before
     assert not (ws / "ego").exists()
+
+
+def test_artifact_path_that_would_leave_the_workspace_is_data_error_before_any_write(tmp_path, capsys):
+    """A country of network.json names ego's directory, so one named
+    ../../X would send the ego map out of the workspace; the write is
+    refused before any file is made."""
+    ws = tmp_path / "outer" / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]) == EXIT_OK
+    network_json = ws / "network.json"
+    network_json.write_text(network_json.read_text(encoding="utf-8").replace('"COMOROS"', '"../../COMOROS"'),
+                            encoding="utf-8")
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(["ego", "--workspace", str(ws), "--focus", "../../COMOROS"]) == EXIT_DATA
+    assert (f"workspace {ws}: artifact 'ego/../../COMOROS/edges.csv' is not a path inside the workspace"
+            in capsys.readouterr().err)
+    assert tree_bytes(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.rglob("*") if ws not in (p, *p.parents)) == ["outer"]
 
 
 def test_failed_rerun_keeps_the_previous_state(tmp_path, corpus_file, monkeypatch):

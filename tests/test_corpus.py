@@ -220,8 +220,10 @@ def test_streamed_chunks_parse_like_the_whole_bytes(data):
 
 
 @pytest.mark.parametrize("data, offset", [(b"PT J\n\xff\n", 5), (b"PT J\nTI Z\xc3", 9),
-                                          (b"\xef\xbb\xbfPT J\nTI \xe6\x9d\n", 11)],
-                         ids=["invalid-start", "truncated", "bad-continuation"])
+                                          (b"\xef\xbb\xbfPT J\nTI \xe6\x9d\n", 11), (b"\xef\xbb", 0),
+                                          ("\ufeffPT J\nTI \ud800\n", 11)],
+                         ids=["invalid-start", "truncated", "bad-continuation", "truncated-mark",
+                              "text-lone-surrogate"])
 @pytest.mark.parametrize("size", [1, 2, 3, 64])
 def test_streamed_bytes_that_are_not_utf8_raise_at_their_offset(data, offset, size):
     with pytest.raises(UnicodeDecodeError, match=f"at byte {offset} of the input"):
@@ -312,17 +314,29 @@ def test_registry_rejects_alias_to_unknown(tmp_path):
         load_registry(countries, aliases)
 
 
-@pytest.mark.parametrize("name, valid", [
-    ("KOREA, REP", False),
-    ('KOREA "REP"', False),
-    ("KOREA\tREP", False),
-    ("KOREA\rREP", False),
-    ("KOREA\nREP", False),
-    ("KOREA (REP) & CO.; 'SOUTH'", True),
+_CSV_BREAK = "holds a comma, quote, tab or line break"
+_NOT_A_DIRECTORY = r"is \. or \.\., or holds a slash, backslash or NUL"
+
+
+@pytest.mark.parametrize("name, refusal", [
+    ("KOREA, REP", _CSV_BREAK),
+    ('KOREA "REP"', _CSV_BREAK),
+    ("KOREA\tREP", _CSV_BREAK),
+    ("KOREA\rREP", _CSV_BREAK),
+    ("KOREA\nREP", _CSV_BREAK),
+    ("KOREA/REP", _NOT_A_DIRECTORY),
+    ("../../", _NOT_A_DIRECTORY),
+    ("KOREA\\REP", _NOT_A_DIRECTORY),
+    ("KOREA\0REP", _NOT_A_DIRECTORY),
+    (".", _NOT_A_DIRECTORY),
+    ("..", _NOT_A_DIRECTORY),
+    ("KOREA (REP) & CO.; 'SOUTH'", None),
+    ("...", None),
 ])
-def test_registry_rejects_a_name_that_would_break_a_csv_row(tmp_path, name, valid):
+def test_registry_rejects_a_name_that_would_break_a_csv_row(tmp_path, name, refusal):
     """Every CSV and TSV artifact writes country names unquoted, so a name
-    holding a separator, a quote or a line break is refused at load."""
+    holding a separator, a quote or a line break is refused at load; so is
+    one that cannot be the name of its directory under ego/."""
     countries = tmp_path / "countries.csv"
     with open(countries, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([
@@ -332,11 +346,10 @@ def test_registry_rejects_a_name_that_would_break_a_csv_row(tmp_path, name, vali
         ])
     aliases = tmp_path / "aliases.csv"
     aliases.write_text("alias,canonical_name\nENGLAND,UK\nSCOTLAND,UK\nWALES,UK\nNORTH IRELAND,UK\n")
-    if valid:
+    if refusal is None:
         assert name in load_registry(countries, aliases).entries
     else:
-        message = r"^registry: canonical name .* holds a comma, quote, tab or line break$"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=rf"^registry: canonical name .* {refusal}$"):
             load_registry(countries, aliases)
 
 
