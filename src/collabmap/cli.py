@@ -1,11 +1,12 @@
 """Pipeline orchestration CLI.
 
 Each stage reads a workspace directory and returns the files it produces;
-``_run_stage`` alone writes them, so a stage that fails writes nothing. The
-monolithic ``run`` command and a chain of per-stage subcommands produce
-identical artifact trees. Every stage records its resolved configuration,
-input digests, and artifact digests in ``run-manifest.json``; nothing
-depends on wall-clock time, so repeated runs are byte-identical.
+``Workspace.commit`` writes one batch per command, ``run`` included, so a
+command that fails writes nothing. ``run`` and a chain of per-stage
+subcommands produce identical artifact trees. Every stage records its
+resolved configuration, input digests, and artifact digests in
+``run-manifest.json``; nothing depends on wall-clock time, so repeated runs
+are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 parse error (strict
 mode), 4 data error.
@@ -308,17 +309,34 @@ def layout_components(
 
 
 class Workspace:
-    """The artifact directory that stages read from and _run_stage writes to."""
+    """The artifact directory that stages read from and commit() writes to."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         # the running stage's reads: workspace path, or input file name -> sha256
-        # of what was read; _run_stage clears it and records it in the manifest
+        # of what was read; commit() records them in the stage's manifest entry
         self.inputs: dict[str, str] = {}
+        # the files that the stages of the batch being computed made, by relative path
+        self._batch: dict[str, str] = {}
         # (sha256 of network.json's text, the network it holds), once read or handed on
         self._network: tuple[str, network.CoauthNetwork] | None = None
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
+
+    def commit(self, stages: list[str], cfg: RunConfig, fresh: bool = False) -> None:
+        """Compute the stages in turn into one batch, whose files the later
+        ones read, then write it with every stage's manifest entry in one
+        write_files call; update_manifest says what ``fresh`` deletes."""
+        entries, self._batch = {}, {}
+        for stage in stages:
+            self.inputs = {}
+            files = _STAGE_FUNCS[stage](cfg, self)
+            self._batch.update(files)
+            entries[stage] = {"config": cfg.stage_view(stage), "inputs": self.inputs,
+                              "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()}}
+        files, self._batch, self.inputs = self._batch, {}, {}  # the manifest read next is no input
+        manifest, stale = update_manifest(self, entries, fresh)
+        self.write_files({**files, MANIFEST_NAME: manifest}, stale)
 
     def write_files(self, files: dict[str, str], delete: list[str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
@@ -326,12 +344,10 @@ class Workspace:
         into its place. If any step fails, put the originals back, remove
         the new files and the temporaries, and re-raise, so every file stays
         as it was. On success, remove the directories the deletions empty.
-        Before anything is written, a path that could leave the workspace is
-        a DataError, and a target that is a directory, or below a file, is a
-        ConfigError."""
-        for relpath in files:
-            _check_artifact_path(f"workspace {self.root}", relpath)
-            _check_output_path("artifact", self.root / relpath, directory=False)
+        Before anything is written, _check_artifact_path holds every
+        deletion and every target to the one write rule."""
+        for relpath in [*delete, *files]:
+            _check_artifact_path(self.root, f"workspace {self.root}", relpath, target=relpath in files)
         staged: list[tuple[Path, Path]] = []
         moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
         try:
@@ -373,17 +389,20 @@ class Workspace:
                     break
 
     def read_text(self, relpath: str) -> str:
-        """The text of a workspace file, decoded as UTF-8 with its line ends
-        as they are; the sha256 of its bytes is recorded as an input."""
-        path = self.root / relpath
-        if not path.is_file():
-            raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
-        raw = path.read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
-        self.inputs[relpath] = hashlib.sha256(raw).hexdigest()
+        """The text of a workspace file, from the batch if a stage in it made
+        the file, else decoded as UTF-8 with its line ends as they are; the
+        sha256 of its bytes, as its producer records it, is an input."""
+        text = self._batch.get(relpath)
+        if text is None:
+            path = self.root / relpath
+            if not path.is_file():
+                raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
+            try:
+                text = path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
+        # strict UTF-8 decodes and encodes back to the same bytes
+        self.inputs[relpath] = _sha256_text(text)
         return text
 
     def input_chunks(self, path: Path) -> Iterator[bytes]:
@@ -398,7 +417,7 @@ class Workspace:
 
     def keep_network(self, text: str, net: network.CoauthNetwork) -> None:
         """Keep ``net``, the network of the network.json text ``text``, for
-        network(), which uses it only while the file on disk holds that text."""
+        network(), which uses it only while the file holds that text."""
         self._network = (_sha256_text(text), net)
 
     def network(self) -> network.CoauthNetwork:
@@ -521,25 +540,23 @@ def _json_artifact(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _check_artifact_path(where: str, relpath: str) -> None:
-    """Refuse an artifact path not in the form the writer gives: relative,
-    with no empty, "." or ".." part."""
-    if any(part in ("", ".", "..") for part in relpath.split("/")):
+def _check_artifact_path(root: Path, where: str, relpath: str, target: bool = False) -> None:
+    """The one rule for an artifact path written, deleted or listed: relative
+    to ``root``, with no empty, "." or ".." part, and led out by no symbolic
+    link, or a DataError; a ``target`` that is a directory, or lies below a
+    file, is a ConfigError."""
+    path = root / relpath
+    if (any(part in ("", ".", "..") for part in relpath.split("/"))
+            or not path.resolve().is_relative_to(root.resolve())):
         raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
+    if target:
+        _check_output_path("artifact", path, directory=False)
 
 
-def update_manifest(
-    ws: Workspace,
-    stage: str,
-    config_view: dict,
-    inputs: dict[str, str],
-    files: dict[str, str],
-    fresh: bool,
-) -> tuple[str, list[str]]:
-    """The text of the workspace's manifest with the stage's entry replaced,
-    and the artifacts to delete with it. A fresh manifest holds the stage's
-    entry alone, and every artifact the old one lists that ``files`` does
-    not rewrite is to be deleted, so no entry outlives the run that made it."""
+def update_manifest(ws: Workspace, entries: dict[str, dict], fresh: bool) -> tuple[str, list[str]]:
+    """The workspace's manifest with the batch's entries replaced, and the
+    artifacts to delete with it: for a ``fresh`` batch, which it lists alone,
+    every artifact the old one lists that the batch does not rewrite."""
     manifest = {"stages": {}}
     if (ws.root / MANIFEST_NAME).is_file():
         manifest = _json_object(MANIFEST_NAME, ws.read_text(MANIFEST_NAME))
@@ -556,23 +573,13 @@ def update_manifest(
             if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
                 raise DataError(f"{where}: {key} maps a name to a non-string")
         for relpath in entry["artifacts"]:
-            _check_artifact_path(where, relpath)
-    own = {
-        "config": config_view,
-        "inputs": inputs,
-        "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()},
-    }
+            _check_artifact_path(ws.root, where, relpath)
     if not fresh:
-        stages[stage] = own
+        stages.update(entries)
         return _json_dumps(manifest), []
     stale = {relpath for old in stages.values() for relpath in old["artifacts"]}
-    stale -= files.keys() | {MANIFEST_NAME}
-    root = ws.root.resolve()
-    for relpath in stale:
-        # a symbolic link on the way must not lead the deletion out of the workspace
-        if not (root / relpath).resolve().is_relative_to(root):
-            raise DataError(f"{MANIFEST_NAME}: artifact {relpath!r} is not a path inside the workspace")
-    return _json_dumps({"stages": {stage: own}}), sorted(stale)
+    stale -= {relpath for entry in entries.values() for relpath in entry["artifacts"]} | {MANIFEST_NAME}
+    return _json_dumps({"stages": entries}), sorted(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -939,19 +946,12 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
     if cfg.ego_focus:
         stages.append("ego")
     stages.append("export")
-    for stage in stages:
-        # ingest's batch also deletes what an earlier run left and this one does not remake
-        _run_stage(stage, cfg, ws, fresh=stage == "ingest")
+    # one batch, which also deletes what an earlier run left and this one does not remake
+    ws.commit(stages, cfg, fresh=True)
 
 
-def _run_stage(stage: str, cfg: RunConfig, ws: Workspace, fresh: bool = False) -> None:
-    ws.inputs.clear()
-    files = _STAGE_FUNCS[stage](cfg, ws)
-    # copied before update_manifest reads the manifest, which is no input
-    inputs = dict(ws.inputs)
-    manifest, stale = update_manifest(ws, stage, cfg.stage_view(stage), inputs, files, fresh)
-    # one batch, so the files and the manifest that lists them change together
-    ws.write_files({**files, MANIFEST_NAME: manifest}, stale)
+def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
+    ws.commit([stage], cfg)
 
 
 # ---------------------------------------------------------------------------

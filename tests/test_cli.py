@@ -530,6 +530,24 @@ def test_failed_move_in_a_run_keeps_the_stages_it_would_delete(tmp_path, monkeyp
     assert tree_dirs(ws) == dirs
 
 
+def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
+    """A deletion that a symbolic link leads out of the workspace is refused
+    as such a target is, before anything is written, moved or deleted."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "victim.txt").write_text("keep me\n")
+    ws = Workspace(tmp_path / "ws")
+    ws.root.mkdir()
+    (ws.root / "link").symlink_to(outside, target_is_directory=True)
+    for files, delete, named in (({"a.txt": "x"}, ["link/victim.txt"], "link/victim.txt"),
+                                 ({"a.txt": "x", "link/b.txt": "x"}, [], "link/b.txt")):
+        with pytest.raises(DataError, match=f"artifact '{named}' is not a path inside the workspace"):
+            ws.write_files(files, delete)
+        assert os.listdir(ws.root) == ["link"]
+        assert os.listdir(outside) == ["victim.txt"]
+    assert (outside / "victim.txt").read_text() == "keep me\n"
+
+
 @pytest.mark.parametrize("relpath", ["{victim}", "../outside/victim.txt", "core/../../outside/victim.txt",
                                      "./counts.csv", "", "link/victim.txt"])
 def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys, relpath):
@@ -552,6 +570,25 @@ def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys,
     assert f"artifact {relpath!r} is not a path inside the workspace" in capsys.readouterr().err
     assert tree_bytes(ws) == before
     assert victim.read_text() == "keep me\n"
+
+
+def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int) -> str:
+    """The one line a collabmap command prints when it exits with ``code``
+    in a fresh interpreter, where an uncaught error would show as a
+    traceback and exit 1; the command must change nothing under tmp_path."""
+
+    def snapshot() -> dict[Path, bytes | None]:
+        return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+
+    before = snapshot()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "collabmap.cli", *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert snapshot() == before
+    return line
 
 
 @pytest.mark.parametrize("case", ["registry-missing", "aliases-missing", "registry-not-utf8",
@@ -592,19 +629,51 @@ def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp
             assert main(argv) == EXIT_OK
             named.unlink()
             named.mkdir()
-
-    def snapshot() -> dict[Path, bytes | None]:
-        return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
-
-    before = snapshot()
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "collabmap.cli", *argv],
-                          capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.splitlines()
+    line = refused_in_a_fresh_interpreter(tmp_path, argv, EXIT_CONFIG)
     assert line.startswith("collabmap: configuration error: ") and str(named) in line, line
-    assert snapshot() == before
+
+
+def test_run_refuses_a_late_stage_s_artifact_path_before_any_stage_writes(tmp_path):
+    """A run is one batch, so the core/ that a file blocks is refused before
+    ingest, summary, net or geo write, in a workspace that is empty but for
+    that file and in one that holds an earlier run."""
+    ws = tmp_path / "ws"
+    run = ["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]
+    ws.mkdir()
+    for earlier in (False, True):
+        if earlier:
+            (ws / "core").unlink()
+            assert main(run) == EXIT_OK
+        (ws / "core").write_text("x")
+        line = refused_in_a_fresh_interpreter(tmp_path, run + ["--core-k", "2"], EXIT_CONFIG)
+        assert str(ws / "core") in line, line
+
+
+def test_run_with_a_focus_not_in_the_network_keeps_the_previous_run(tmp_path):
+    """A data error in run's ego stage comes after ingest, summary, net, geo
+    and core have computed, and leaves the previous run's ego map, report and
+    manifest in place."""
+    ws = tmp_path / "ws"
+    run = ["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2"]
+    assert main(run + ["--focus", "USA"]) == EXIT_OK
+    line = refused_in_a_fresh_interpreter(tmp_path, run + ["--focus", "NOWHERELAND"], EXIT_DATA)
+    assert line == "collabmap: error: unknown focus country: 'NOWHERELAND'"
+
+
+@pytest.mark.parametrize("command", [["ego"], ["run", "--input", str(DATA_DIR / "records_synth20.txt")]])
+def test_artifact_path_through_a_link_out_of_the_workspace_is_data_error_before_any_write(tmp_path, command):
+    """A symbolic link inside the workspace that leads out of it is refused
+    for a write as for a deletion: nothing is written through it."""
+    ws, outside = tmp_path / "ws", tmp_path / "outside"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]) == EXIT_OK
+    outside.mkdir()
+    (ws / "ego").mkdir()
+    (ws / "ego" / "COMOROS").symlink_to(Path("..", "..", "outside"), target_is_directory=True)
+    argv = [command[0], "--workspace", str(ws), *command[1:], "--focus", "COMOROS"]
+    line = refused_in_a_fresh_interpreter(tmp_path, argv, EXIT_DATA)
+    assert line == (f"collabmap: error: workspace {ws}: artifact 'ego/COMOROS/edges.csv' "
+                    "is not a path inside the workspace")
+    assert not any(outside.iterdir())
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
@@ -1237,7 +1306,8 @@ def test_summary_of_documents_and_network_of_different_corpora_is_data_error(tmp
 
 def test_zero_documents_ingest_and_every_network_reader_exits_4(tmp_path, capsys):
     """ingest keeps zero documents as an empty network; every stage that
-    reads the network then refuses it, writing nothing."""
+    reads the network then refuses it, writing nothing, and so does run,
+    whose ingest is in the same batch."""
     dropped = tmp_path / "dropped.txt"
     dropped.write_text("PT J\nUT X1\nDT Meeting Abstract\nPY 2001\n"
                        "C1 Univ Zurich, Zurich, Switzerland\nER\nEF\n", encoding="utf-8")
@@ -1250,10 +1320,11 @@ def test_zero_documents_ingest_and_every_network_reader_exits_4(tmp_path, capsys
         capsys.readouterr()
         assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == EXIT_DATA, argv
         assert "error: network.json: the network has no countries" in capsys.readouterr().err, argv
+    assert main(["run", "--workspace", str(ws), "--input", str(dropped)]) == EXIT_DATA
     assert tree_bytes(ws) == before
     run = tmp_path / "run"
     assert main(["run", "--workspace", str(run), "--input", str(dropped)]) == EXIT_DATA
-    assert tree_bytes(run) == before
+    assert not run.exists()
 
 
 def test_unknown_list_countries_warn_on_one_plain_line_each(tmp_path, corpus_file, capsys):
