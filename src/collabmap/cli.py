@@ -6,7 +6,8 @@ command that fails writes nothing. ``run`` and a chain of per-stage
 subcommands produce identical artifact trees. Every stage records its
 resolved configuration, input digests, and artifact digests in
 ``run-manifest.json``; nothing depends on wall-clock time, so repeated runs
-are byte-identical.
+are byte-identical. A command reads that manifest before its first stage
+computes, and a stage refuses a file read from disk that it does not vouch for.
 
 Exit codes: 0 success, 2 configuration error, 3 parse error (strict
 mode), 4 data error.
@@ -15,6 +16,7 @@ mode), 4 data error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -313,30 +315,53 @@ class Workspace:
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        self.record: dict = {"stages": {}}  # run-manifest.json, once read_record() has read it
         # the running stage's reads: workspace path, or input file name -> sha256
         # of what was read; commit() records them in the stage's manifest entry
         self.inputs: dict[str, str] = {}
         # the files that the stages of the batch being computed made, by relative path
         self._batch: dict[str, str] = {}
-        # (sha256 of network.json's text, the network it holds), once read or handed on
-        self._network: tuple[str, network.CoauthNetwork] | None = None
+        # the network of the current commit's network.json, once read or handed on
+        self._network: network.CoauthNetwork | None = None
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
 
     def commit(self, stages: list[str], cfg: RunConfig, fresh: bool = False) -> None:
-        """Compute the stages in turn into one batch, whose files the later
-        ones read, then write it with every stage's manifest entry in one
-        write_files call; update_manifest says what ``fresh`` deletes."""
-        entries, self._batch = {}, {}
+        """Read the record, compute the stages in turn into one batch whose
+        files the later ones read, and write it with every stage's manifest
+        entry in one write_files call; update_manifest says what ``fresh`` deletes."""
+        self.read_record()
+        entries, self._batch, self._network = {}, {}, None
         for stage in stages:
             self.inputs = {}
             files = _STAGE_FUNCS[stage](cfg, self)
             self._batch.update(files)
             entries[stage] = {"config": cfg.stage_view(stage), "inputs": self.inputs,
                               "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()}}
-        files, self._batch, self.inputs = self._batch, {}, {}  # the manifest read next is no input
-        manifest, stale = update_manifest(self, entries, fresh)
-        self.write_files({**files, MANIFEST_NAME: manifest}, stale)
+        manifest, stale = update_manifest(self.record, entries, fresh)
+        self.write_files({**self._batch, MANIFEST_NAME: manifest}, stale)
+
+    def read_record(self) -> None:
+        """Read run-manifest.json, or no stages if there is none, into ``record``: a DataError
+        unless each entry holds config, inputs and artifacts, each under _check_artifact_path."""
+        path, record = self.root / MANIFEST_NAME, {"stages": {}}
+        if path.is_file():
+            record = _json_object(MANIFEST_NAME, _utf8(MANIFEST_NAME, path.read_bytes()))
+        stages = record.setdefault("stages", {})
+        if not isinstance(stages, dict):
+            raise DataError(f"{MANIFEST_NAME}: stages is not a JSON object")
+        for name, entry in stages.items():
+            where = f"{MANIFEST_NAME}: stage {name!r}"
+            if not isinstance(entry, dict):
+                raise DataError(f"{where} is not a JSON object")
+            for key in ("config", "inputs", "artifacts"):
+                if not isinstance(entry.get(key), dict):
+                    raise DataError(f"{where}: {key} is not a JSON object")
+                if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
+                    raise DataError(f"{where}: {key} maps a name to a non-string")
+            for relpath in entry["artifacts"]:
+                _check_artifact_path(self.root, where, relpath)
+        self.record = record
 
     def write_files(self, files: dict[str, str], delete: list[str]) -> None:
         """Write each relative path's text to a temporary sibling, then move
@@ -388,22 +413,45 @@ class Workspace:
                 except OSError:  # not empty, or not there
                     break
 
-    def read_text(self, relpath: str) -> str:
-        """The text of a workspace file, from the batch if a stage in it made
-        the file, else decoded as UTF-8 with its line ends as they are; the
-        sha256 of its bytes, as its producer records it, is an input."""
+    def read_text(self, relpath: str, maker: str) -> str:
+        """The text of a workspace file that the stage ``maker`` makes, from the batch if a
+        stage in it made the file, else from disk once _check_current vouches for its bytes,
+        decoded as UTF-8 with its line ends as they are; their sha256 is an input."""
         text = self._batch.get(relpath)
-        if text is None:
-            path = self.root / relpath
-            if not path.is_file():
-                raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
-            try:
-                text = path.read_bytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
-        # strict UTF-8 decodes and encodes back to the same bytes
-        self.inputs[relpath] = _sha256_text(text)
-        return text
+        if text is not None:
+            self.inputs[relpath] = _sha256_text(text)
+            return text
+        path = self.root / relpath
+        if not path.is_file():
+            raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
+        data = path.read_bytes()
+        self.inputs[relpath] = digest = hashlib.sha256(data).hexdigest()
+        self._check_current(relpath, digest, maker)
+        return _utf8(relpath, data)
+
+    def _check_current(self, relpath: str, digest: str, maker: str) -> None:
+        """Refuse a file read from disk that the record does not vouch for: the stage that
+        lists it must list ``digest``, and every workspace file that stage read must still be
+        what its own producer lists, and so on down to ingest, whose inputs are outside files.
+        The DataError names the file and the stage to run again."""
+        stages = self.record["stages"]
+        producers = {path: stage for stage, entry in stages.items() for path in entry["artifacts"]}
+        producer = producers.get(relpath)
+        if producer is None or stages[producer]["artifacts"][relpath] != digest:
+            raise DataError(f"{relpath}: not the file that {MANIFEST_NAME} lists; run {maker} again")
+        pending, seen = [producer], {producer}
+        while pending:
+            stage = pending.pop()
+            if stage == "ingest":
+                continue
+            for path, read in stages[stage]["inputs"].items():
+                producer = producers.get(path)
+                if producer is None or stages[producer]["artifacts"][path] != read:
+                    raise DataError(f"{relpath}: {stage} made it from a {path} that {MANIFEST_NAME} "
+                                    f"no longer lists; run {stage} again")
+                if producer not in seen:
+                    seen.add(producer)
+                    pending.append(producer)
 
     def input_chunks(self, path: Path) -> Iterator[bytes]:
         """An input file's bytes, READ_SIZE at a time; once the last is
@@ -415,25 +463,21 @@ class Workspace:
                 yield chunk
         self.inputs[path.name] = digest.hexdigest()
 
-    def keep_network(self, text: str, net: network.CoauthNetwork) -> None:
-        """Keep ``net``, the network of the network.json text ``text``, for
-        network(), which uses it only while the file holds that text."""
-        self._network = (_sha256_text(text), net)
+    def keep_network(self, net: network.CoauthNetwork) -> None:
+        """Hand on ``net``, the network of the network.json this commit makes."""
+        self._network = net
 
     def network(self) -> network.CoauthNetwork:
-        """The network of network.json, reused while the file's digest holds;
-        a network without countries, which ingest writes for zero documents,
-        is a DataError."""
+        """The network of network.json, parsed at most once per commit; one
+        without countries, which ingest writes for zero documents, is a DataError."""
         from collabmap import network
 
-        text = self.read_text("network.json")
-        digest = self.inputs["network.json"]
-        if self._network is None or self._network[0] != digest:
-            self._network = (digest, network.load_network(text))
-        net = self._network[1]
-        if not net.nodes:
+        text = self.read_text("network.json", "ingest")
+        if self._network is None:
+            self._network = network.load_network(text)
+        if not self._network.nodes:
             raise DataError("network.json: the network has no countries; ingest retained no documents")
-        return net
+        return self._network
 
     def layout(self, nodes: list[str], edges: dict[tuple[str, str], float], cfg: LayoutConfig) -> Layout:
         """``layout_components(nodes, edges, cfg)``, computed once for each
@@ -448,6 +492,14 @@ class Workspace:
         return layout
 
 
+def _utf8(relpath: str, data: bytes) -> str:
+    """The text of a workspace file's bytes, which are UTF-8 or a DataError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
+
+
 def _json_object(relpath: str, text: str) -> dict:
     """The JSON object that the text of ``relpath`` holds; text that is not
     one is a DataError that names the file."""
@@ -460,11 +512,13 @@ def _json_object(relpath: str, text: str) -> dict:
     return obj
 
 
-def _read_intermediate(ws: Workspace, relpath: str, fields: tuple[str, ...], **convert: Callable) -> dict:
-    """The JSON object of an intermediate whose keys are ``fields``, each
-    one named in ``convert`` parsed back from its JSON form. A file that is
-    not such an object is a DataError that names the file."""
-    obj = _json_object(relpath, ws.read_text(relpath))
+def _read_intermediate(ws: Workspace, relpath: str, maker: str, fields: tuple[str, ...],
+                       **convert: Callable) -> dict:
+    """The JSON object of an intermediate that the stage ``maker`` makes,
+    whose keys are ``fields``, each one named in ``convert`` parsed back
+    from its JSON form. A file that is not such an object is a DataError
+    that names the file."""
+    obj = _json_object(relpath, ws.read_text(relpath, maker))
     names = set(fields)
     unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
     if unknown or missing:
@@ -543,41 +597,33 @@ def _json_artifact(obj) -> str:
 def _check_artifact_path(root: Path, where: str, relpath: str, target: bool = False) -> None:
     """The one rule for an artifact path written, deleted or listed: relative
     to ``root``, with no empty, "." or ".." part, and led out by no symbolic
-    link, or a DataError; a ``target`` that is a directory, or lies below a
-    file, is a ConfigError."""
+    link, nor through a loop of them, or a DataError; a ``target`` that is
+    a directory, or lies below a file, is a ConfigError."""
     path = root / relpath
     if (any(part in ("", ".", "..") for part in relpath.split("/"))
-            or not path.resolve().is_relative_to(root.resolve())):
+            or _link_loop(path) or not path.resolve().is_relative_to(root.resolve())):
         raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
     if target:
         _check_output_path("artifact", path, directory=False)
 
 
-def update_manifest(ws: Workspace, entries: dict[str, dict], fresh: bool) -> tuple[str, list[str]]:
-    """The workspace's manifest with the batch's entries replaced, and the
-    artifacts to delete with it: for a ``fresh`` batch, which it lists alone,
-    every artifact the old one lists that the batch does not rewrite."""
-    manifest = {"stages": {}}
-    if (ws.root / MANIFEST_NAME).is_file():
-        manifest = _json_object(MANIFEST_NAME, ws.read_text(MANIFEST_NAME))
-    stages = manifest.setdefault("stages", {})
-    if not isinstance(stages, dict):
-        raise DataError(f"{MANIFEST_NAME}: stages is not a JSON object")
-    for name, entry in stages.items():
-        where = f"{MANIFEST_NAME}: stage {name!r}"
-        if not isinstance(entry, dict):
-            raise DataError(f"{where} is not a JSON object")
-        for key in ("config", "inputs", "artifacts"):
-            if not isinstance(entry.get(key), dict):
-                raise DataError(f"{where}: {key} is not a JSON object")
-            if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
-                raise DataError(f"{where}: {key} maps a name to a non-string")
-        for relpath in entry["artifacts"]:
-            _check_artifact_path(ws.root, where, relpath)
+def _link_loop(path: Path) -> bool:
+    """Whether a loop of symbolic links lies on ``path``: resolve() raises
+    RuntimeError for one before Python 3.13 and returns the loop after."""
+    try:
+        path.stat()
+    except OSError as exc:
+        return exc.errno == errno.ELOOP
+    return False
+
+
+def update_manifest(record: dict, entries: dict[str, dict], fresh: bool) -> tuple[str, list[str]]:
+    """The text of the manifest ``record`` with the batch's entries replaced, and the artifacts
+    to delete with it: for a ``fresh`` batch, which it lists alone, every artifact the record
+    lists that the batch does not rewrite."""
     if not fresh:
-        stages.update(entries)
-        return _json_dumps(manifest), []
-    stale = {relpath for old in stages.values() for relpath in old["artifacts"]}
+        return _json_dumps({**record, "stages": {**record["stages"], **entries}}), []
+    stale = {relpath for old in record["stages"].values() for relpath in old["artifacts"]}
     stale -= {relpath for entry in entries.values() for relpath in entry["artifacts"]} | {MANIFEST_NAME}
     return _json_dumps({"stages": entries}), sorted(stale)
 
@@ -743,13 +789,12 @@ def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
         _input_records(cfg, ws, all_issues), cfg.registry, cfg.type_synonyms
     )
     net = network.build_coauth_network(documents)
-    network_text = network.network_json(net)
-    ws.keep_network(network_text, net)
+    ws.keep_network(net)
     return {
         "documents.jsonl": documents_jsonl(documents),
         "filter-report.json": _json_artifact(report.as_dict()),
         "parse-issues.json": _json_artifact(all_issues),
-        "network.json": network_text,
+        "network.json": network.network_json(net),
     }
 
 
@@ -787,7 +832,7 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
     net = ws.network()
     tallies = _read_intermediate(
-        ws, "filter-report.json", filtering.FilterReport._fields, per_type=_type_tally,
+        ws, "filter-report.json", "ingest", filtering.FilterReport._fields, per_type=_type_tally,
         **_counts(filtering.FilterReport._fields),
     )
     _check_tallies("filter-report.json", tallies, "n_retained")
@@ -883,7 +928,7 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
     # every count, named n_..., goes into report.json as it is read
     summary = _read_intermediate(
-        ws, "summary.json", counting.CorpusSummary._fields, per_type=_type_tally,
+        ws, "summary.json", "summary", counting.CorpusSummary._fields, per_type=_type_tally,
         **_counts(counting.CorpusSummary._fields),
     )
     _check_tallies("summary.json", summary, "n_documents")
@@ -899,7 +944,7 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
                             f"not {count}/{total} over a positive {total}")
         summary[share] = Fraction(summary[count], summary[total])
     stats = _read_intermediate(
-        ws, "thresholded/stats.json", network.NetworkStats._fields,
+        ws, "thresholded/stats.json", "net", network.NetworkStats._fields,
         **{**dict.fromkeys(network.NetworkStats._fields, _count), "degree_histogram": _histogram},
     )
     histogram = stats["degree_histogram"]
@@ -914,7 +959,7 @@ def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
         country = cfg.ego_focus.strip().upper()
         focus_path = f"ego/{country}/focus.json"
         read = _read_intermediate(
-            ws, focus_path, report_export.FOCUS_FIELDS,
+            ws, focus_path, "ego", report_export.FOCUS_FIELDS,
             integer_papers=_count, fractional_papers=network.positive_ratio,
         )
         focus = report_export.focus_dict(country, read["integer_papers"], read["fractional_papers"])
@@ -948,10 +993,6 @@ def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
     stages.append("export")
     # one batch, which also deletes what an earlier run left and this one does not remake
     ws.commit(stages, cfg, fresh=True)
-
-
-def _run_stage(stage: str, cfg: RunConfig, ws: Workspace) -> None:
-    ws.commit([stage], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1117,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "run":
                 run_pipeline(cfg, ws)
             else:
-                _run_stage(args.command, cfg, ws)
+                ws.commit([args.command], cfg)
             return EXIT_OK
         except ParseError as exc:
             print(f"collabmap: parse error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,14 @@ from collabmap.network import CoauthNetwork, NodeInfo, connected_components
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def starts(python: str) -> bool:
+    """Whether the interpreter ``python`` runs at all."""
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+    except OSError:
+        return False
 
 
 @pytest.fixture(scope="session")

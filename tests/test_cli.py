@@ -28,7 +28,6 @@ from collabmap.cli import (
     RunConfig,
     Workspace,
     _STAGE_FUNCS,
-    _run_stage,
     build_parser,
     config_from_args,
     main,
@@ -36,7 +35,7 @@ from collabmap.cli import (
 from collabmap.errors import DataError
 from collabmap.exports import vosviewer
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, starts
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -66,6 +65,18 @@ def focus_country(ws: Path) -> str:
     lines = (ws / "network" / "nodes.csv").read_text().splitlines()[1:]
     by_degree = sorted(lines, key=lambda line: (-int(line.split(",")[3]), line.split(",")[0]))
     return by_degree[0].split(",")[0]
+
+
+def rewrite_vouched(ws: Path, relpath: str, data: bytes) -> None:
+    """Write ``data`` to the workspace file ``relpath`` and its sha256 into
+    the manifest entry that lists it, as if its producer had written it, so
+    a stage that reads the file gets past the stale-input check to its own."""
+    (ws / relpath).write_bytes(data)
+    record = ws / "run-manifest.json"
+    manifest = json.loads(record.read_text(encoding="utf-8"))
+    [entry] = [entry for entry in manifest["stages"].values() if relpath in entry["artifacts"]]
+    entry["artifacts"][relpath] = hashlib.sha256(data).hexdigest()
+    record.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +379,8 @@ def test_artifact_path_that_would_leave_the_workspace_is_data_error_before_any_w
     refused before any file is made."""
     ws = tmp_path / "outer" / "ws"
     assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]) == EXIT_OK
-    network_json = ws / "network.json"
-    network_json.write_text(network_json.read_text(encoding="utf-8").replace('"COMOROS"', '"../../COMOROS"'),
-                            encoding="utf-8")
+    text = (ws / "network.json").read_text(encoding="utf-8")
+    rewrite_vouched(ws, "network.json", text.replace('"COMOROS"', '"../../COMOROS"').encode())
     before = tree_bytes(tmp_path)
     capsys.readouterr()
     assert main(["ego", "--workspace", str(ws), "--focus", "../../COMOROS"]) == EXIT_DATA
@@ -413,7 +423,7 @@ def test_failed_write_keeps_the_previous_files(tmp_path, corpus_file, monkeypatc
     """A rerun whose second write fails leaves the good files of the run
     before it, and the manifest that lists them, byte-identical."""
     ws = Workspace(tmp_path / "ws")
-    _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+    ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
     before = tree_bytes(ws.root)
     write = Path.write_text
     written = []
@@ -426,7 +436,7 @@ def test_failed_write_keeps_the_previous_files(tmp_path, corpus_file, monkeypatc
 
     monkeypatch.setattr(Path, "write_text", write_until_second)
     with pytest.raises(type(error)):
-        _run_stage("ingest", RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]), ws)
+        ws.commit(["ingest"], RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]))
     assert written == ["documents.jsonl.tmp", "filter-report.json.tmp"]
     assert tree_bytes(ws.root) == before
 
@@ -442,7 +452,7 @@ def test_failed_move_restores_the_files_and_the_manifest(tmp_path, corpus_file, 
     moves succeeded, puts back every original and leaves no new file."""
     ws = Workspace(tmp_path / "ws")
     if not fresh:
-        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+        ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
     before = tree_bytes(ws.root)
     replace = os.replace
     placed = []
@@ -456,7 +466,7 @@ def test_failed_move_restores_the_files_and_the_manifest(tmp_path, corpus_file, 
 
     monkeypatch.setattr(os, "replace", fail_on_the_move_into)
     with pytest.raises(OSError, match="rename failed"):
-        _run_stage("ingest", RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]), ws)
+        ws.commit(["ingest"], RunConfig(inputs=[str(DATA_DIR / "records_small.txt")]))
     assert placed[-1] == failing and len(placed) >= 2
     assert tree_bytes(ws.root) == before
 
@@ -572,19 +582,20 @@ def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys,
     assert victim.read_text() == "keep me\n"
 
 
-def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int) -> str:
+def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int,
+                                   python: str = sys.executable) -> str:
     """The one line a collabmap command prints when it exits with ``code``
-    in a fresh interpreter, where an uncaught error would show as a
-    traceback and exit 1; the command must change nothing under tmp_path."""
+    in a fresh ``python`` interpreter, where an uncaught error would show as
+    a traceback and exit 1; the command must change nothing under tmp_path."""
 
     def snapshot() -> dict[Path, bytes | None]:
         return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
 
     before = snapshot()
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "collabmap.cli", *argv],
+    proc = subprocess.run([python, "-m", "collabmap.cli", *argv],
                           capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == code, proc.stderr
+    assert proc.returncode == code, (python, proc.stderr)
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert snapshot() == before
@@ -674,6 +685,23 @@ def test_artifact_path_through_a_link_out_of_the_workspace_is_data_error_before_
     assert line == (f"collabmap: error: workspace {ws}: artifact 'ego/COMOROS/edges.csv' "
                     "is not a path inside the workspace")
     assert not any(outside.iterdir())
+
+
+@pytest.mark.parametrize("command", [["ego"], ["run", "--input", str(DATA_DIR / "records_synth20.txt")]])
+def test_artifact_path_through_a_link_loop_is_data_error_on_every_interpreter(tmp_path, command):
+    """An ego/COMOROS that is a link to itself is refused as a path out of
+    the workspace, before anything is written, by every Python here: up to
+    3.12 resolve() raises on the loop, and from 3.13 it returns it."""
+    ws = tmp_path / "ws"
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt")]) == EXIT_OK
+    (ws / "ego").mkdir()
+    (ws / "ego" / "COMOROS").symlink_to("COMOROS", target_is_directory=True)
+    argv = [command[0], "--workspace", str(ws), *command[1:], "--focus", "COMOROS"]
+    others = (shutil.which(f"python3.{minor}") for minor in (10, 11, 12, 13))
+    for python in [sys.executable, *(path for path in others if path and starts(path))]:
+        line = refused_in_a_fresh_interpreter(tmp_path, argv, EXIT_DATA, python)
+        assert line == (f"collabmap: error: workspace {ws}: artifact 'ego/COMOROS/edges.csv' "
+                        "is not a path inside the workspace"), python
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
@@ -775,7 +803,7 @@ def test_workspace_digest_is_of_the_bytes_a_stage_read(tmp_path, net_workspace, 
     shutil.copytree(net_workspace, plain)
     shutil.copytree(net_workspace, ws)
     path = ws / relpath
-    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    rewrite_vouched(ws, relpath, path.read_bytes().replace(b"\n", newline))
     for root in (plain, ws):
         assert main([stage, "--workspace", str(root)]) == EXIT_OK
     manifest = json.loads((ws / "run-manifest.json").read_text())
@@ -1107,8 +1135,7 @@ def test_malformed_intermediate_is_data_error_before_any_write(tmp_path, net_wor
                                                                relpath, stage, edit):
     ws = tmp_path / "ws"
     shutil.copytree(net_workspace, ws)
-    path = ws / relpath
-    path.write_text(edit(json.loads(path.read_text())))
+    rewrite_vouched(ws, relpath, edit(json.loads((ws / relpath).read_text())).encode())
     before = tree_bytes(ws)
     capsys.readouterr()
     assert main([stage, "--workspace", str(ws)]) == EXIT_DATA
@@ -1152,8 +1179,8 @@ def test_malformed_focus_json_is_data_error_before_any_write(tmp_path, net_works
     focus = focus_country(ws)
     assert main(["ego", "--workspace", str(ws), "--focus", focus]) == EXIT_OK
     relpath = f"ego/{focus}/focus.json"
-    path = ws / relpath
-    path.write_bytes(data if isinstance(data, bytes) else data(json.loads(path.read_text())).encode())
+    rewrite_vouched(ws, relpath, data if isinstance(data, bytes) else data(json.loads(
+        (ws / relpath).read_text())).encode())
     before = tree_bytes(ws)
     capsys.readouterr()
     assert main(["export", "--workspace", str(ws), "--focus", focus]) == EXIT_DATA
@@ -1201,6 +1228,27 @@ def test_malformed_manifest_is_data_error_before_any_write(tmp_path, net_workspa
     capsys.readouterr()
     assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
     assert f"error: run-manifest.json: {message}" in capsys.readouterr().err
+    assert tree_bytes(ws) == before
+
+
+@pytest.mark.parametrize("command", [["run", "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2"],
+                                     ["net"]])
+def test_malformed_manifest_is_refused_before_any_stage_computes(tmp_path, net_workspace, monkeypatch, capsys,
+                                                                 command):
+    """A command reads and checks run-manifest.json before its first stage
+    computes, so a malformed one costs no stage's work."""
+    ws = tmp_path / "ws"
+    shutil.copytree(net_workspace, ws)
+    (ws / "run-manifest.json").write_bytes(b'{"stages": []}')
+    called = []
+    for stage, func in _STAGE_FUNCS.items():
+        monkeypatch.setitem(_STAGE_FUNCS, stage,
+                            lambda cfg, w, stage=stage, func=func: called.append(stage) or func(cfg, w))
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main([command[0], "--workspace", str(ws), *command[1:]]) == EXIT_DATA
+    assert capsys.readouterr().err == "collabmap: error: run-manifest.json: stages is not a JSON object\n"
+    assert called == []
     assert tree_bytes(ws) == before
 
 
@@ -1258,8 +1306,8 @@ def test_malformed_network_json_is_data_error_before_any_write(tmp_path, net_wor
     ws = tmp_path / "ws"
     shutil.copytree(net_workspace, ws)
     focus = focus_country(ws)
-    path = ws / "network.json"
-    path.write_text(edit(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+    edited = edit(json.loads((ws / "network.json").read_text(encoding="utf-8")))
+    rewrite_vouched(ws, "network.json", edited.encode("utf-8"))
     before = tree_bytes(ws)
     for argv in (["summary"], ["net"], ["geo"], ["core", "--core-k", "2"], ["ego", "--focus", focus]):
         capsys.readouterr()
@@ -1295,7 +1343,7 @@ def test_summary_of_documents_and_network_of_different_corpora_is_data_error(tmp
     cut_corpus = tmp_path / "cut.txt"
     cut_corpus.write_text(write_tagged([rec for rec in records if rec.record_id in kept]), encoding="utf-8")
     assert main(["ingest", "--workspace", str(tmp_path / "cut"), "--input", str(cut_corpus)]) == EXIT_OK
-    shutil.copyfile(tmp_path / "cut" / "filter-report.json", ws / "filter-report.json")
+    rewrite_vouched(ws, "filter-report.json", (tmp_path / "cut" / "filter-report.json").read_bytes())
     before = tree_bytes(ws)
     capsys.readouterr()
     assert main(["summary", "--workspace", str(ws)]) == EXIT_DATA
@@ -1546,6 +1594,7 @@ def test_stages_return_their_files_and_write_nothing(tmp_path, corpus_file):
     manifest = json.loads(before["run-manifest.json"])["stages"]
     cfg = config_from_args(build_parser().parse_args(argv))
     workspace = Workspace(ws)
+    workspace.read_record()
     for stage, stage_func in _STAGE_FUNCS.items():
         workspace.inputs.clear()
         files = stage_func(cfg, workspace)
@@ -1680,41 +1729,71 @@ def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_fi
     reused = Workspace(tmp_path / "reused")
     for stage, path in (("ingest", corpus_file), ("net", None), ("ingest", other), ("net", None),
                         ("geo", None)):
-        _run_stage(stage, RunConfig(inputs=[str(path)] if path else []), reused)
+        reused.commit([stage], RunConfig(inputs=[str(path)] if path else []))
     assert len(builds) == 2
 
     fresh = Workspace(tmp_path / "fresh")
     for stage in ("ingest", "net", "geo"):
-        _run_stage(stage, RunConfig(inputs=[str(other)]), fresh)
+        fresh.commit([stage], RunConfig(inputs=[str(other)]))
     assert tree_bytes(reused.root) == tree_bytes(fresh.root)
 
 
-def test_network_changed_after_ingest_is_read_from_disk(tmp_path, corpus_file, monkeypatch):
-    """The network that ingest hands on is dropped once network.json no
-    longer holds what ingest wrote."""
+def test_network_changed_after_ingest_is_refused(tmp_path, corpus_file, monkeypatch):
+    """A network.json that no longer holds what ingest wrote is refused
+    before it is parsed, by the Workspace that ran ingest as by a new one,
+    and nothing is written."""
     other = tmp_path / "other.txt"
     assert main(["synth", "--out", str(other), "--docs", "80", "--countries", "10",
                  "--intl-prob", "0.5", "--seed", "3"]) == EXIT_OK
     other_ws = tmp_path / "other"
     assert main(["ingest", "--workspace", str(other_ws), "--input", str(other)]) == EXIT_OK
-    assert main(["net", "--workspace", str(other_ws)]) == EXIT_OK
     edited = (other_ws / "network.json").read_bytes()
     loads = []
     load = network.load_network
     monkeypatch.setattr(network, "load_network", lambda text: loads.append(text) or load(text))
 
-    trees = []
     for label in ("reused", "fresh"):
         ws = Workspace(tmp_path / label)
-        _run_stage("ingest", RunConfig(inputs=[str(corpus_file)]), ws)
+        ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
         (ws.root / "network.json").write_bytes(edited)
         if label == "fresh":
             ws = Workspace(ws.root)
-        _run_stage("net", RunConfig(), ws)
-        trees.append(tree_bytes(ws.root))
-    assert [text.encode("utf-8") for text in loads] == [edited, edited]
-    assert trees[0] == trees[1]
-    assert trees[0]["network/nodes.csv"] == (other_ws / "network" / "nodes.csv").read_bytes()
+        before = tree_bytes(ws.root)
+        with pytest.raises(DataError, match=r"^network\.json: not the file that run-manifest\.json lists; "
+                                            r"run ingest again$"):
+            ws.commit(["net"], RunConfig())
+        assert tree_bytes(ws.root) == before
+    assert loads == []
+
+
+def test_stage_refuses_files_made_from_a_replaced_ingest(tmp_path, capsys):
+    """After a run and an ingest of another corpus, summary.json and
+    thresholded/stats.json still match what summary and net listed, but not
+    the network.json beneath them: export is refused, naming the file it
+    read and the stage to run again, until each of them has run again. An
+    ego map of another focus replaces the ego entry, so export --focus USA
+    stays refused while export --focus UK runs."""
+    ws = tmp_path / "ws"
+    assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_synth20.txt"),
+                 "--core-k", "2", "--focus", "USA"]) == EXIT_OK
+    assert main(["ingest", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_OK
+    for refusal, rerun in (
+        ("summary.json: summary made it from a filter-report.json that run-manifest.json no longer "
+         "lists; run summary again", ["summary"]),
+        ("thresholded/stats.json: net made it from a network.json that run-manifest.json no longer "
+         "lists; run net again", ["net"]),
+        ("ego/USA/focus.json: ego made it from a network.json that run-manifest.json no longer "
+         "lists; run ego again", ["ego", "--focus", "UK"]),
+        ("ego/USA/focus.json: not the file that run-manifest.json lists; run ego again", None),
+    ):
+        before = tree_bytes(ws)
+        capsys.readouterr()
+        assert main(["export", "--workspace", str(ws), "--focus", "USA"]) == EXIT_DATA, refusal
+        assert capsys.readouterr().err == f"collabmap: error: {refusal}\n"
+        assert tree_bytes(ws) == before
+        if rerun:
+            assert main([rerun[0], "--workspace", str(ws), *rerun[1:]]) == EXIT_OK, rerun
+    assert main(["export", "--workspace", str(ws), "--focus", "UK"]) == EXIT_OK
 
 
 # JSON's own escapes, raw control and line-separator characters, a lone

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import DATA_DIR
+from conftest import DATA_DIR, starts
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "collabmap"
@@ -188,13 +188,6 @@ def test_reruns_under_other_hash_seeds_write_the_same_tree(tmp_path):
     trees = [run_tree(sys.executable, tmp_path / f"seed{seed}", PYTHONHASHSEED=str(seed)) for seed in (0, 1)]
     assert trees[0]["documents.jsonl"]
     assert trees[1] == trees[0]
-
-
-def starts(python: str) -> bool:
-    try:
-        return subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
-    except OSError:
-        return False
 
 
 def test_other_interpreters_write_the_same_tree(tmp_path):
