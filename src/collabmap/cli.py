@@ -1075,9 +1075,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_output_path(label: str, path: Path, directory: bool) -> None:
-    """Refuse, before any work, an output path that exists as the wrong kind
-    (a directory where a file is written, or the reverse), or whose nearest
-    existing ancestor is not a directory, below which nothing can be made."""
+    """Refuse, before any work, an output path through a loop of symbolic
+    links, one that exists as the wrong kind (a directory where a file is
+    written, or the reverse), or one whose nearest existing ancestor is not a directory."""
+    if _link_loop(path):
+        raise ConfigError(f"{label} {path} runs through a loop of symbolic links")
     if path.exists() and path.is_dir() != directory:
         raise ConfigError(f"{label} is {'not ' if directory else ''}a directory: {path}")
     for ancestor in path.parents:

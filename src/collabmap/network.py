@@ -6,12 +6,12 @@ come out of that pass, so documents can arrive one at a time.
 
 Edges follow the single-relation rule: a paper with three addresses in
 country A and two in country B adds exactly 1 to the A-B edge, never the
-3 x 2 = 6 an affiliation cross-product would produce. Node profiles can
-additionally be compared by cosine (Ochiai) similarity over the binarized
-incidence columns, which captures shared collaboration patterns rather
-than direct tie strength. Under the single-relation rule a pair's shared
-document count is its edge weight and a column's size is the country's
-integer count, so cosine is read off the network itself.
+3 x 2 = 6 an affiliation cross-product would produce. Node profiles can also
+be compared by cosine (Ochiai) similarity over the binarized incidence
+columns: shared collaboration patterns, not direct tie strength. Under that
+rule a pair's shared document count is its edge weight and a column's size
+is the country's integer count, so ``cosine_similarity`` returns a view of
+the network that stores no table of pair values and reads each off it.
 """
 
 from __future__ import annotations
@@ -92,15 +92,18 @@ class CoauthNetwork:
 
 
 class SimilarityMatrix(NamedTuple):
-    """Dense symmetric cosine values over country collaboration profiles."""
+    """Cosine read off a network pair by pair: its countries in name order,
+    their integer counts and its edges; a name not among them scores 0."""
 
     countries: list[str]
-    values: dict[tuple[str, str], float]
+    sizes: dict[str, int]
+    edges: dict[tuple[str, str], int]
 
     def sim(self, a: str, b: str) -> float:
         if a == b:
-            return self.values.get((a, a), 0.0)
-        return self.values.get(_pair(a, b), 0.0)
+            return 1.0 if self.sizes.get(a) else 0.0
+        a, b = _pair(a, b)
+        return ochiai(self.edges.get((a, b), 0), self.sizes.get(a, 0), self.sizes.get(b, 0))
 
 
 class NetworkStats(NamedTuple):
@@ -181,15 +184,8 @@ def ochiai(shared: int, size_a: int, size_b: int) -> float:
 def cosine_similarity(net: CoauthNetwork) -> SimilarityMatrix:
     """Ochiai/cosine between binarized country columns: a pair's edge
     weight over the geometric mean of the two integer counts."""
-    values: dict[tuple[str, str], float] = {}
     countries = net.countries()
-    sizes = [net.nodes[c].integer_papers for c in countries]
-    for i, ci in enumerate(countries):
-        values[(ci, ci)] = 1.0 if sizes[i] else 0.0
-        for j in range(i + 1, len(countries)):
-            shared = net.edges.get((ci, countries[j]), 0)
-            values[(ci, countries[j])] = ochiai(shared, sizes[i], sizes[j])
-    return SimilarityMatrix(countries=countries, values=values)
+    return SimilarityMatrix(countries, {c: net.nodes[c].integer_papers for c in countries}, net.edges)
 
 
 def threshold_network(
@@ -402,18 +398,20 @@ def cooccurrence_square_csv(net: CoauthNetwork) -> str:
 
 
 def similarity_triples_csv(sim: SimilarityMatrix) -> str:
+    """Each pair once, in name order; a pair with no edge shares no document."""
     lines = ["country_a,country_b,value"]
-    pairs = sorted(pair for pair in sim.values if pair[0] != pair[1])
-    for a, b in pairs:
-        lines.append(f"{a},{b},{sim.values[(a, b)]:.6f}")
+    names, sizes, edges = sim
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            shared = edges.get((a, b))
+            lines.append(f"{a},{b},{ochiai(shared, sizes[a], sizes[b]):.6f}" if shared else f"{a},{b},0.000000")
     return "\n".join(lines) + "\n"
 
 
 def similarity_square_csv(sim: SimilarityMatrix) -> str:
-    names = sorted(sim.countries)
-    lines = ["," + ",".join(names)]
-    for a in names:
-        lines.append(a + "," + ",".join(f"{sim.sim(a, b):.6f}" for b in names))
+    lines = ["," + ",".join(sim.countries)]
+    for a in sim.countries:
+        lines.append(a + "," + ",".join(f"{sim.sim(a, b):.6f}" for b in sim.countries))
     return "\n".join(lines) + "\n"
 
 

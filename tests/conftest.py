@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -24,7 +25,7 @@ from collabmap.counting import (
 )
 from collabmap.errors import DataError
 from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress
-from collabmap.network import CoauthNetwork, NodeInfo, connected_components
+from collabmap.network import CoauthNetwork, NodeInfo, connected_components, ochiai
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -100,6 +101,48 @@ def reference_network(documents) -> CoauthNetwork:
                 key = (m.countries[a], m.countries[b])
                 edges[key] = edges.get(key, 0) + 1
     return CoauthNetwork(nodes={c: NodeInfo(ints[c], fracs[c]) for c in m.countries}, edges=edges)
+
+
+class DenseCosine(NamedTuple):
+    """Cosine as a dense table: every pair of countries, the diagonal
+    included, keyed in name order, and the two CSV texts written from it;
+    cosine_similarity's view and the writers that read it pair by pair
+    must equal it byte for byte."""
+
+    countries: list[str]
+    values: dict[tuple[str, str], float]
+
+    def sim(self, a: str, b: str) -> float:
+        if a == b:
+            return self.values.get((a, a), 0.0)
+        return self.values.get((a, b) if a < b else (b, a), 0.0)
+
+    def triples_csv(self) -> str:
+        lines = ["country_a,country_b,value"]
+        pairs = sorted(pair for pair in self.values if pair[0] != pair[1])
+        for a, b in pairs:
+            lines.append(f"{a},{b},{self.values[(a, b)]:.6f}")
+        return "\n".join(lines) + "\n"
+
+    def square_csv(self) -> str:
+        names = sorted(self.countries)
+        lines = ["," + ",".join(names)]
+        for a in names:
+            lines.append(a + "," + ",".join(f"{self.sim(a, b):.6f}" for b in names))
+        return "\n".join(lines) + "\n"
+
+
+def reference_cosine(net: CoauthNetwork) -> DenseCosine:
+    """The n(n+1)/2 cosine values of ``net``, each built once up front."""
+    values: dict[tuple[str, str], float] = {}
+    countries = net.countries()
+    sizes = [net.nodes[c].integer_papers for c in countries]
+    for i, ci in enumerate(countries):
+        values[(ci, ci)] = 1.0 if sizes[i] else 0.0
+        for j in range(i + 1, len(countries)):
+            shared = net.edges.get((ci, countries[j]), 0)
+            values[(ci, countries[j])] = ochiai(shared, sizes[i], sizes[j])
+    return DenseCosine(countries=countries, values=values)
 
 
 def incidence_row(m, doc_index: int) -> dict[int, int]:

@@ -35,7 +35,7 @@ from collabmap.cli import (
 from collabmap.errors import DataError
 from collabmap.exports import vosviewer
 
-from conftest import DATA_DIR, GOLDEN_DIR, starts
+from conftest import DATA_DIR, GOLDEN_DIR, reference_cosine, starts
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -582,6 +582,12 @@ def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys,
     assert victim.read_text() == "keep me\n"
 
 
+def interpreters() -> list[str]:
+    """This Python and each other python3.1x here that starts."""
+    others = (shutil.which(f"python3.{minor}") for minor in (10, 11, 12, 13))
+    return [sys.executable, *(path for path in others if path and starts(path))]
+
+
 def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int,
                                    python: str = sys.executable) -> str:
     """The one line a collabmap command prints when it exits with ``code``
@@ -697,11 +703,30 @@ def test_artifact_path_through_a_link_loop_is_data_error_on_every_interpreter(tm
     (ws / "ego").mkdir()
     (ws / "ego" / "COMOROS").symlink_to("COMOROS", target_is_directory=True)
     argv = [command[0], "--workspace", str(ws), *command[1:], "--focus", "COMOROS"]
-    others = (shutil.which(f"python3.{minor}") for minor in (10, 11, 12, 13))
-    for python in [sys.executable, *(path for path in others if path and starts(path))]:
+    for python in interpreters():
         line = refused_in_a_fresh_interpreter(tmp_path, argv, EXIT_DATA, python)
         assert line == (f"collabmap: error: workspace {ws}: artifact 'ego/COMOROS/edges.csv' "
                         "is not a path inside the workspace"), python
+
+
+@pytest.mark.parametrize("command", ["ingest", "run", "synth"])
+def test_output_path_through_a_link_loop_is_config_error_on_every_interpreter(tmp_path, command):
+    """A workspace, or a synth --out, that is a link to itself is refused by
+    every Python here before any stage computes or any record is drawn,
+    where ingest and run once computed every stage and exited 4, and synth
+    died in an OSError traceback."""
+    loop = tmp_path / "loop"
+    loop.symlink_to("loop")
+    records = ["--input", str(DATA_DIR / "records_synth20.txt")]
+    argv, label = {
+        "ingest": (["ingest", "--workspace", str(loop)] + records, "workspace"),
+        "run": (["run", "--workspace", str(loop), "--core-k", "2"] + records, "workspace"),
+        "synth": (["synth", "--out", str(loop)], "synth --out"),
+    }[command]
+    for python in interpreters():
+        line = refused_in_a_fresh_interpreter(tmp_path, argv, EXIT_CONFIG, python)
+        assert line == (f"collabmap: configuration error: {label} {loop} "
+                        "runs through a loop of symbolic links"), python
 
 
 def test_workspace_that_is_a_file_is_config_error(tmp_path, corpus_file):
@@ -1472,7 +1497,7 @@ def test_cosine_layouts_weight_edges_as_the_dense_matrix(tmp_path, corpus_file, 
     ws = tmp_path / "ws"
     assert main(["run", "--workspace", str(ws), "--input", str(corpus_file), "--layout-weights", "cosine",
                  "--exclude-countries", "COLOMBIA"] + RUN_FLAGS) == EXIT_OK
-    sim = network.cosine_similarity(network.load_network((ws / "network.json").read_text(encoding="utf-8")))
+    sim = reference_cosine(network.load_network((ws / "network.json").read_text(encoding="utf-8")))
     # one call per distinct map; here thresholded/ and core/ are the same map
     maps = {tuple((ws / prefix / name).read_bytes() for name in ("nodes.csv", "edges.csv"))
             for prefix in ("thresholded", "core")}
@@ -1669,7 +1694,8 @@ def test_run_builds_the_corpus_once(tmp_path, corpus_file, monkeypatch):
 def test_only_ingest_builds_and_no_stage_loads_documents(tmp_path, corpus_file, monkeypatch):
     """In a chain of stage processes, ingest alone folds the documents into
     the network, no stage reads documents.jsonl back, each later stage
-    loads network.json once, and only net builds the dense cosine matrix."""
+    loads network.json once, and only net reads cosine off the network,
+    through a view that stores no table of pair values."""
     calls: dict[str, Counter] = {}
     running = [""]
 

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmap.corpus.filtering import Document
@@ -23,6 +23,7 @@ from collabmap.network import (
     network_stats,
     ochiai,
     similarity_square_csv,
+    similarity_triples_csv,
     subnetwork_by_list,
     threshold_network,
 )
@@ -32,6 +33,7 @@ from conftest import (
     column_doc_sets,
     fractional_tally,
     make_documents,
+    reference_cosine,
     reference_network,
 )
 
@@ -212,10 +214,49 @@ def test_per_edge_ochiai_equals_the_dense_matrix():
     matrix's, bit for bit."""
     for seed in range(43, 48):
         _m, net = network_from_documents(make_documents(random.Random(seed), 150, 14, intl_prob=0.6))
-        sim = cosine_similarity(net)
+        sim = reference_cosine(net)
         for (a, b), w in net.edges.items():
             assert ochiai(w, net.nodes[a].integer_papers, net.nodes[b].integer_papers) == sim.sim(a, b)
     assert ochiai(0, 0, 5) == 0.0
+
+
+_NAMES = st.text(alphabet="ABab É-", min_size=1, max_size=3)
+
+
+@st.composite
+def _networks(draw) -> CoauthNetwork:
+    """Countries inserted in a drawn order, some with an empty column, and
+    edges on a drawn subset of their pairs, inserted in a drawn order."""
+    sizes = draw(st.dictionaries(_NAMES, st.integers(min_value=0, max_value=30), max_size=10))
+    order = draw(st.permutations(sorted(sizes)))
+    pairs = [(a, b) for a in sorted(sizes) for b in sorted(sizes) if a < b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = {pair: draw(st.integers(min_value=1, max_value=30)) for pair in chosen}
+    return CoauthNetwork({c: NodeInfo(sizes[c], Fraction(1)) for c in order}, edges)
+
+
+def _network(nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> CoauthNetwork:
+    return CoauthNetwork({c: NodeInfo(n, Fraction(1)) for c, n in nodes.items()}, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks())
+@example(_network({}, {}))
+@example(_network({"B": 3}, {}))
+@example(_network({"b": 4, "A": 2, "É": 1, "B": 5}, {("b", "É"): 1, ("A", "b"): 2}))
+def test_cosine_read_pair_by_pair_equals_the_dense_table(net):
+    """The view that cosine_similarity returns stores the network's counts
+    and no pair table; its values and both CSV texts equal the dense table's,
+    byte for byte, for a name not in the network too."""
+    sim, dense = cosine_similarity(net), reference_cosine(net)
+    assert sim.countries == dense.countries
+    assert sim.edges is net.edges and len(sim.sizes) == len(net.nodes)
+    assert similarity_triples_csv(sim) == dense.triples_csv()
+    assert similarity_square_csv(sim) == dense.square_csv()
+    names = [*net.nodes, "Z"]
+    for a in names:
+        for b in names:
+            assert repr(sim.sim(a, b)) == repr(dense.sim(a, b)), (a, b)
 
 
 def test_cosine_ignores_address_multiplicities():

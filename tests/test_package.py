@@ -169,11 +169,13 @@ def test_every_command_help_exits_zero():
 def run_tree(python: str, workspace: Path, **env: str) -> dict[str, bytes]:
     """The files that ``collabmap run`` on the synth corpus writes under
     ``python``, with ``env`` added to its environment, keyed by their path
-    in the workspace."""
+    in the workspace: both cosine files and cosine-weighted layouts among
+    them."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
     proc = subprocess.run(
         [python, "-m", "collabmap.cli", "run", "--workspace", str(workspace),
-         "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2", "--focus", "USA"],
+         "--input", str(DATA_DIR / "records_synth20.txt"), "--core-k", "2", "--focus", "USA",
+         "--square-matrices", "--layout-weights", "cosine"],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -186,7 +188,7 @@ def run_tree(python: str, workspace: Path, **env: str) -> dict[str, bytes]:
 def test_reruns_under_other_hash_seeds_write_the_same_tree(tmp_path):
     """No artifact byte hangs on the order of a set or dict of strings."""
     trees = [run_tree(sys.executable, tmp_path / f"seed{seed}", PYTHONHASHSEED=str(seed)) for seed in (0, 1)]
-    assert trees[0]["documents.jsonl"]
+    assert trees[0]["documents.jsonl"] and trees[0]["network/cosine-square.csv"]
     assert trees[1] == trees[0]
 
 
