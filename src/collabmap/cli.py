@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from fractions import Fraction
@@ -325,11 +326,14 @@ class Workspace:
         self._network: network.CoauthNetwork | None = None
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
+        # the write rule with what it has resolved in the workspace, for the current commit
+        self._rule = _WriteRule(self.root)
 
     def commit(self, stages: list[str], cfg: RunConfig, fresh: bool = False) -> None:
         """Read the record, compute the stages in turn into one batch whose
         files the later ones read, and write it with every stage's manifest
         entry in one write_files call; update_manifest says what ``fresh`` deletes."""
+        self._rule = _WriteRule(self.root)
         self.read_record()
         entries, self._batch, self._network = {}, {}, None
         for stage in stages:
@@ -343,7 +347,7 @@ class Workspace:
 
     def read_record(self) -> None:
         """Read run-manifest.json, or no stages if there is none, into ``record``: a DataError
-        unless each entry holds config, inputs and artifacts, each under _check_artifact_path."""
+        unless each entry holds config, inputs and artifacts, each under the write rule."""
         path, record = self.root / MANIFEST_NAME, {"stages": {}}
         if path.is_file():
             record = _json_object(MANIFEST_NAME, _utf8(MANIFEST_NAME, path.read_bytes()))
@@ -360,7 +364,7 @@ class Workspace:
                 if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
                     raise DataError(f"{where}: {key} maps a name to a non-string")
             for relpath in entry["artifacts"]:
-                _check_artifact_path(self.root, where, relpath)
+                self._rule.check(where, relpath)
         self.record = record
 
     def write_files(self, files: dict[str, str], delete: list[str]) -> None:
@@ -369,10 +373,10 @@ class Workspace:
         into its place. If any step fails, put the originals back, remove
         the new files and the temporaries, and re-raise, so every file stays
         as it was. On success, remove the directories the deletions empty.
-        Before anything is written, _check_artifact_path holds every
-        deletion and every target to the one write rule."""
+        Before anything is written, _WriteRule holds every deletion and
+        every target to the one write rule."""
         for relpath in [*delete, *files]:
-            _check_artifact_path(self.root, f"workspace {self.root}", relpath, target=relpath in files)
+            self._rule.check(f"workspace {self.root}", relpath, target=relpath in files)
         staged: list[tuple[Path, Path]] = []
         moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
         try:
@@ -594,17 +598,59 @@ def _json_artifact(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _check_artifact_path(root: Path, where: str, relpath: str, target: bool = False) -> None:
+class _WriteRule:
     """The one rule for an artifact path written, deleted or listed: relative
     to ``root``, with no empty, "." or ".." part, and led out by no symbolic
     link, nor through a loop of them, or a DataError; a ``target`` that is
-    a directory, or lies below a file, is a ConfigError."""
-    path = root / relpath
-    if (any(part in ("", ".", "..") for part in relpath.split("/"))
-            or _link_loop(path) or not path.resolve().is_relative_to(root.resolve())):
-        raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
-    if target:
-        _check_output_path("artifact", path, directory=False)
+    a directory, or lies below a file, is a ConfigError.
+
+    It resolves the root once and each directory once, so it holds for one
+    commit, whose files it checks before any is written. A file then costs
+    one lstat; only a file that is itself a symbolic link is resolved."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self._real_root: Path | None = None
+        # directory, "" for the root -> no loop lies on it and it resolves inside the root
+        self._inside: dict[str, bool] = {}
+        # directory -> the ancestor of a file in it that is not a directory, if any
+        self._file_above: dict[str, Path | None] = {}
+
+    def check(self, where: str, relpath: str, target: bool = False) -> None:
+        directory = relpath.rpartition("/")[0]
+        path, mode = self.root / relpath, None
+        inside = (all(part not in ("", ".", "..") for part in relpath.split("/"))
+                  and self._directory_inside(directory))
+        if inside:
+            try:
+                mode = path.lstat().st_mode
+            except OSError:  # not there, or below a file
+                pass
+            if mode is not None and stat.S_ISLNK(mode):
+                inside = self._resolves_inside(path)
+        if not inside:
+            raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
+        if target:
+            if mode is not None and (stat.S_ISDIR(mode) or stat.S_ISLNK(mode) and path.is_dir()):
+                raise ConfigError(f"artifact is a directory: {path}")
+            if directory not in self._file_above:
+                self._file_above[directory] = _file_above(path)
+            above = self._file_above[directory]
+            if above is not None:
+                raise ConfigError(f"artifact {path} runs through {above}, which is not a directory")
+
+    def _directory_inside(self, directory: str) -> bool:
+        inside = self._inside.get(directory)
+        if inside is None:
+            inside = self._inside[directory] = self._resolves_inside(self.root / directory)
+        return inside
+
+    def _resolves_inside(self, path: Path) -> bool:
+        if _link_loop(path):
+            return False
+        if self._real_root is None:
+            self._real_root = self.root.resolve()
+        return path.resolve().is_relative_to(self._real_root)
 
 
 def _link_loop(path: Path) -> bool:
@@ -1026,13 +1072,27 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
                                 choices=opt.choices or None, help=opt.help)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds the flags of its command's OPTIONS
+    rows after its own when argparse first hands it arguments, so a process
+    builds the flags of the one command it runs."""
+
+    command = ""  # the command whose flags are still to add
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.command:
+            _add_options(self, self.command)
+            self.command = ""
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collabmap",
         description="Country co-authorship networks and collaboration maps",
     )
     parser.add_argument("--config", help="JSON file with RunConfig fields (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p_synth.add_argument("--out", required=True)
@@ -1040,12 +1100,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--countries", type=int, default=20)
     p_synth.add_argument("--intl-prob", type=float, default=0.3)
     p_synth.add_argument("--seed", type=int, default=42)
-    _add_options(p_synth, "synth")
+    p_synth.command = "synth"
 
     common_ws = argparse.ArgumentParser(add_help=False)
     common_ws.add_argument("--workspace", required=True, help="artifact directory")
     for command, help_text in _COMMANDS.items():
-        _add_options(sub.add_parser(command, parents=[common_ws], help=help_text), command)
+        sub.add_parser(command, parents=[common_ws], help=help_text).command = command
     return parser
 
 
@@ -1082,11 +1142,17 @@ def _check_output_path(label: str, path: Path, directory: bool) -> None:
         raise ConfigError(f"{label} {path} runs through a loop of symbolic links")
     if path.exists() and path.is_dir() != directory:
         raise ConfigError(f"{label} is {'not ' if directory else ''}a directory: {path}")
+    above = _file_above(path)
+    if above is not None:
+        raise ConfigError(f"{label} {path} runs through {above}, which is not a directory")
+
+
+def _file_above(path: Path) -> Path | None:
+    """The nearest existing ancestor of ``path``, if it is not a directory."""
     for ancestor in path.parents:
         if ancestor.exists():
-            if not ancestor.is_dir():
-                raise ConfigError(f"{label} {path} runs through {ancestor}, which is not a directory")
-            break
+            return None if ancestor.is_dir() else ancestor
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:

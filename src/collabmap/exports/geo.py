@@ -76,12 +76,19 @@ def export_geo(
     features = []
     node_lines = ["type,latitude,longitude,name,desc"]
     centroid: dict[str, tuple[float, float]] = {}
+    # each country's link end, rendered once: its point in a LineString and
+    # the head of its links.csv row, which the link's label closes
+    point: dict[str, str] = {}
+    row_head: dict[str, str] = {}
     for country in sorted(sub.nodes):
         entry = registry.entries.get(country)
         if entry is None:
             raise DataError(f"no centroid in registry for country: {country}")
         lat, lon = entry.latitude, entry.longitude
         centroid[country] = (lat, lon)
+        point[country] = "          " + _coordinates(lon, lat, "          ")
+        fixed = f"{format_fixed(lat)},{format_fixed(lon)}"
+        row_head[country] = f'T,{fixed},"'
         fractional = sub.nodes[country].fractional_papers
         size = round(display_size(fractional, s_min, s_scale), 6)
         if not math.isfinite(size):
@@ -98,24 +105,24 @@ def export_geo(
             '      }\n    }'
         )
         node_lines.append(
-            f'W,{format_fixed(lat)},{format_fixed(lon)},{country},"papers: {format_fixed(fractional)}"'
+            f'W,{fixed},{country},"papers: {format_fixed(fractional)}"'
         )
     link_lines = ["type,latitude,longitude,name"]
     for (a, b), w in sorted(sub.edges.items()):
-        (lat_a, lon_a), (lat_b, lon_b) = centroid[a], centroid[b]
-        if great_circle:
-            path = great_circle_points(lat_a, lon_a, lat_b, lon_b)
-        else:
-            path = [(lat_a, lon_a), (lat_b, lon_b)]
         label = f"{a}–{b}: {w}"
-        points = ",\n".join("          " + _coordinates(lon, lat, "          ") for lat, lon in path)
+        if great_circle:
+            path = great_circle_points(*centroid[a], *centroid[b])
+            points = ",\n".join("          " + _coordinates(lon, lat, "          ") for lat, lon in path)
+            link_lines.extend(f'T,{format_fixed(lat)},{format_fixed(lon)},"{label}"' for lat, lon in path)
+        else:
+            points = point[a] + ",\n" + point[b]
+            link_lines += (row_head[a] + label + '"', row_head[b] + label + '"')
         features.append(
             '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "LineString",\n'
             f'        "coordinates": [\n{points}\n        ]\n      }},\n'
             f'      "properties": {{\n        "weight": {w},\n        "label": {encode_basestring(label)}\n'
             '      }\n    }'
         )
-        link_lines.extend(f'T,{format_fixed(lat)},{format_fixed(lon)},"{label}"' for lat, lon in path)
     body = "[\n" + ",\n".join(features) + "\n  ]" if features else "[]"
     return (
         '{\n  "type": "FeatureCollection",\n  "features": ' + body + "\n}\n",

@@ -21,14 +21,17 @@ if TYPE_CHECKING:
 
 def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:
     """Affine per-axis map of layout coordinates into [0, 1]^2."""
+    if not coordinates:
+        return {}
     xs = [p[0] for p in coordinates.values()]
     ys = [p[1] for p in coordinates.values()]
+    x_low, x_high, y_low, y_high = min(xs), max(xs), min(ys), max(ys)
 
     def scale(value: float, low: float, high: float) -> float:
         return (value - low) / (high - low) if high > low else 0.5
 
     return {
-        name: (scale(x, min(xs), max(xs)), scale(y, min(ys), max(ys)))
+        name: (scale(x, x_low, x_high), scale(y, y_low, y_high))
         for name, (x, y) in coordinates.items()
     }
 

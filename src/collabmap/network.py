@@ -401,10 +401,15 @@ def similarity_triples_csv(sim: SimilarityMatrix) -> str:
     """Each pair once, in name order; a pair with no edge shares no document."""
     lines = ["country_a,country_b,value"]
     names, sizes, edges = sim
+    # each country's later partners, read from the edges once: an edge's pair is in name order
+    later: dict[str, dict[str, int]] = {}
+    for (a, b), shared in edges.items():
+        later.setdefault(a, {})[b] = shared
     for i, a in enumerate(names):
+        partners, size_a = later.get(a, {}), sizes[a]
         for b in names[i + 1:]:
-            shared = edges.get((a, b))
-            lines.append(f"{a},{b},{ochiai(shared, sizes[a], sizes[b]):.6f}" if shared else f"{a},{b},0.000000")
+            shared = partners.get(b)
+            lines.append(f"{a},{b},{ochiai(shared, size_a, sizes[b]):.6f}" if shared else f"{a},{b},0.000000")
     return "\n".join(lines) + "\n"
 
 

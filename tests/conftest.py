@@ -508,6 +508,30 @@ def oracle_geojson(sub, registry, s_min=1.0, s_scale=1.0, great_circle=False) ->
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
+def oracle_geo_csvs(sub, registry, great_circle=False) -> tuple[str, str]:
+    """export_geo's nodes CSV and links CSV, every row built on its own: a
+    node's from its centroid, a link's from each point of its path, the two
+    centroids or their great_circle_points, all written by format_fixed."""
+    from collabmap.counting import format_fixed
+    from collabmap.exports.geo import great_circle_points
+
+    node_rows = ["type,latitude,longitude,name,desc"]
+    for country in sorted(sub.nodes):
+        entry = registry.entries[country]
+        papers = format_fixed(sub.nodes[country].fractional_papers)
+        node_rows.append(f'W,{format_fixed(entry.latitude)},{format_fixed(entry.longitude)},{country},'
+                         f'"papers: {papers}"')
+    link_rows = ["type,latitude,longitude,name"]
+    for (a, b), w in sorted(sub.edges.items()):
+        ea, eb = registry.entries[a], registry.entries[b]
+        if great_circle:
+            path = great_circle_points(ea.latitude, ea.longitude, eb.latitude, eb.longitude)
+        else:
+            path = [(ea.latitude, ea.longitude), (eb.latitude, eb.longitude)]
+        link_rows += [f'T,{format_fixed(lat)},{format_fixed(lon)},"{a}–{b}: {w}"' for lat, lon in path]
+    return "\n".join(node_rows) + "\n", "\n".join(link_rows) + "\n"
+
+
 def _oracle_to_cartesian(lat: float, lon: float) -> tuple[float, float, float]:
     phi, lam = math.radians(lat), math.radians(lon)
     return (math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi))

@@ -542,37 +542,65 @@ def test_failed_move_in_a_run_keeps_the_stages_it_would_delete(tmp_path, monkeyp
 
 def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     """A deletion that a symbolic link leads out of the workspace is refused
-    as such a target is, before anything is written, moved or deleted."""
+    as such a target is, before anything is written, moved or deleted: below
+    a directory that is a link out or a loop, and a file that is itself a
+    link out, also when a file before it in its directory passed."""
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "victim.txt").write_text("keep me\n")
     ws = Workspace(tmp_path / "ws")
     ws.root.mkdir()
     (ws.root / "link").symlink_to(outside, target_is_directory=True)
+    (ws.root / "thresholded").symlink_to(Path("..", "outside"), target_is_directory=True)
+    (ws.root / "loop").symlink_to("loop", target_is_directory=True)
+    (ws.root / "kept").mkdir()
+    (ws.root / "kept" / "in.csv").write_text("keep me too\n")
+    (ws.root / "kept" / "out.csv").symlink_to(Path("..", "..", "outside", "victim.txt"))
+    tree = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
     for files, delete, named in (({"a.txt": "x"}, ["link/victim.txt"], "link/victim.txt"),
-                                 ({"a.txt": "x", "link/b.txt": "x"}, [], "link/b.txt")):
+                                 ({"a.txt": "x", "link/b.txt": "x"}, [], "link/b.txt"),
+                                 ({"a.txt": "x"}, ["thresholded/victim.txt"], "thresholded/victim.txt"),
+                                 ({"a.txt": "x", "thresholded/edges.csv": "x"}, [], "thresholded/edges.csv"),
+                                 ({"a.txt": "x"}, ["kept/out.csv"], "kept/out.csv"),
+                                 ({"a.txt": "x", "kept/out.csv": "x"}, [], "kept/out.csv"),
+                                 ({"a.txt": "x"}, ["loop/x.csv"], "loop/x.csv"),
+                                 ({"a.txt": "x", "loop/x.csv": "x"}, [], "loop/x.csv"),
+                                 ({"a.txt": "x"}, ["kept/in.csv", "kept/out.csv"], "kept/out.csv"),
+                                 ({"kept/in.csv": "x", "kept/out.csv": "x"}, [], "kept/out.csv")):
         with pytest.raises(DataError, match=f"artifact '{named}' is not a path inside the workspace"):
             ws.write_files(files, delete)
-        assert os.listdir(ws.root) == ["link"]
-        assert os.listdir(outside) == ["victim.txt"]
+        assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == tree
+    assert os.listdir(outside) == ["victim.txt"]
     assert (outside / "victim.txt").read_text() == "keep me\n"
 
 
 @pytest.mark.parametrize("relpath", ["{victim}", "../outside/victim.txt", "core/../../outside/victim.txt",
-                                     "./counts.csv", "", "link/victim.txt"])
+                                     "./counts.csv", "", "link/victim.txt", "thresholded/edges.csv",
+                                     "loop/x.csv", "kept/out.csv", "kept/in.csv,kept/out.csv"])
 def test_manifest_artifact_outside_the_workspace_is_data_error(tmp_path, capsys, relpath):
     """run deletes what the old manifest lists, so a listed path must name a
     file inside the workspace, through no symbolic link that leads out of
-    it; any other is refused before any write."""
+    it, nor a loop of them; any other is refused before any write. A row of
+    several paths lists them in turn; the last one is refused, here a file
+    that is itself a link out, after a file in its directory passed. The
+    thresholded/ row makes the directory that net lists a link out."""
     ws = tmp_path / "ws"
     assert main(["run", "--workspace", str(ws), "--input", str(DATA_DIR / "records_small.txt")]) == EXIT_OK
     victim = tmp_path / "outside" / "victim.txt"
     victim.parent.mkdir()
     victim.write_text("keep me\n")
     (ws / "link").symlink_to(victim.parent, target_is_directory=True)
-    relpath = relpath.format(victim=victim)  # an absolute path
+    (ws / "loop").symlink_to("loop", target_is_directory=True)
+    (ws / "kept").mkdir()
+    (ws / "kept" / "in.csv").write_text("keep me too\n")
+    (ws / "kept" / "out.csv").symlink_to(Path("..", "..", "outside", "victim.txt"))
+    if relpath.startswith("thresholded/"):
+        shutil.rmtree(ws / "thresholded")
+        (ws / "thresholded").symlink_to(Path("..", "outside"), target_is_directory=True)
+    *earlier, relpath = relpath.format(victim=victim).split(",")  # {victim}: an absolute path
     manifest = json.loads((ws / "run-manifest.json").read_text(encoding="utf-8"))
-    manifest["stages"]["core"] = {"config": {}, "inputs": {}, "artifacts": {relpath: "0" * 64}}
+    manifest["stages"]["core"] = {"config": {}, "inputs": {},
+                                  "artifacts": {path: "0" * 64 for path in [*earlier, relpath]}}
     (ws / "run-manifest.json").write_text(json.dumps(manifest))
     before = tree_bytes(ws)
     capsys.readouterr()
@@ -1898,12 +1926,18 @@ def test_manifest_records_every_stage(tmp_path, corpus_file):
 
 def test_every_accepted_flag_is_recorded_in_the_manifest():
     """A subcommand accepts only flags whose value its stage records, so a
-    flag that is accepted and then ignored cannot come back."""
+    flag that is accepted and then ignored cannot come back. A subcommand's
+    flags are added when argparse dispatches to it, so each is read from a
+    parser that has parsed that command: --workspace and the command's
+    OPTIONS rows, no more."""
     manifest_key = {opt.name: opt.key or opt.name for opt in OPTIONS}
-    subcommands = build_parser()._subparsers._group_actions[0].choices
-    for command, parser in subcommands.items():
-        if command == "synth":
-            continue
+    for command in [*_STAGE_FUNCS, "run"]:
+        top = build_parser()
+        parser = top._subparsers._group_actions[0].choices[command]
+        top.parse_args([command, "--workspace", "ws"])
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        rows = {opt.flag for opt in OPTIONS if opt.flag and (command == "run" or command in opt.stages)}
+        assert flags == {"-h", "--help", "--workspace"} | rows, command
         recorded = set()
         for stage in _STAGE_FUNCS if command == "run" else [command]:
             for key, value in RunConfig().stage_view(stage).items():

@@ -22,7 +22,9 @@ from collabmap.network import (
     threshold_network,
 )
 
-from conftest import make_documents, oracle_geojson, oracle_great_circle_points, read_net, write_net
+from conftest import (
+    make_documents, oracle_geo_csvs, oracle_geojson, oracle_great_circle_points, read_net, write_net,
+)
 from test_network import fake_network
 
 
@@ -353,8 +355,9 @@ def test_geojson_text_equals_the_json_dumps_oracle(seed, great_circle):
     net = fake_network({c: Fraction(rng.randint(1, 10**5), rng.randint(1, 97)) for c in ODD_NAMES}, edges)
     sub = threshold_network(net, 0, 0)
     s_min, s_scale = rng.uniform(-5, 5), rng.uniform(0, 3)
-    doc, _nodes, _links = export_geo(sub, registry, s_min, s_scale, great_circle)
+    doc, nodes, links = export_geo(sub, registry, s_min, s_scale, great_circle)
     assert doc == oracle_geojson(sub, registry, s_min, s_scale, great_circle)
+    assert (nodes, links) == oracle_geo_csvs(sub, registry, great_circle)
 
 
 @pytest.mark.parametrize("great_circle", [False, True])
@@ -369,8 +372,9 @@ def test_geojson_text_of_real_countries_equals_the_oracle(great_circle):
     )
     sub = threshold_network(net, 1, 1)
     assert sub.edges
-    doc, _nodes, _links = export_geo(sub, registry, great_circle=great_circle)
+    doc, nodes, links = export_geo(sub, registry, great_circle=great_circle)
     assert doc == oracle_geojson(sub, registry, great_circle=great_circle)
+    assert (nodes, links) == oracle_geo_csvs(sub, registry, great_circle)
 
 
 def test_an_overflowing_marker_size_is_a_data_error():
