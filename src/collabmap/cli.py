@@ -1,13 +1,13 @@
 """Pipeline orchestration CLI.
 
 Each stage reads a workspace directory and returns the files it produces;
-``Workspace.commit`` writes one batch per command, ``run`` included, so a
+``StageWorkspace.commit`` writes one batch per command, ``run`` included, so a
 command that fails writes nothing. ``run`` and a chain of per-stage
 subcommands produce identical artifact trees. Every stage records its
 resolved configuration, input digests, and artifact digests in
 ``run-manifest.json``; nothing depends on wall-clock time, so repeated runs
-are byte-identical. A command reads that manifest before its first stage
-computes, and a stage refuses a file read from disk that it does not vouch for.
+are byte-identical. ``collabmap.workspace`` reads that manifest before the first
+stage computes, and refuses a file read from disk that it does not vouch for.
 
 Exit codes: 0 success, 2 configuration error, 3 parse error (strict
 mode), 4 data error.
@@ -16,21 +16,20 @@ mode), 4 data error.
 from __future__ import annotations
 
 import argparse
-import errno
-import hashlib
 import json
 import math
-import os
-import stat
 import sys
 import warnings
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
+from collabmap.workspace import (
+    MANIFEST_NAME, Workspace, _check_output_path, _json_dumps, _json_object, _sha256_text,
+)
 
 # Each function imports the modules it calls, so a stage process loads only
 # what it runs, and calls them through the module, where perfbench's tracer
@@ -42,15 +41,10 @@ if TYPE_CHECKING:
     from collabmap.corpus import filtering, records, registry as registry_mod
     from collabmap.layout import Layout, LayoutConfig
 
-MANIFEST_NAME = "run-manifest.json"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_DATA = 4
-
-# the bytes of an input file read at once
-READ_SIZE = 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -311,161 +305,30 @@ def layout_components(
     return layout.layout_components(nodes, edges, cfg)
 
 
-class Workspace:
-    """The artifact directory that stages read from and commit() writes to."""
+class StageWorkspace(Workspace):
+    """The Workspace of one command: its commit, and the network and layouts its stages share."""
 
     def __init__(self, root: Path):
-        self.root = Path(root)
-        self.record: dict = {"stages": {}}  # run-manifest.json, once read_record() has read it
-        # the running stage's reads: workspace path, or input file name -> sha256
-        # of what was read; commit() records them in the stage's manifest entry
-        self.inputs: dict[str, str] = {}
-        # the files that the stages of the batch being computed made, by relative path
-        self._batch: dict[str, str] = {}
+        super().__init__(root)
         # the network of the current commit's network.json, once read or handed on
         self._network: network.CoauthNetwork | None = None
         # (nodes, edge pairs, edge weights, settings) -> the layout computed from them
         self._layouts: dict[tuple, Layout] = {}
-        # the write rule with what it has resolved in the workspace, for the current commit
-        self._rule = _WriteRule(self.root)
 
     def commit(self, stages: list[str], cfg: RunConfig, fresh: bool = False) -> None:
         """Read the record, compute the stages in turn into one batch whose
         files the later ones read, and write it with every stage's manifest
         entry in one write_files call; update_manifest says what ``fresh`` deletes."""
-        self._rule = _WriteRule(self.root)
         self.read_record()
-        entries, self._batch, self._network = {}, {}, None
+        entries, self._network = {}, None
         for stage in stages:
             self.inputs = {}
             files = _STAGE_FUNCS[stage](cfg, self)
-            self._batch.update(files)
+            self.batch.update(files)
             entries[stage] = {"config": cfg.stage_view(stage), "inputs": self.inputs,
                               "artifacts": {relpath: _sha256_text(text) for relpath, text in files.items()}}
         manifest, stale = update_manifest(self.record, entries, fresh)
-        self.write_files({**self._batch, MANIFEST_NAME: manifest}, stale)
-
-    def read_record(self) -> None:
-        """Read run-manifest.json, or no stages if there is none, into ``record``: a DataError
-        unless each entry holds config, inputs and artifacts, each under the write rule."""
-        path, record = self.root / MANIFEST_NAME, {"stages": {}}
-        if path.is_file():
-            record = _json_object(MANIFEST_NAME, _utf8(MANIFEST_NAME, path.read_bytes()))
-        stages = record.setdefault("stages", {})
-        if not isinstance(stages, dict):
-            raise DataError(f"{MANIFEST_NAME}: stages is not a JSON object")
-        for name, entry in stages.items():
-            where = f"{MANIFEST_NAME}: stage {name!r}"
-            if not isinstance(entry, dict):
-                raise DataError(f"{where} is not a JSON object")
-            for key in ("config", "inputs", "artifacts"):
-                if not isinstance(entry.get(key), dict):
-                    raise DataError(f"{where}: {key} is not a JSON object")
-                if key != "config" and not all(isinstance(v, str) for v in entry[key].values()):
-                    raise DataError(f"{where}: {key} maps a name to a non-string")
-            for relpath in entry["artifacts"]:
-                self._rule.check(where, relpath)
-        self.record = record
-
-    def write_files(self, files: dict[str, str], delete: list[str]) -> None:
-        """Write each relative path's text to a temporary sibling, then move
-        each file to delete and each existing target aside and the temporary
-        into its place. If any step fails, put the originals back, remove
-        the new files and the temporaries, and re-raise, so every file stays
-        as it was. On success, remove the directories the deletions empty.
-        Before anything is written, _WriteRule holds every deletion and
-        every target to the one write rule."""
-        for relpath in [*delete, *files]:
-            self._rule.check(f"workspace {self.root}", relpath, target=relpath in files)
-        staged: list[tuple[Path, Path]] = []
-        moved: list[tuple[Path, Path | None]] = []  # (target, its original's backup)
-        try:
-            for relpath, text in files.items():
-                path = self.root / relpath
-                path.parent.mkdir(parents=True, exist_ok=True)
-                temp = path.with_name(path.name + ".tmp")
-                staged.append((temp, path))
-                temp.write_text(text, encoding="utf-8", newline="\n")
-            for relpath in delete:
-                path = self.root / relpath
-                if path.is_file():
-                    backup = path.with_name(path.name + ".bak")
-                    os.replace(path, backup)
-                    moved.append((path, backup))
-            for temp, path in staged:
-                backup = path.with_name(path.name + ".bak") if path.exists() else None
-                if backup is not None:
-                    os.replace(path, backup)
-                moved.append((path, backup))
-                os.replace(temp, path)
-        except BaseException:
-            for path, backup in reversed(moved):
-                if backup is None:
-                    path.unlink(missing_ok=True)
-                else:
-                    os.replace(backup, path)
-            for temp, _path in staged:
-                temp.unlink(missing_ok=True)
-            raise
-        for _path, backup in moved:
-            if backup is not None:
-                backup.unlink()
-        for relpath in delete:
-            for parent in PurePosixPath(relpath).parents[:-1]:
-                try:
-                    (self.root / parent).rmdir()
-                except OSError:  # not empty, or not there
-                    break
-
-    def read_text(self, relpath: str, maker: str) -> str:
-        """The text of a workspace file that the stage ``maker`` makes, from the batch if a
-        stage in it made the file, else from disk once _check_current vouches for its bytes,
-        decoded as UTF-8 with its line ends as they are; their sha256 is an input."""
-        text = self._batch.get(relpath)
-        if text is not None:
-            self.inputs[relpath] = _sha256_text(text)
-            return text
-        path = self.root / relpath
-        if not path.is_file():
-            raise ConfigError(f"missing intermediate {relpath!r}; run the earlier stages first")
-        data = path.read_bytes()
-        self.inputs[relpath] = digest = hashlib.sha256(data).hexdigest()
-        self._check_current(relpath, digest, maker)
-        return _utf8(relpath, data)
-
-    def _check_current(self, relpath: str, digest: str, maker: str) -> None:
-        """Refuse a file read from disk that the record does not vouch for: the stage that
-        lists it must list ``digest``, and every workspace file that stage read must still be
-        what its own producer lists, and so on down to ingest, whose inputs are outside files.
-        The DataError names the file and the stage to run again."""
-        stages = self.record["stages"]
-        producers = {path: stage for stage, entry in stages.items() for path in entry["artifacts"]}
-        producer = producers.get(relpath)
-        if producer is None or stages[producer]["artifacts"][relpath] != digest:
-            raise DataError(f"{relpath}: not the file that {MANIFEST_NAME} lists; run {maker} again")
-        pending, seen = [producer], {producer}
-        while pending:
-            stage = pending.pop()
-            if stage == "ingest":
-                continue
-            for path, read in stages[stage]["inputs"].items():
-                producer = producers.get(path)
-                if producer is None or stages[producer]["artifacts"][path] != read:
-                    raise DataError(f"{relpath}: {stage} made it from a {path} that {MANIFEST_NAME} "
-                                    f"no longer lists; run {stage} again")
-                if producer not in seen:
-                    seen.add(producer)
-                    pending.append(producer)
-
-    def input_chunks(self, path: Path) -> Iterator[bytes]:
-        """An input file's bytes, READ_SIZE at a time; once the last is
-        read, the sha256 of them all is recorded under its file name."""
-        digest = hashlib.sha256()
-        with path.open("rb") as fh:
-            while chunk := fh.read(READ_SIZE):
-                digest.update(chunk)
-                yield chunk
-        self.inputs[path.name] = digest.hexdigest()
+        self.write_files({**self.batch, MANIFEST_NAME: manifest}, stale)
 
     def keep_network(self, net: network.CoauthNetwork) -> None:
         """Hand on ``net``, the network of the network.json this commit makes."""
@@ -494,26 +357,6 @@ class Workspace:
         if layout is None:
             layout = self._layouts[key] = layout_components(nodes, edges, cfg)
         return layout
-
-
-def _utf8(relpath: str, data: bytes) -> str:
-    """The text of a workspace file's bytes, which are UTF-8 or a DataError."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{relpath}: not UTF-8 text: {exc}") from exc
-
-
-def _json_object(relpath: str, text: str) -> dict:
-    """The JSON object that the text of ``relpath`` holds; text that is not
-    one is a DataError that names the file."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{relpath}: not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{relpath}: not a JSON object")
-    return obj
 
 
 def _read_intermediate(ws: Workspace, relpath: str, maker: str, fields: tuple[str, ...],
@@ -584,83 +427,9 @@ def _histogram(raw) -> dict[int, int]:
     return histogram
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _json_dumps(obj) -> str:
-    """Canonical sorted-key JSON, used for the manifest."""
-    return json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-
-
 def _json_artifact(obj) -> str:
     """Schema-ordered JSON for artifact files (dicts are pre-ordered)."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-
-
-class _WriteRule:
-    """The one rule for an artifact path written, deleted or listed: relative
-    to ``root``, with no empty, "." or ".." part, and led out by no symbolic
-    link, nor through a loop of them, or a DataError; a ``target`` that is
-    a directory, or lies below a file, is a ConfigError.
-
-    It resolves the root once and each directory once, so it holds for one
-    commit, whose files it checks before any is written. A file then costs
-    one lstat; only a file that is itself a symbolic link is resolved."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self._real_root: Path | None = None
-        # directory, "" for the root -> no loop lies on it and it resolves inside the root
-        self._inside: dict[str, bool] = {}
-        # directory -> the ancestor of a file in it that is not a directory, if any
-        self._file_above: dict[str, Path | None] = {}
-
-    def check(self, where: str, relpath: str, target: bool = False) -> None:
-        directory = relpath.rpartition("/")[0]
-        path, mode = self.root / relpath, None
-        inside = (all(part not in ("", ".", "..") for part in relpath.split("/"))
-                  and self._directory_inside(directory))
-        if inside:
-            try:
-                mode = path.lstat().st_mode
-            except OSError:  # not there, or below a file
-                pass
-            if mode is not None and stat.S_ISLNK(mode):
-                inside = self._resolves_inside(path)
-        if not inside:
-            raise DataError(f"{where}: artifact {relpath!r} is not a path inside the workspace")
-        if target:
-            if mode is not None and (stat.S_ISDIR(mode) or stat.S_ISLNK(mode) and path.is_dir()):
-                raise ConfigError(f"artifact is a directory: {path}")
-            if directory not in self._file_above:
-                self._file_above[directory] = _file_above(path)
-            above = self._file_above[directory]
-            if above is not None:
-                raise ConfigError(f"artifact {path} runs through {above}, which is not a directory")
-
-    def _directory_inside(self, directory: str) -> bool:
-        inside = self._inside.get(directory)
-        if inside is None:
-            inside = self._inside[directory] = self._resolves_inside(self.root / directory)
-        return inside
-
-    def _resolves_inside(self, path: Path) -> bool:
-        if _link_loop(path):
-            return False
-        if self._real_root is None:
-            self._real_root = self.root.resolve()
-        return path.resolve().is_relative_to(self._real_root)
-
-
-def _link_loop(path: Path) -> bool:
-    """Whether a loop of symbolic links lies on ``path``: resolve() raises
-    RuntimeError for one before Python 3.13 and returns the loop after."""
-    try:
-        path.stat()
-    except OSError as exc:
-        return exc.errno == errno.ELOOP
-    return False
 
 
 def update_manifest(record: dict, entries: dict[str, dict], fresh: bool) -> tuple[str, list[str]]:
@@ -749,7 +518,7 @@ def _restrict_network(cfg: RunConfig, net: network.CoauthNetwork) -> network.Coa
 
 
 def _subnetwork_files(
-    ws: Workspace,
+    ws: StageWorkspace,
     prefix: str,
     sub: network.CoauthNetwork,
     cfg: RunConfig,
@@ -784,8 +553,9 @@ def _subnetwork_files(
         layout_lines.append(f"{country},{counting.format_fixed(x)},{counting.format_fixed(y)}")
     files[f"{prefix}/layout.csv"] = "\n".join(layout_lines) + "\n"
 
-    files[f"{prefix}/network.net"] = pajek.export_pajek(sub, layout)
-    map_text, net_text = vosviewer.export_vosviewer(sub, layout, size_attr=size_attr)
+    numbering = network.numbered(sub, layout)
+    files[f"{prefix}/network.net"] = pajek.export_pajek(layout, numbering)
+    map_text, net_text = vosviewer.export_vosviewer(sub, layout, numbering, size_attr=size_attr)
     files[f"{prefix}/vos-map.txt"] = map_text
     files[f"{prefix}/vos-network.txt"] = net_text
     return files
@@ -798,7 +568,7 @@ def _subnetwork_files(
 # Each stage returns the text of each of its files by relative path; what
 # it read, the Workspace records.
 
-def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_ingest(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     import gc
 
     # Everything ingest builds is acyclic (strings, numbers, tuples, lists and
@@ -815,7 +585,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
             gc.enable()
 
 
-def _ingest(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def _ingest(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.corpus import filtering
 
@@ -872,7 +642,7 @@ def _input_records(cfg: RunConfig, ws: Workspace, all_issues: list[dict]) -> Ite
         raise DataError(f"duplicate record id across inputs: {repeated[0]!r}")
 
 
-def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_summary(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import counting
     from collabmap.corpus import filtering
 
@@ -898,7 +668,7 @@ def stage_summary(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     }
 
 
-def stage_net(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_net(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import counting, network
 
     full = ws.network()
@@ -927,7 +697,7 @@ def stage_net(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     return files
 
 
-def stage_geo(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_geo(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.exports import geo as geo_export
 
@@ -941,7 +711,7 @@ def stage_geo(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     return {"geo/map.geojson": doc, "geo/nodes.csv": nodes, "geo/links.csv": links}
 
 
-def stage_core(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_core(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import network
 
     if cfg.core_k is None:
@@ -950,7 +720,7 @@ def stage_core(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     return _subnetwork_files(ws, "core", sub, cfg, _size_attr(cfg, "core"))
 
 
-def stage_ego(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_ego(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import network
     from collabmap.exports import report as report_export
 
@@ -968,7 +738,7 @@ def stage_ego(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     return files
 
 
-def stage_export(cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+def stage_export(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import counting, network
     from collabmap.exports import report as report_export
 
@@ -1030,7 +800,7 @@ _STAGE_FUNCS = {
 }
 
 
-def run_pipeline(cfg: RunConfig, ws: Workspace) -> None:
+def run_pipeline(cfg: RunConfig, ws: StageWorkspace) -> None:
     stages = ["ingest", "summary", "net", "geo"]
     if cfg.core_k is not None:
         stages.append("core")
@@ -1134,26 +904,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _check_output_path(label: str, path: Path, directory: bool) -> None:
-    """Refuse, before any work, an output path through a loop of symbolic
-    links, one that exists as the wrong kind (a directory where a file is
-    written, or the reverse), or one whose nearest existing ancestor is not a directory."""
-    if _link_loop(path):
-        raise ConfigError(f"{label} {path} runs through a loop of symbolic links")
-    if path.exists() and path.is_dir() != directory:
-        raise ConfigError(f"{label} is {'not ' if directory else ''}a directory: {path}")
-    above = _file_above(path)
-    if above is not None:
-        raise ConfigError(f"{label} {path} runs through {above}, which is not a directory")
-
-
-def _file_above(path: Path) -> Path | None:
-    """The nearest existing ancestor of ``path``, if it is not a directory."""
-    for ancestor in path.parents:
-        if ancestor.exists():
-            return None if ancestor.is_dir() else ancestor
-    return None
-
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
@@ -1181,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             root = Path(args.workspace)
             _check_output_path("workspace", root, directory=True)
-            ws = Workspace(root)
+            ws = StageWorkspace(root)
             if args.command == "run":
                 run_pipeline(cfg, ws)
             else:

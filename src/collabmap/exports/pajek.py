@@ -12,11 +12,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from collabmap.counting import format_fixed
-from collabmap.network import numbered
 
 if TYPE_CHECKING:
     from collabmap.layout import Layout
-    from collabmap.network import CoauthNetwork
 
 
 def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[float, float]]:
@@ -36,9 +34,10 @@ def _unit_box(coordinates: dict[str, tuple[float, float]]) -> dict[str, tuple[fl
     }
 
 
-def export_pajek(sub: CoauthNetwork, layout: Layout) -> str:
-    """The NET file of ``sub`` with every vertex at its layout position."""
-    names, edges = numbered(sub, layout)
+def export_pajek(layout: Layout, numbering: tuple[list[str], list[tuple[int, int, int]]]) -> str:
+    """The NET file of a map numbered by ``network.numbered``, with every
+    vertex at its layout position."""
+    names, edges = numbering
     boxed = _unit_box({name: layout.coordinates[name] for name in names})
     lines = [f"*Vertices {len(names)}"]
     for k, name in enumerate(names, 1):

@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING
 
 from collabmap.counting import format_fixed
 from collabmap.errors import DataError
-from collabmap.network import numbered
 
 if TYPE_CHECKING:
     from collabmap.layout import Layout
@@ -18,16 +17,18 @@ SIZE_ATTRS = ("integer_papers", "fractional_papers", "degree")
 def export_vosviewer(
     sub: CoauthNetwork,
     layout: Layout,
+    numbering: tuple[list[str], list[tuple[int, int, int]]],
     size_attr: str = "fractional_papers",
 ) -> tuple[str, str]:
-    """Return (map file, network file) sharing one dense id assignment.
+    """Return (map file, network file) sharing ``numbering``, the dense id
+    assignment that ``network.numbered(sub, layout)`` gives.
 
     The map's weight column carries the chosen node-size attribute; degree
     is counted from the subnetwork's own edges.
     """
     if size_attr not in SIZE_ATTRS:
         raise DataError(f"size_attr must be one of {SIZE_ATTRS}, got {size_attr!r}")
-    names, edges = numbered(sub, layout)
+    names, edges = numbering
     map_lines = ["id\tlabel\tx\ty\tweight"]
     for k, name in enumerate(names, 1):
         x, y = layout.coordinates[name]

@@ -31,6 +31,7 @@ from collabmap.network import (
     cosine_similarity,
     extract_core,
     network_stats,
+    numbered,
     threshold_network,
 )
 
@@ -270,11 +271,12 @@ def test_format_fidelity(tmp_path):
     sub = threshold_network(net, 1, 1)
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
 
-    pajek_once = export_pajek(sub, layout)
+    numbering = numbered(sub, layout)
+    pajek_once = export_pajek(layout, numbering)
     pajek_again = write_net(read_net(pajek_once))
     ok = pajek_again == pajek_once
 
-    map_text, net_text = export_vosviewer(sub, layout)
+    map_text, net_text = export_vosviewer(sub, layout, numbering)
     map_ids = {int(line.split("\t")[0]) for line in map_text.splitlines()[1:]}
     edge_ids = {int(v) for line in net_text.splitlines() for v in line.split("\t")[:2]}
     ok = ok and edge_ids <= map_ids and map_ids == set(range(1, len(sub.nodes) + 1))

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,14 +27,15 @@ from collabmap.cli import (
     EXIT_PARSE,
     OPTIONS,
     RunConfig,
-    Workspace,
+    StageWorkspace,
     _STAGE_FUNCS,
     build_parser,
     config_from_args,
     main,
 )
-from collabmap.errors import DataError
+from collabmap.errors import ConfigError, DataError
 from collabmap.exports import vosviewer
+from collabmap.workspace import Workspace
 
 from conftest import DATA_DIR, GOLDEN_DIR, reference_cosine, starts
 
@@ -422,7 +424,7 @@ def test_failed_rerun_keeps_the_previous_state(tmp_path, corpus_file, monkeypatc
 def test_failed_write_keeps_the_previous_files(tmp_path, corpus_file, monkeypatch, error):
     """A rerun whose second write fails leaves the good files of the run
     before it, and the manifest that lists them, byte-identical."""
-    ws = Workspace(tmp_path / "ws")
+    ws = StageWorkspace(tmp_path / "ws")
     ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
     before = tree_bytes(ws.root)
     write = Path.write_text
@@ -450,7 +452,7 @@ def test_failed_move_restores_the_files_and_the_manifest(tmp_path, corpus_file, 
                                                          failing, fresh):
     """A rerun whose move of a new file into place fails, after earlier
     moves succeeded, puts back every original and leaves no new file."""
-    ws = Workspace(tmp_path / "ws")
+    ws = StageWorkspace(tmp_path / "ws")
     if not fresh:
         ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
     before = tree_bytes(ws.root)
@@ -544,7 +546,10 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     """A deletion that a symbolic link leads out of the workspace is refused
     as such a target is, before anything is written, moved or deleted: below
     a directory that is a link out or a loop, and a file that is itself a
-    link out, also when a file before it in its directory passed."""
+    link out, also when a file before it in its directory passed. So is a
+    target or deletion whose .tmp or .bak sibling is a link, which the
+    temporary's write would follow out of the workspace, or a directory,
+    which no move replaces."""
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "victim.txt").write_text("keep me\n")
@@ -556,18 +561,40 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     (ws.root / "kept").mkdir()
     (ws.root / "kept" / "in.csv").write_text("keep me too\n")
     (ws.root / "kept" / "out.csv").symlink_to(Path("..", "..", "outside", "victim.txt"))
+    (ws.root / "summary.json.tmp").symlink_to(Path("..", "outside", "victim.txt"))
+    (ws.root / "report.json.tmp").mkdir()
+    (ws.root / "counts.csv").write_text("keep me three\n")
+    (ws.root / "counts.csv.bak").mkdir()
+    (ws.root / "stats.json").write_text("keep me four\n")
+    (ws.root / "stats.json.bak").symlink_to(Path("..", "outside", "victim.txt"))
+
+    def outside_row(files, delete, named):
+        return files, delete, DataError, f"artifact '{named}' is not a path inside the workspace"
+
+    def sibling_row(files, delete, named):
+        return files, delete, ConfigError, (f"has a {Path(named).suffix} sibling that is a symbolic link "
+                                            f"or a directory: {re.escape(str(ws.root / named))}$")
+
     tree = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
-    for files, delete, named in (({"a.txt": "x"}, ["link/victim.txt"], "link/victim.txt"),
-                                 ({"a.txt": "x", "link/b.txt": "x"}, [], "link/b.txt"),
-                                 ({"a.txt": "x"}, ["thresholded/victim.txt"], "thresholded/victim.txt"),
-                                 ({"a.txt": "x", "thresholded/edges.csv": "x"}, [], "thresholded/edges.csv"),
-                                 ({"a.txt": "x"}, ["kept/out.csv"], "kept/out.csv"),
-                                 ({"a.txt": "x", "kept/out.csv": "x"}, [], "kept/out.csv"),
-                                 ({"a.txt": "x"}, ["loop/x.csv"], "loop/x.csv"),
-                                 ({"a.txt": "x", "loop/x.csv": "x"}, [], "loop/x.csv"),
-                                 ({"a.txt": "x"}, ["kept/in.csv", "kept/out.csv"], "kept/out.csv"),
-                                 ({"kept/in.csv": "x", "kept/out.csv": "x"}, [], "kept/out.csv")):
-        with pytest.raises(DataError, match=f"artifact '{named}' is not a path inside the workspace"):
+    for files, delete, error, message in (
+            outside_row({"a.txt": "x"}, ["link/victim.txt"], "link/victim.txt"),
+            outside_row({"a.txt": "x", "link/b.txt": "x"}, [], "link/b.txt"),
+            outside_row({"a.txt": "x"}, ["thresholded/victim.txt"], "thresholded/victim.txt"),
+            outside_row({"a.txt": "x", "thresholded/edges.csv": "x"}, [], "thresholded/edges.csv"),
+            outside_row({"a.txt": "x"}, ["kept/out.csv"], "kept/out.csv"),
+            outside_row({"a.txt": "x", "kept/out.csv": "x"}, [], "kept/out.csv"),
+            outside_row({"a.txt": "x"}, ["loop/x.csv"], "loop/x.csv"),
+            outside_row({"a.txt": "x", "loop/x.csv": "x"}, [], "loop/x.csv"),
+            outside_row({"a.txt": "x"}, ["kept/in.csv", "kept/out.csv"], "kept/out.csv"),
+            outside_row({"kept/in.csv": "x", "kept/out.csv": "x"}, [], "kept/out.csv"),
+            sibling_row({"a.txt": "x", "summary.json": "x"}, [], "summary.json.tmp"),
+            sibling_row({"a.txt": "x"}, ["summary.json"], "summary.json.tmp"),
+            sibling_row({"a.txt": "x", "report.json": "x"}, [], "report.json.tmp"),
+            sibling_row({"a.txt": "x", "counts.csv": "x"}, [], "counts.csv.bak"),
+            sibling_row({"a.txt": "x"}, ["counts.csv"], "counts.csv.bak"),
+            sibling_row({"a.txt": "x", "stats.json": "x"}, [], "stats.json.bak"),
+            sibling_row({"a.txt": "x"}, ["stats.json"], "stats.json.bak")):
+        with pytest.raises(error, match=message):
             ws.write_files(files, delete)
         assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == tree
     assert os.listdir(outside) == ["victim.txt"]
@@ -638,13 +665,16 @@ def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int,
 
 @pytest.mark.parametrize("case", ["registry-missing", "aliases-missing", "registry-not-utf8",
                                   "config-not-utf8", "workspace-through-a-file", "out-a-directory",
-                                  "out-through-a-file", "artifact-through-a-file", "artifact-a-directory"])
+                                  "out-through-a-file", "artifact-through-a-file", "artifact-a-directory",
+                                  "temporary-a-link-out", "temporary-a-directory"])
 def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp_path, case):
     """Each case runs in a fresh interpreter, where an uncaught OSError or
     UnicodeDecodeError would show as a traceback and exit 1: it exits 2 with
     one line that names the path, and changes nothing under tmp_path. A
     stage's artifact below a file, or one that is a directory, is refused
-    before the stage writes anything."""
+    before the stage writes anything, and so is one whose .tmp sibling is a
+    link, through which summary once wrote over the file outside, or a
+    directory, on which it once died."""
     afile, adir, nope = tmp_path / "afile", tmp_path / "adir", tmp_path / "nope.csv"
     afile.write_text("keep me\n")
     adir.mkdir()
@@ -665,7 +695,17 @@ def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp
                                     tmp_path / "ws" / "thresholded"),
         "artifact-a-directory": (["net", "--workspace", str(tmp_path / "ws")],
                                  tmp_path / "ws" / "thresholded" / "edges.csv"),
+        "temporary-a-link-out": (["summary", "--workspace", str(tmp_path / "ws")],
+                                 tmp_path / "ws" / "summary.json.tmp"),
+        "temporary-a-directory": (["summary", "--workspace", str(tmp_path / "ws")],
+                                  tmp_path / "ws" / "summary.json.tmp"),
     }[case]
+    if case.startswith("temporary"):
+        assert main(ingest) == EXIT_OK
+        if case == "temporary-a-link-out":
+            named.symlink_to(Path("..", "afile"))
+        else:
+            named.mkdir()
     if case.startswith("artifact"):
         assert main(ingest) == EXIT_OK
         if case == "artifact-through-a-file":
@@ -1575,7 +1615,7 @@ def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
         return lay_out(nodes, edges, cfg)
 
     monkeypatch.setattr(cli, "layout_components", record)
-    ws = Workspace(tmp_path)
+    ws = StageWorkspace(tmp_path)
     # a square: every pair of opposite corners is joined by two equal paths
     nodes = ["A", "B", "C", "D"]
     edges = {("A", "B"): 2.0, ("A", "C"): 2.0, ("B", "D"): 2.0, ("C", "D"): 2.0}
@@ -1593,7 +1633,7 @@ def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
     assert laid_out == [(nodes, edges, cfg)] + maps
     for args, got in zip(maps, layouts):
         assert got is not first and got == lay_out(*args)
-    assert Workspace(tmp_path).layout(nodes, edges, cfg) is not first
+    assert StageWorkspace(tmp_path).layout(nodes, edges, cfg) is not first
 
 
 def test_line_separators_in_record_ids_run_like_the_chain(tmp_path, corpus_file):
@@ -1646,7 +1686,7 @@ def test_stages_return_their_files_and_write_nothing(tmp_path, corpus_file):
     before = tree_bytes(ws)
     manifest = json.loads(before["run-manifest.json"])["stages"]
     cfg = config_from_args(build_parser().parse_args(argv))
-    workspace = Workspace(ws)
+    workspace = StageWorkspace(ws)
     workspace.read_record()
     for stage, stage_func in _STAGE_FUNCS.items():
         workspace.inputs.clear()
@@ -1780,13 +1820,13 @@ def test_workspace_rebuilds_the_corpus_when_documents_change(tmp_path, corpus_fi
     build = network.build_coauth_network
     monkeypatch.setattr(network, "build_coauth_network", lambda docs: builds.append(docs) or build(docs))
 
-    reused = Workspace(tmp_path / "reused")
+    reused = StageWorkspace(tmp_path / "reused")
     for stage, path in (("ingest", corpus_file), ("net", None), ("ingest", other), ("net", None),
                         ("geo", None)):
         reused.commit([stage], RunConfig(inputs=[str(path)] if path else []))
     assert len(builds) == 2
 
-    fresh = Workspace(tmp_path / "fresh")
+    fresh = StageWorkspace(tmp_path / "fresh")
     for stage in ("ingest", "net", "geo"):
         fresh.commit([stage], RunConfig(inputs=[str(other)]))
     assert tree_bytes(reused.root) == tree_bytes(fresh.root)
@@ -1807,11 +1847,11 @@ def test_network_changed_after_ingest_is_refused(tmp_path, corpus_file, monkeypa
     monkeypatch.setattr(network, "load_network", lambda text: loads.append(text) or load(text))
 
     for label in ("reused", "fresh"):
-        ws = Workspace(tmp_path / label)
+        ws = StageWorkspace(tmp_path / label)
         ws.commit(["ingest"], RunConfig(inputs=[str(corpus_file)]))
         (ws.root / "network.json").write_bytes(edited)
         if label == "fresh":
-            ws = Workspace(ws.root)
+            ws = StageWorkspace(ws.root)
         before = tree_bytes(ws.root)
         with pytest.raises(DataError, match=r"^network\.json: not the file that run-manifest\.json lists; "
                                             r"run ingest again$"):

@@ -19,6 +19,7 @@ from collabmap.network import (
     NetworkStats,
     build_coauth_network,
     network_stats,
+    numbered,
     threshold_network,
 )
 
@@ -54,7 +55,7 @@ def fixture_subnetwork():
 def test_pajek_two_node_exact_bytes():
     # both nodes on one point: each flat axis maps to the middle of the box
     layout = make_layout({"A": (3.0, 3.0), "B": (3.0, 3.0)})
-    assert export_pajek(small_subnetwork(), layout) == (
+    assert export_pajek(layout, numbered(small_subnetwork(), layout)) == (
         '*Vertices 2\n'
         '1 "A" 0.500000 0.500000 0.500000\n'
         '2 "B" 0.500000 0.500000 0.500000\n'
@@ -66,13 +67,14 @@ def test_pajek_two_node_exact_bytes():
 def test_pajek_empty_network():
     net = fake_network({}, {})
     sub = threshold_network(net, 0, 0)
-    assert export_pajek(sub, make_layout({})) == "*Vertices 0\n*Edges\n"
+    layout = make_layout({})
+    assert export_pajek(layout, numbered(sub, layout)) == "*Vertices 0\n*Edges\n"
 
 
 def test_pajek_with_coordinates_in_unit_box():
     sub = small_subnetwork()
     layout = make_layout({"A": (-2.0, 1.0), "B": (4.0, -1.0)})
-    text = export_pajek(sub, layout)
+    text = export_pajek(layout, numbered(sub, layout))
     assert text == (
         '*Vertices 2\n'
         '1 "A" 0.000000 1.000000 0.500000\n'
@@ -85,7 +87,7 @@ def test_pajek_with_coordinates_in_unit_box():
 def test_pajek_write_read_write_byte_identical():
     _net, sub = fixture_subnetwork()
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
-    first = export_pajek(sub, layout)
+    first = export_pajek(layout, numbered(sub, layout))
     model = read_net(first)
     second = write_net(model)
     assert second == first
@@ -94,7 +96,8 @@ def test_pajek_write_read_write_byte_identical():
 
 def test_pajek_reader_unescapes_labels():
     sub = threshold_network(fake_network({'He said "hi"': Fraction(1)}, {}), 0, 0)
-    text = export_pajek(sub, make_layout({'He said "hi"': (0.0, 0.0)}))
+    layout = make_layout({'He said "hi"': (0.0, 0.0)})
+    text = export_pajek(layout, numbered(sub, layout))
     assert '""hi""' in text
     assert read_net(text).vertices[0].label == 'He said "hi"'
 
@@ -104,21 +107,22 @@ def test_pajek_reader_rejects_bad_ids():
         read_net('*Vertices 2\n1 "A"\n3 "B"\n*Edges\n')
 
 
-@pytest.mark.parametrize("export", [export_pajek, export_vosviewer])
-def test_exporters_list_every_country_the_layout_misses(export):
-    """Both exporters refuse a layout that misses two countries, with one message."""
+def test_numbering_lists_every_country_the_layout_misses():
+    """The numbering that both exporters take refuses a layout that misses
+    two countries, with one message."""
     sub = threshold_network(
         fake_network({"A": Fraction(3), "B": Fraction(2), "C": Fraction(1)}, {("A", "B"): 7, ("B", "C"): 1}),
         0, 0,
     )
     with pytest.raises(DataError, match="^layout is missing coordinates for: A, C$"):
-        export(sub, make_layout({"B": (0.0, 0.0)}))
+        numbered(sub, make_layout({"B": (0.0, 0.0)}))
 
 
 def test_pajek_missing_layout_node_rejected():
     sub = small_subnetwork()
+    layout = make_layout({"A": (0.0, 0.0)})
     with pytest.raises(DataError, match="B"):
-        export_pajek(sub, make_layout({"A": (0.0, 0.0)}))
+        export_pajek(layout, numbered(sub, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +132,7 @@ def test_pajek_missing_layout_node_rejected():
 def test_vosviewer_hand_assembled_golden():
     sub = small_subnetwork()
     layout = make_layout({"A": (0.0, 0.0), "B": (1.0, 0.5)})
-    map_text, net_text = export_vosviewer(sub, layout, size_attr="integer_papers")
+    map_text, net_text = export_vosviewer(sub, layout, numbered(sub, layout), size_attr="integer_papers")
     expected_map = (
         "id\tlabel\tx\ty\tweight\n"
         "1\tA\t0.000000\t0.000000\t4\n"
@@ -141,14 +145,15 @@ def test_vosviewer_hand_assembled_golden():
 def test_vosviewer_degree_sizing():
     sub = small_subnetwork()
     layout = make_layout({"A": (0.0, 0.0), "B": (1.0, 0.5)})
-    map_text, _ = export_vosviewer(sub, layout, size_attr="degree")
+    map_text, _ = export_vosviewer(sub, layout, numbered(sub, layout), size_attr="degree")
     assert map_text.splitlines()[1].endswith("\t1")
 
 
 def test_vosviewer_single_node():
     net = fake_network({"A": Fraction(10)}, {})
     sub = threshold_network(net, 0, 0)
-    map_text, net_text = export_vosviewer(sub, make_layout({"A": (0.0, 0.0)}))
+    layout = make_layout({"A": (0.0, 0.0)})
+    map_text, net_text = export_vosviewer(sub, layout, numbered(sub, layout))
     assert len(map_text.splitlines()) == 2
     assert net_text == ""
 
@@ -156,7 +161,7 @@ def test_vosviewer_single_node():
 def test_vosviewer_ids_consistent_between_files():
     _net, sub = fixture_subnetwork()
     layout = layout_components(list(sub.nodes), {p: float(w) for p, w in sub.edges.items()}, LayoutConfig())
-    map_text, net_text = export_vosviewer(sub, layout)
+    map_text, net_text = export_vosviewer(sub, layout, numbered(sub, layout))
     map_ids = {int(line.split("\t")[0]) for line in map_text.splitlines()[1:]}
     assert map_ids == set(range(1, len(sub.nodes) + 1))
     for line in net_text.splitlines():
@@ -167,8 +172,9 @@ def test_vosviewer_ids_consistent_between_files():
 
 def test_vosviewer_missing_coordinate_rejected():
     sub = small_subnetwork()
+    layout = make_layout({"A": (0.0, 0.0)})
     with pytest.raises(DataError, match="B"):
-        export_vosviewer(sub, make_layout({"A": (0.0, 0.0)}))
+        export_vosviewer(sub, layout, numbered(sub, layout))
 
 
 # ---------------------------------------------------------------------------

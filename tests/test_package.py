@@ -110,7 +110,7 @@ MODULES_PROBE = (
 # start-up a command need not pay: importing these, and generating classes with them
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
-# the modules each command loads beyond collabmap, cli and errors
+# the modules each command loads beyond collabmap, cli, errors and workspace
 MAP_MODULES = {"network", "layout", "counting", "exports.pajek", "exports.vosviewer"}
 COMMAND_MODULES = {
     "synth": {"corpus.records", "corpus.registry", "synth"},
@@ -149,13 +149,24 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for command, names in loaded.items():
         assert not names & SLOW_IMPORTS, (command, sorted(names & SLOW_IMPORTS))
     for command, modules in COMMAND_MODULES.items():
-        names = {f"collabmap.{m}" for m in modules | {"cli", "errors"}}
+        names = {f"collabmap.{m}" for m in modules | {"cli", "errors", "workspace"}}
         packages = {name.rpartition(".")[0] for name in names}
         assert loaded[command] == names | packages, command
     for command, names in loaded.items():
         assert ("collabmap.layout" in names) == (command in ("net", "core", "ego")), command
         assert ("collabmap.corpus.records" in names) == (command in ("synth", "ingest")), command
         assert ("collabmap.synth" in names) == (command == "synth"), command
+
+
+def test_workspace_module_loads_only_errors():
+    """The workspace contract imports nothing of collabmap but errors, so a
+    command that only checks a workspace loads no stage, network or layout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import json, sys, collabmap.workspace\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'collabmap')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["collabmap", "collabmap.errors", "collabmap.workspace"]
 
 
 def test_every_command_help_exits_zero():
