@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from collabmap.errors import CollabmapError, ConfigError, DataError, ParseError
 from collabmap.workspace import (
-    MANIFEST_NAME, Workspace, _check_output_path, _json_dumps, _json_object, _sha256_text,
+    MANIFEST_NAME, Workspace, _check_output_path, _json_dumps, _sha256_text,
 )
 
 # Each function imports the modules it calls, so a stage process loads only
@@ -359,74 +359,6 @@ class StageWorkspace(Workspace):
         return layout
 
 
-def _read_intermediate(ws: Workspace, relpath: str, maker: str, fields: tuple[str, ...],
-                       **convert: Callable) -> dict:
-    """The JSON object of an intermediate that the stage ``maker`` makes,
-    whose keys are ``fields``, each one named in ``convert`` parsed back
-    from its JSON form. A file that is not such an object is a DataError
-    that names the file."""
-    obj = _json_object(relpath, ws.read_text(relpath, maker))
-    names = set(fields)
-    unknown, missing = sorted(obj.keys() - names), sorted(names - obj.keys())
-    if unknown or missing:
-        raise DataError(f"{relpath}: unknown keys {unknown}, missing keys {missing}")
-    for name, parse in convert.items():
-        try:
-            obj[name] = parse(obj[name])
-        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-            raise DataError(f"{relpath}: bad {name}: {exc}") from exc
-    return obj
-
-
-def _count(raw) -> int:
-    """A count read back from JSON: a non-negative int, not a bool."""
-    if type(raw) is not int or raw < 0:
-        raise ValueError(f"not a non-negative integer: {raw!r}")
-    return raw
-
-
-def _type_tally(raw) -> dict[str, int]:
-    """Documents by type read back from JSON: an object of positive ints."""
-    if not isinstance(raw, dict) or not all(type(n) is int and n > 0 for n in raw.values()):
-        raise ValueError(f"not an object of positive integers: {raw!r}")
-    return raw
-
-
-def _counts(fields: tuple[str, ...]) -> dict[str, Callable]:
-    """``_count`` for each field that names a count, n_..."""
-    return {name: _count for name in fields if name.startswith("n_")}
-
-
-def _check_tallies(relpath: str, tallies: dict, documents: str) -> None:
-    """Refuse tallies of the retained documents that contradict each other:
-    the documents, counted under ``documents``, are the per-type counts'
-    sum; none is international more than once, and each has an address."""
-    n_docs, n_intl = tallies[documents], tallies["n_international_docs"]
-    n_addresses, n_addresses_intl = tallies["n_addresses_total"], tallies["n_addresses_international"]
-    if sum(tallies["per_type"].values()) != n_docs:
-        raise DataError(f"{relpath}: per_type does not sum to {documents} ({n_docs})")
-    if not n_intl <= n_docs <= n_addresses:
-        raise DataError(f"{relpath}: n_international_docs ({n_intl}) <= {documents} ({n_docs}) "
-                        f"<= n_addresses_total ({n_addresses}) fails")
-    if n_addresses_intl > n_addresses:
-        raise DataError(f"{relpath}: n_addresses_international ({n_addresses_intl}) "
-                        f"is above n_addresses_total ({n_addresses})")
-
-
-def _histogram(raw) -> dict[int, int]:
-    """A degree histogram read back from JSON: counts keyed by degrees
-    written as non-negative decimal integers."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"not a JSON object: {raw!r}")
-    histogram = {}
-    for key, count in raw.items():
-        degree = int(key)
-        if degree < 0 or key != str(degree):
-            raise ValueError(f"not a degree: {key!r}")
-        histogram[degree] = _count(count)
-    return histogram
-
-
 def _json_artifact(obj) -> str:
     """Schema-ordered JSON for artifact files (dicts are pre-ordered)."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
@@ -647,21 +579,11 @@ def stage_summary(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap.corpus import filtering
 
     net = ws.network()
-    tallies = _read_intermediate(
-        ws, "filter-report.json", "ingest", filtering.FilterReport._fields, per_type=_type_tally,
-        **_counts(filtering.FilterReport._fields),
-    )
-    _check_tallies("filter-report.json", tallies, "n_retained")
-    report = filtering.FilterReport(**tallies)
-    # the filter counts each record once: retained, dropped by type or dropped for no address
-    if report.n_retained + report.n_dropped_type + report.n_dropped_no_address != report.n_records:
-        raise DataError(f"filter-report.json: n_records ({report.n_records}) is not the sum of "
-                        "n_retained, n_dropped_type and n_dropped_no_address")
+    report = filtering.load_filter_report("filter-report.json", ws.read_text("filter-report.json", "ingest"))
     # each retained document's fractional credits sum to exactly 1
     if report.n_retained != sum(info.fractional_papers for info in net.nodes.values()):
-        raise DataError(
-            "filter-report.json: its tallies and network.json describe different corpora; run ingest again"
-        )
+        raise DataError("filter-report.json: its tallies and network.json describe different corpora; "
+                        "run ingest again")
     return {
         "summary.json": _json_artifact(counting.summary_dict(counting.summarize(report, net))),
         "counts.csv": counting.counts_csv(net, cfg.registry),
@@ -742,51 +664,13 @@ def stage_export(cfg: RunConfig, ws: StageWorkspace) -> dict[str, str]:
     from collabmap import counting, network
     from collabmap.exports import report as report_export
 
-    # every count, named n_..., goes into report.json as it is read
-    summary = _read_intermediate(
-        ws, "summary.json", "summary", counting.CorpusSummary._fields, per_type=_type_tally,
-        **_counts(counting.CorpusSummary._fields),
-    )
-    _check_tallies("summary.json", summary, "n_documents")
-    if summary["n_documents"] > summary["n_records"]:
-        raise DataError(f"summary.json: n_documents ({summary['n_documents']}) "
-                        f"is above n_records ({summary['n_records']})")
-    for share, count, total in (("share_international_docs", "n_international_docs", "n_documents"),
-                                ("share_addresses_international", "n_addresses_international",
-                                 "n_addresses_total")):
-        # summary writes each share as its two counts, which report.json restates
-        if summary[share] != f"{summary[count]}/{summary[total]}" or not summary[total]:
-            raise DataError(f"summary.json: {share} is {summary[share]!r}, "
-                            f"not {count}/{total} over a positive {total}")
-        summary[share] = Fraction(summary[count], summary[total])
-    stats = _read_intermediate(
-        ws, "thresholded/stats.json", "net", network.NetworkStats._fields,
-        **{**dict.fromkeys(network.NetworkStats._fields, _count), "degree_histogram": _histogram},
-    )
-    histogram = stats["degree_histogram"]
-    # the histogram counts each node once by its degree, and each edge has two ends
-    if (sum(histogram.values()) != stats["n_nodes"]
-            or sum(degree * count for degree, count in histogram.items()) != 2 * stats["n_edges"]
-            or stats["n_connected_nodes"] != stats["n_nodes"] - histogram.get(0, 0)
-            or not stats["n_edges"] <= stats["n_parent_links"] <= stats["possible_links"]):
-        raise DataError("thresholded/stats.json: its counts contradict its degree_histogram or each other")
+    summary = counting.load_summary("summary.json", ws.read_text("summary.json", "summary"))
+    stats = network.load_stats("thresholded/stats.json", ws.read_text("thresholded/stats.json", "net"))
     focus = None
     if cfg.ego_focus:
-        country = cfg.ego_focus.strip().upper()
-        focus_path = f"ego/{country}/focus.json"
-        read = _read_intermediate(
-            ws, focus_path, "ego", report_export.FOCUS_FIELDS,
-            integer_papers=_count, fractional_papers=network.positive_ratio,
-        )
-        focus = report_export.focus_dict(country, read["integer_papers"], read["fractional_papers"])
-        # the country and both displays follow from the focus and its two counts
-        for key in ("country", "fractional_papers_display", "mean_coauthorship_ratio"):
-            if read[key] != focus[key]:
-                raise DataError(f"{focus_path}: {key} is {read[key]!r}, not {focus[key]!r}")
-    report = report_export.export_report(
-        counting.CorpusSummary(**summary), network.NetworkStats(**stats), focus
-    )
-    return {"report.json": report}
+        focus_path = f"ego/{cfg.ego_focus.strip().upper()}/focus.json"
+        focus = report_export.load_focus(focus_path, ws.read_text(focus_path, "ego"))
+    return {"report.json": report_export.export_report(summary, stats, focus)}
 
 
 _STAGE_FUNCS = {
@@ -902,7 +786,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.include_countries and cfg.exclude_countries:
         raise ConfigError("give an include list or an exclude list, not both")
     return cfg
-
 
 
 def main(argv: list[str] | None = None) -> int:

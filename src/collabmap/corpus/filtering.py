@@ -15,6 +15,8 @@ from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.corpus.registry import CountryRegistry, Unrecognized, resolve_country
+from collabmap.errors import DataError
+from collabmap.workspace import _check_tallies, _count, _json_fields, _tally
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -61,6 +63,22 @@ class FilterReport(NamedTuple):
             "unrecognized": dict(sorted(self.unrecognized.items())),
             "per_type": dict(sorted(self.per_type.items())),
         }
+
+
+def load_filter_report(relpath: str, text: str) -> FilterReport:
+    """The FilterReport whose as_dict() JSON ``text`` is: counts, tallies of
+    positive counts, and tallies that agree with each other, or a DataError
+    that names ``relpath``."""
+    convert = {**dict.fromkeys(FilterReport._fields, _count), "per_type": _tally,
+               "unrecognized": lambda raw: Counter(_tally(raw))}
+    tallies = _json_fields(relpath, text, FilterReport._fields, **convert)
+    _check_tallies(relpath, tallies, "n_retained")
+    report = FilterReport(**tallies)
+    # the filter counts each record once: retained, dropped by type or dropped for no address
+    if report.n_retained + report.n_dropped_type + report.n_dropped_no_address != report.n_records:
+        raise DataError(f"{relpath}: n_records ({report.n_records}) is not the sum of "
+                        "n_retained, n_dropped_type and n_dropped_no_address")
+    return report
 
 
 def canonical_doc_type(raw: str, synonyms: dict[str, str] | None = None) -> str | None:

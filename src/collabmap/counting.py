@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import DataError
+from collabmap.workspace import _check_tallies, _count, _json_fields, _tally
 
 if TYPE_CHECKING:
     from collabmap.corpus.filtering import Document, FilterReport
@@ -174,3 +175,23 @@ def summary_dict(summary: CorpusSummary) -> dict:
         "share_addresses_international": f"{summary.n_addresses_international}/{summary.n_addresses_total}",
     }
 
+
+def load_summary(relpath: str, text: str) -> CorpusSummary:
+    """The CorpusSummary whose summary_dict() JSON ``text`` is: counts, a
+    tally of positive counts, tallies that agree with each other, and each
+    share the text of its two counts, or a DataError that names ``relpath``."""
+    fields = CorpusSummary._fields
+    summary = _json_fields(relpath, text, fields, per_type=_tally,
+                           **{name: _count for name in fields if name.startswith("n_")})
+    _check_tallies(relpath, summary, "n_documents")
+    if summary["n_documents"] > summary["n_records"]:
+        raise DataError(f"{relpath}: n_documents ({summary['n_documents']}) "
+                        f"is above n_records ({summary['n_records']})")
+    for share, count, total in (("share_international_docs", "n_international_docs", "n_documents"),
+                                ("share_addresses_international", "n_addresses_international",
+                                 "n_addresses_total")):
+        if summary[share] != f"{summary[count]}/{summary[total]}" or not summary[total]:
+            raise DataError(f"{relpath}: {share} is {summary[share]!r}, "
+                            f"not {count}/{total} over a positive {total}")
+        summary[share] = Fraction(summary[count], summary[total])
+    return CorpusSummary(**summary)

@@ -5,18 +5,15 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from collabmap.counting import (
-    CorpusSummary,
-    display_decimal,
-    display_percent,
-    mean_coauthorship_ratio,
-    summary_dict,
-)
+from collabmap.counting import display_decimal, display_percent, mean_coauthorship_ratio, summary_dict
 from collabmap.errors import DataError
+from collabmap.network import positive_ratio
+from collabmap.workspace import _count, _json_fields
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from collabmap.counting import CorpusSummary
     from collabmap.network import CoauthNetwork, NetworkStats
 
 
@@ -45,31 +42,32 @@ def focus_dict(country: str, n_integer: int, n_fractional: Fraction) -> dict:
     )))
 
 
-def report_dict(
-    summary: CorpusSummary,
-    stats: NetworkStats,
-    focus: dict | None = None,
-) -> dict:
-    """Summary fields (exact shares plus rounded percents) and network stats."""
-    body = summary_dict(summary)
+def load_focus(relpath: str, text: str) -> dict:
+    """The focus_dict() object whose JSON ``text`` is, at ``ego/<COUNTRY>/focus.json``:
+    that country, a count, a positive "p/q", and the displays that these give,
+    or a DataError that names ``relpath``."""
+    read = _json_fields(relpath, text, FOCUS_FIELDS, integer_papers=_count, fractional_papers=positive_ratio)
+    country = relpath.removeprefix("ego/").removesuffix("/focus.json")
+    focus = focus_dict(country, read["integer_papers"], read["fractional_papers"])
+    # the country and both displays follow from the path and the two counts
+    for key in ("country", "fractional_papers_display", "mean_coauthorship_ratio"):
+        if read[key] != focus[key]:
+            raise DataError(f"{relpath}: {key} is {read[key]!r}, not {focus[key]!r}")
+    return focus
+
+
+def report_dict(summary: CorpusSummary, stats: NetworkStats, focus: dict | None = None) -> dict:
+    """Summary fields (each exact share followed by its rounded percent) and network stats."""
     out: dict = {}
-    for key, value in body.items():
+    for key, value in summary_dict(summary).items():
         out[key] = value
-        if key == "share_international_docs":
-            out["share_international_docs_pct"] = display_percent(summary.share_international_docs)
-        elif key == "share_addresses_international":
-            out["share_addresses_international_pct"] = display_percent(
-                summary.share_addresses_international
-            )
+        if key.startswith("share_"):
+            out[f"{key}_pct"] = display_percent(getattr(summary, key))
     out["network"] = stats.as_dict()
     if focus is not None:
         out["focus"] = focus
     return out
 
 
-def export_report(
-    summary: CorpusSummary,
-    stats: NetworkStats,
-    focus: dict | None = None,
-) -> str:
+def export_report(summary: CorpusSummary, stats: NetworkStats, focus: dict | None = None) -> str:
     return json.dumps(report_dict(summary, stats, focus), indent=2, ensure_ascii=False) + "\n"

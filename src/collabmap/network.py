@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from collabmap.errors import DataError
+from collabmap.workspace import _count, _json_fields
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
@@ -119,6 +120,35 @@ class NetworkStats(NamedTuple):
             **self._asdict(),
             "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
         }
+
+
+def _histogram(raw) -> dict[int, int]:
+    """A degree histogram read back from JSON: counts keyed by degrees
+    written as non-negative decimal integers."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"not a JSON object: {raw!r}")
+    histogram = {}
+    for key, count in raw.items():
+        degree = int(key)
+        if degree < 0 or key != str(degree):
+            raise ValueError(f"not a degree: {key!r}")
+        histogram[degree] = _count(count)
+    return histogram
+
+
+def load_stats(relpath: str, text: str) -> NetworkStats:
+    """The NetworkStats whose as_dict() JSON ``text`` is: counts that agree
+    with its degree histogram and each other, or a DataError that names ``relpath``."""
+    convert = {**dict.fromkeys(NetworkStats._fields, _count), "degree_histogram": _histogram}
+    stats = NetworkStats(**_json_fields(relpath, text, NetworkStats._fields, **convert))
+    histogram = stats.degree_histogram
+    # the histogram counts each node once by its degree, and each edge has two ends
+    if (sum(histogram.values()) != stats.n_nodes
+            or sum(degree * count for degree, count in histogram.items()) != 2 * stats.n_edges
+            or stats.n_connected_nodes != stats.n_nodes - histogram.get(0, 0)
+            or not stats.n_edges <= stats.n_parent_links <= stats.possible_links):
+        raise DataError(f"{relpath}: its counts contradict its degree_histogram or each other")
+    return stats
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -423,15 +453,12 @@ def similarity_square_csv(sim: SimilarityMatrix) -> str:
 def network_stats(sub: CoauthNetwork) -> NetworkStats:
     """Counts of an extracted subnetwork against its parent."""
     n_parent = len(sub.parent.nodes)
-    histogram: dict[int, int] = {}
-    for c in sub.nodes:
-        d = sub.degree(c)
-        histogram[d] = histogram.get(d, 0) + 1
     return NetworkStats(
         n_nodes=len(sub.nodes),
         n_edges=len(sub.edges),
         n_parent_links=len(sub.parent.edges),
         possible_links=n_parent * (n_parent - 1) // 2,
         n_connected_nodes=len(sub.degrees),
-        degree_histogram=histogram,
+        degree_histogram=Counter(sub.degree(c) for c in sub.nodes),
     )
+

@@ -7,6 +7,9 @@ chain of producers, records the sha256 of everything a stage reads, and
 writes a command's batch in one ``write_files`` call that leaves every file
 as it was if any step fails. It imports no stage and no corpus, network or
 layout module, so a process that only checks a workspace loads none of them.
+It also holds what the readers of the JSON intermediates share: the
+exact-keys check, the count and tally parsers and the check of the tallies
+of the retained documents.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import os
 import stat
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from collabmap.errors import ConfigError, DataError
 
@@ -74,9 +77,9 @@ class Workspace:
         the new files and the temporaries, and re-raise, so every file stays
         as it was. On success, remove the directories the deletions empty.
         Before anything is written, _WriteRule holds every deletion and
-        every target to the one write rule, and refuses one whose .tmp or
-        .bak sibling is a link or a directory, so nothing is written outside
-        the workspace and the rollback removes only temporaries it wrote."""
+        every target to the one write rule, and refuses one that has a .tmp
+        or .bak sibling, so nothing is written outside the workspace, no file
+        is lost and the rollback removes only temporaries it wrote."""
         for relpath in [*delete, *files]:
             self._rule.check(f"workspace {self.root}", relpath, target=relpath in files)
             self._rule.check_siblings(relpath)
@@ -191,6 +194,52 @@ def _json_object(relpath: str, text: str) -> dict:
     return obj
 
 
+def _json_fields(relpath: str, text: str, fields: tuple[str, ...], **convert: Callable) -> dict:
+    """The JSON object of ``relpath``'s text, whose keys are ``fields``, each
+    one named in ``convert`` parsed back from its JSON form. Text that is not
+    such an object is a DataError that names the file."""
+    obj = _json_object(relpath, text)
+    unknown, missing = sorted(obj.keys() - set(fields)), sorted(set(fields) - obj.keys())
+    if unknown or missing:
+        raise DataError(f"{relpath}: unknown keys {unknown}, missing keys {missing}")
+    for name, parse in convert.items():
+        try:
+            obj[name] = parse(obj[name])
+        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise DataError(f"{relpath}: bad {name}: {exc}") from exc
+    return obj
+
+
+def _count(raw) -> int:
+    """A count read back from JSON: a non-negative int, not a bool."""
+    if type(raw) is not int or raw < 0:
+        raise ValueError(f"not a non-negative integer: {raw!r}")
+    return raw
+
+
+def _tally(raw) -> dict[str, int]:
+    """Counts by name read back from JSON: an object of positive ints."""
+    if not isinstance(raw, dict) or not all(type(n) is int and n > 0 for n in raw.values()):
+        raise ValueError(f"not an object of positive integers: {raw!r}")
+    return raw
+
+
+def _check_tallies(relpath: str, tallies: dict, documents: str) -> None:
+    """Refuse tallies of the retained documents that contradict each other:
+    the documents, counted under ``documents``, are the per-type counts'
+    sum; none is international more than once, and each has an address."""
+    n_docs, n_intl = tallies[documents], tallies["n_international_docs"]
+    n_addresses, n_addresses_intl = tallies["n_addresses_total"], tallies["n_addresses_international"]
+    if sum(tallies["per_type"].values()) != n_docs:
+        raise DataError(f"{relpath}: per_type does not sum to {documents} ({n_docs})")
+    if not n_intl <= n_docs <= n_addresses:
+        raise DataError(f"{relpath}: n_international_docs ({n_intl}) <= {documents} ({n_docs}) "
+                        f"<= n_addresses_total ({n_addresses}) fails")
+    if n_addresses_intl > n_addresses:
+        raise DataError(f"{relpath}: n_addresses_international ({n_addresses_intl}) "
+                        f"is above n_addresses_total ({n_addresses})")
+
+
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -242,8 +291,10 @@ class _WriteRule:
                 raise ConfigError(f"artifact {path} runs through {above}, which is not a directory")
 
     def check_siblings(self, relpath: str) -> None:
-        """Refuse a path to write or delete whose .tmp or .bak sibling is a symbolic
-        link, which a write would follow, or a directory, which no move replaces."""
+        """Refuse a path to write or delete that has a .tmp or .bak sibling: a
+        symbolic link, which a write would follow, a directory, which no move
+        replaces, or a file, which the write would destroy, though a killed
+        commit's .bak holds the only copy of the file it replaced."""
         path = self.root / relpath
         for suffix in (".tmp", ".bak"):
             sibling = path.with_name(path.name + suffix)
@@ -251,9 +302,9 @@ class _WriteRule:
                 mode = sibling.lstat().st_mode
             except OSError:  # not there, or below a file
                 continue
-            if stat.S_ISLNK(mode) or stat.S_ISDIR(mode):
-                raise ConfigError(f"artifact {path} has a {suffix} sibling that is a symbolic link "
-                                  f"or a directory: {sibling}")
+            kind = ("a symbolic link or a directory" if stat.S_ISLNK(mode) or stat.S_ISDIR(mode)
+                    else "a file, perhaps left by a killed command")
+            raise ConfigError(f"artifact {path} has a {suffix} sibling that is {kind}: {sibling}")
 
     def _directory_inside(self, directory: str) -> bool:
         inside = self._inside.get(directory)

@@ -548,8 +548,8 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     a directory that is a link out or a loop, and a file that is itself a
     link out, also when a file before it in its directory passed. So is a
     target or deletion whose .tmp or .bak sibling is a link, which the
-    temporary's write would follow out of the workspace, or a directory,
-    which no move replaces."""
+    temporary's write would follow out of the workspace, a directory,
+    which no move replaces, or a regular file, which the write would destroy."""
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "victim.txt").write_text("keep me\n")
@@ -567,6 +567,11 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     (ws.root / "counts.csv.bak").mkdir()
     (ws.root / "stats.json").write_text("keep me four\n")
     (ws.root / "stats.json.bak").symlink_to(Path("..", "outside", "victim.txt"))
+    # regular files at a .bak or .tmp name, such as a killed commit leaves: the .bak
+    # may hold the only copy of the file it replaced
+    (ws.root / "nodes.csv").write_text("keep me five\n")
+    (ws.root / "nodes.csv.bak").write_text("my notes\n")
+    (ws.root / "edges.csv.tmp").write_text("draft\n")
 
     def outside_row(files, delete, named):
         return files, delete, DataError, f"artifact '{named}' is not a path inside the workspace"
@@ -574,6 +579,10 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
     def sibling_row(files, delete, named):
         return files, delete, ConfigError, (f"has a {Path(named).suffix} sibling that is a symbolic link "
                                             f"or a directory: {re.escape(str(ws.root / named))}$")
+
+    def file_sibling_row(files, delete, named):
+        return files, delete, ConfigError, (f"has a {Path(named).suffix} sibling that is a file.*: "
+                                            f"{re.escape(str(ws.root / named))}$")
 
     tree = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
     for files, delete, error, message in (
@@ -593,7 +602,11 @@ def test_write_files_holds_deletions_and_targets_to_one_rule(tmp_path):
             sibling_row({"a.txt": "x", "counts.csv": "x"}, [], "counts.csv.bak"),
             sibling_row({"a.txt": "x"}, ["counts.csv"], "counts.csv.bak"),
             sibling_row({"a.txt": "x", "stats.json": "x"}, [], "stats.json.bak"),
-            sibling_row({"a.txt": "x"}, ["stats.json"], "stats.json.bak")):
+            sibling_row({"a.txt": "x"}, ["stats.json"], "stats.json.bak"),
+            file_sibling_row({"a.txt": "x", "nodes.csv": "x"}, [], "nodes.csv.bak"),
+            file_sibling_row({"a.txt": "x"}, ["nodes.csv"], "nodes.csv.bak"),
+            file_sibling_row({"a.txt": "x", "edges.csv": "x"}, [], "edges.csv.tmp"),
+            file_sibling_row({"a.txt": "x"}, ["edges.csv"], "edges.csv.tmp")):
         with pytest.raises(error, match=message):
             ws.write_files(files, delete)
         assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == tree
@@ -666,15 +679,17 @@ def refused_in_a_fresh_interpreter(tmp_path: Path, argv: list[str], code: int,
 @pytest.mark.parametrize("case", ["registry-missing", "aliases-missing", "registry-not-utf8",
                                   "config-not-utf8", "workspace-through-a-file", "out-a-directory",
                                   "out-through-a-file", "artifact-through-a-file", "artifact-a-directory",
-                                  "temporary-a-link-out", "temporary-a-directory"])
+                                  "temporary-a-link-out", "temporary-a-directory", "leftover-temporary",
+                                  "leftover-backup"])
 def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp_path, case):
     """Each case runs in a fresh interpreter, where an uncaught OSError or
     UnicodeDecodeError would show as a traceback and exit 1: it exits 2 with
     one line that names the path, and changes nothing under tmp_path. A
     stage's artifact below a file, or one that is a directory, is refused
     before the stage writes anything, and so is one whose .tmp sibling is a
-    link, through which summary once wrote over the file outside, or a
-    directory, on which it once died."""
+    link, through which summary once wrote over the file outside, a
+    directory, on which it once died, or a regular file, which it once
+    destroyed."""
     afile, adir, nope = tmp_path / "afile", tmp_path / "adir", tmp_path / "nope.csv"
     afile.write_text("keep me\n")
     adir.mkdir()
@@ -699,6 +714,10 @@ def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp
                                  tmp_path / "ws" / "summary.json.tmp"),
         "temporary-a-directory": (["summary", "--workspace", str(tmp_path / "ws")],
                                   tmp_path / "ws" / "summary.json.tmp"),
+        "leftover-temporary": (["summary", "--workspace", str(tmp_path / "ws")],
+                               tmp_path / "ws" / "counts.csv.tmp"),
+        "leftover-backup": (["summary", "--workspace", str(tmp_path / "ws")],
+                            tmp_path / "ws" / "summary.json.bak"),
     }[case]
     if case.startswith("temporary"):
         assert main(ingest) == EXIT_OK
@@ -706,6 +725,11 @@ def test_unreadable_config_files_and_outputs_through_files_are_config_errors(tmp
             named.symlink_to(Path("..", "afile"))
         else:
             named.mkdir()
+    if case.startswith("leftover"):
+        # a regular .tmp or .bak file beside an artifact, which the write would destroy
+        assert main(ingest) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        named.write_text("my notes\n")
     if case.startswith("artifact"):
         assert main(ingest) == EXIT_OK
         if case == "artifact-through-a-file":
@@ -1152,6 +1176,9 @@ _FILTER_REPORT_EDITS = {
     # the filter counts each record once: retained, dropped by type or dropped for no address
     "n-records-a-million": _report_edit(n_records=1000000),
     "n-dropped-type-a-string": _report_edit(n_dropped_type="x"),
+    # the writer writes the unrecognized tokens as an object of positive counts
+    "unrecognized-a-string": _report_edit(unrecognized="not a tally"),
+    "unrecognized-count-zero": _report_edit(unrecognized={"ATLANTIS": 0}),
 }
 # summary.json values that export would copy into report.json as they stand
 _SUMMARY_EDITS = {

@@ -1,12 +1,14 @@
 import csv
+import json
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap.corpus.filtering import filter_documents
+from collabmap.corpus.filtering import FilterReport, filter_documents, load_filter_report
 from collabmap.corpus.records import ParseIssue, RawRecord, iter_records, parse_records, split_lines, write_tagged
 from collabmap.corpus.registry import Unrecognized, load_registry, resolve_country
 from collabmap.errors import ConfigError, ParseError
@@ -540,3 +542,30 @@ def test_filter_equals_per_line_oracle_on_repeated_tails(registry):
     assert len({line for rec in records for line in rec.address_lines if "MA " in line}) > 100
     assert {"BELGIUM", "USA"} <= {c for doc in docs for c in doc.country_addresses}
 
+
+_TALLIES = st.dictionaries(st.text(max_size=8), st.integers(min_value=1, max_value=10**6), max_size=5)
+
+
+@st.composite
+def _filter_reports(draw) -> FilterReport:
+    """Reports whose tallies agree: per_type sums to the retained documents,
+    of which no more are international, with no fewer addresses than them,
+    and every record retained or dropped once."""
+    per_type = draw(_TALLIES)
+    n_retained = sum(per_type.values())
+    n_addresses = draw(st.integers(min_value=n_retained, max_value=n_retained + 10**6))
+    n_dropped_type, n_dropped_no_address = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    return FilterReport(
+        n_retained + n_dropped_type + n_dropped_no_address, n_retained, n_dropped_type,
+        n_dropped_no_address, Counter(draw(_TALLIES)), per_type, draw(st.integers(0, n_retained)),
+        n_addresses, draw(st.integers(0, n_addresses)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_reports())
+def test_filter_report_json_reads_back_the_report(report):
+    """load_filter_report reads the filter-report.json that ingest writes of
+    any report back to that report."""
+    text = json.dumps(report.as_dict(), indent=2, ensure_ascii=False)
+    assert load_filter_report("filter-report.json", text) == report

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from collabmap.counting import (
     display_percent,
     fractional_counts,
     integer_counts,
+    load_summary,
     mean_coauthorship_ratio,
     summarize,
     summary_dict,
@@ -270,3 +272,17 @@ def test_count_scheme_values(registry):
         for scheme in ("integer", "fractional")
         for country in ("CHILE", "SPAIN", "UK")
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=50))
+def test_summary_json_reads_back_the_summary(seed, n_dropped):
+    """load_summary reads the summary.json that summary writes of a corpus
+    back to that corpus's summary."""
+    rng = random.Random(seed)
+    documents = make_documents(rng, rng.randint(1, 80), rng.randint(1, 12), intl_prob=rng.random())
+    report = tallied(FilterReport(n_records=len(documents) + n_dropped, n_retained=len(documents),
+                                  n_dropped_type=n_dropped), documents)
+    summary = summarize(report, build_coauth_network(documents))
+    text = json.dumps(summary_dict(summary), indent=2, ensure_ascii=False)
+    assert load_summary("summary.json", text) == summary

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabmap.counting import CorpusSummary
 from collabmap.corpus.registry import CountryEntry, CountryRegistry, load_registry
 from collabmap.errors import DataError
 from collabmap.exports.geo import display_size, export_geo, great_circle_points
 from collabmap.exports.pajek import export_pajek
-from collabmap.exports.report import export_report, focus_stats, report_dict
+from collabmap.exports.report import export_report, focus_stats, load_focus, report_dict
 from collabmap.exports.vosviewer import export_vosviewer
 from collabmap.layout import Layout, LayoutConfig, layout_components
 from collabmap.network import (
@@ -453,6 +455,17 @@ def test_report_focus_block_renders_ratio():
     text = export_report(paper_summary(), full_parent_stats(), focus)
     assert '"mean_coauthorship_ratio": 2.5' in text
     assert '"integer_papers": 559' in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(min_size=1), st.integers(min_value=1, max_value=10**6),
+       st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).filter(bool))
+def test_focus_json_reads_back_the_focus(country, integer, fractional):
+    """load_focus reads the focus.json that ego writes of any country, at
+    that country's path, back to the focus_stats it wrote."""
+    focus = focus_stats(country, CoauthNetwork(nodes={country: NodeInfo(integer, fractional)}, edges={}))
+    text = json.dumps(focus, indent=2, ensure_ascii=False)
+    assert load_focus(f"ego/{country}/focus.json", text) == focus
 
 
 def test_report_empty_network_zeros():

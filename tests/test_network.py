@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ from collabmap.network import (
     ego_network,
     extract_core,
     load_network,
+    load_stats,
     network_json,
     network_stats,
     ochiai,
@@ -717,3 +719,24 @@ def test_network_json_writes_exact_fractions_in_node_order():
     )
     assert network_json(CoauthNetwork(nodes={}, edges={})) == '{"nodes": [], "edges": []}\n'
     assert load_network('{"nodes": [], "edges": []}') == CoauthNetwork(nodes={}, edges={})
+
+
+@st.composite
+def _subnetworks(draw) -> CoauthNetwork:
+    """A drawn network cut to a drawn list of its countries, or all but
+    them, and thresholded at a drawn link weight."""
+    net = draw(_networks())
+    if net.nodes:
+        listed = draw(st.lists(st.sampled_from(sorted(net.nodes)), min_size=1, unique=True))
+        net = subnetwork_by_list(net, listed, mode=draw(st.sampled_from(["include", "exclude"])))
+    return threshold_network(net, 0, draw(st.integers(min_value=0, max_value=31)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subnetworks())
+def test_stats_json_reads_back_the_stats(sub):
+    """load_stats reads the stats.json that a map stage writes of any
+    subnetwork back to that subnetwork's stats."""
+    stats = network_stats(sub)
+    text = json.dumps(stats.as_dict(), indent=2, ensure_ascii=False)
+    assert load_stats("thresholded/stats.json", text) == stats
