@@ -348,9 +348,10 @@ class StageWorkspace(Workspace):
 
     def layout(self, nodes: list[str], edges: dict[tuple[str, str], float], cfg: LayoutConfig) -> Layout:
         """``layout_components(nodes, edges, cfg)``, computed once for each
-        distinct node order, edge order and weights, and settings (Dijkstra's
-        tie-breaking reads the edge order). Equal maps share the one Layout,
-        so its readers must not change it."""
+        distinct input. The key is the exact input: the node order, the edge
+        order and weights, and the settings, so a map given in another order
+        is laid out again. Equal maps share the one Layout, so its readers
+        must not change it."""
         # flat tuples of the pairs and weights the edges dict already holds
         key = (tuple(nodes), tuple(edges), tuple(edges.values()), cfg)
         layout = self._layouts.get(key)

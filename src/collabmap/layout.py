@@ -19,7 +19,6 @@ onto the horizontal axis.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import sys
@@ -114,6 +113,22 @@ def ideal_distances(
 ) -> list[list[float]]:
     """All-pairs shortest paths over transformed edge lengths, scaled to L.
 
+    Each source runs a first-in-first-out label-correcting search (Moore,
+    1959) rather than Dijkstra's: labels start at inf with 0.0 at the
+    source, a node whose label an edge lowers joins the end of a work list
+    unless it is already waiting there, and the list is walked while it
+    grows. No priority queue is kept, but a node may be processed again
+    after its label drops, so the worst case is O(n*m) per source instead
+    of Dijkstra's O(m log n); on co-authorship maps a node is processed
+    about once per source.
+
+    The floats are Dijkstra's exactly. Every label is the left-to-right
+    float sum along some path and only ever drops, and the search stops
+    only when no edge lowers any label. Since fl(a + l) never decreases as
+    a grows and every length l >= MIN_EDGE_LENGTH > 0, each label ends at
+    the smallest such sum over all paths, which is the value Dijkstra
+    settles; neither search depends on the order of the edges.
+
     Raises DisconnectedGraphError when any pair is unreachable; callers
     should lay out connected components separately (``layout_components``
     does this and packs them side by side). A weight outside the domain of
@@ -130,20 +145,23 @@ def ideal_distances(
         adjacency[index[a]].append((index[b], length))
         adjacency[index[b]].append((index[a], length))
 
-    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+    inf = math.inf
     dist = [[inf] * n for _ in range(n)]
+    # every node has left the work list when a source's search ends
+    waiting = [False] * n
     for source, row in enumerate(dist):
         row[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heappop(heap)
-            if d > row[u]:
-                continue
+        work = [source]
+        for u in work:
+            waiting[u] = False
+            d = row[u]
             for v, length in adjacency[u]:
                 nd = d + length
                 if nd < row[v]:
                     row[v] = nd
-                    heappush(heap, (nd, v))
+                    if not waiting[v]:
+                        waiting[v] = True
+                        work.append(v)
 
     longest = 0.0
     for i, row in enumerate(dist):

@@ -1,4 +1,5 @@
 import csv
+import heapq
 import io
 import json
 import math
@@ -24,7 +25,15 @@ from collabmap.counting import (
     integer_counts,
 )
 from collabmap.errors import DataError
-from collabmap.layout import Layout, LayoutConfig, ideal_distances, minimize_stress
+from collabmap.layout import (
+    DisconnectedGraphError,
+    Layout,
+    LayoutConfig,
+    _check_weights,
+    edge_length,
+    ideal_distances,
+    minimize_stress,
+)
 from collabmap.network import CoauthNetwork, NodeInfo, connected_components, ochiai
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -564,11 +573,64 @@ def oracle_great_circle_points(
 
 
 # ---------------------------------------------------------------------------
-# layout oracles: the per-pair kernels with a _separation call for every pair,
-# the O(n) gradient upkeep that recomputes g_m, and layout_components with
-# one filter over all edges per component; the inlined kernels and the
+# layout oracles: heap Dijkstra for the ideal distances, the per-pair kernels
+# with a _separation call for every pair, the O(n) gradient upkeep that
+# recomputes g_m, and layout_components with one filter over all edges per
+# component; the label-correcting search, the inlined kernels and the
 # one-pass grouping must equal them bit for bit
 # ---------------------------------------------------------------------------
+
+def oracle_ideal_distances(
+    nodes: list[str],
+    edges: dict[tuple[str, str], float],
+    cfg: LayoutConfig,
+) -> list[list[float]]:
+    """All-pairs shortest paths over transformed edge lengths, scaled to L,
+    by Dijkstra's search with a binary heap from each source."""
+    _check_weights(edges, cfg.transform)
+    n = len(nodes)
+    index = {c: i for i, c in enumerate(nodes)}
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (a, b), w in edges.items():
+        if a not in index or b not in index:
+            continue
+        length = edge_length(w, cfg.transform)
+        adjacency[index[a]].append((index[b], length))
+        adjacency[index[b]].append((index[a], length))
+
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+    dist = [[inf] * n for _ in range(n)]
+    for source, row in enumerate(dist):
+        row[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > row[u]:
+                continue
+            for v, length in adjacency[u]:
+                nd = d + length
+                if nd < row[v]:
+                    row[v] = nd
+                    heappush(heap, (nd, v))
+
+    longest = 0.0
+    for i, row in enumerate(dist):
+        upper = row[i + 1:]
+        # reachability is symmetric, so a disconnected pair shows in its upper row
+        if inf in upper:
+            raise DisconnectedGraphError(
+                "graph is disconnected; lay out connected components separately"
+            )
+        if upper:
+            longest = max(longest, max(upper))
+        # enforce exact symmetry (summation order can differ per source)
+        for j, value in enumerate(upper, i + 1):
+            dist[j][i] = value
+    if longest > 0:
+        scale = cfg.diameter / longest
+        dist = [[value * scale for value in row] for row in dist]
+    return dist
+
 
 def _separation(p: tuple[float, float], q: tuple[float, float], jitter: float):
     dx, dy = p[0] - q[0], p[1] - q[1]

@@ -1631,9 +1631,9 @@ def test_run_lays_out_a_map_equal_to_an_earlier_one_once(tmp_path, corpus_file, 
 
 
 def test_workspace_lays_out_each_distinct_map_once(tmp_path, monkeypatch):
-    """The same nodes and edges in another edge or node order, or under
-    other settings, are another map: Dijkstra's tie-breaking reads the
-    edge order. An equal map gets the Layout computed first."""
+    """The key is the exact input: the same nodes and edges in another
+    edge or node order, or under other settings, are another map. An equal
+    map gets the Layout computed first."""
     laid_out = []
     lay_out = cli.layout_components
 

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import (
+    oracle_ideal_distances,
     oracle_layout_components,
     oracle_node_energy,
     oracle_node_gradient,
@@ -191,6 +194,79 @@ def test_disconnected_graph_rejected():
     cfg = LayoutConfig()
     with pytest.raises(DisconnectedGraphError):
         ideal_distances(["a", "b", "c"], {("a", "b"): 1.0}, cfg)
+
+
+# each transform's weights as the maps hold them (counts up to 10**6,
+# cosines up to 1.0, which is floored to MIN_EDGE_LENGTH), and across its
+# whole domain, where a length can overflow a path sum or be too small to
+# move it
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WEIGHTS = {
+    EdgeLengthTransform.INVERSE_LOG_WEIGHT: (
+        st.integers(min_value=1, max_value=10**6).map(float),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
+    EdgeLengthTransform.ONE_MINUS_SIMILARITY: (
+        st.just(1.0) | st.floats(min_value=0.0, max_value=1.0),
+        _ANY_FINITE,
+    ),
+    EdgeLengthTransform.UNIT: (_ANY_FINITE, _ANY_FINITE),
+}
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """0-40 nodes in any order, edges that may leave the graph disconnected
+    (or be forced into a spanning tree), name a pair in both orientations,
+    or name a node outside ``nodes``."""
+    transform = draw(st.sampled_from(list(EdgeLengthTransform)))
+    n = draw(st.integers(min_value=0, max_value=40))
+    nodes = draw(st.permutations([f"N{i:02d}" for i in range(n)]))
+    names = nodes + ["OUTSIDE"]
+    pairs = []
+    if n > 1 and draw(st.booleans()):
+        pairs += [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    if n > 0:
+        extra = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1])
+        pairs += draw(st.lists(extra, max_size=3 * n))
+    typical, whole_domain = _WEIGHTS[transform]
+    weights = whole_domain if draw(st.booleans()) else typical
+    edges = {pair: draw(weights) for pair in pairs}
+    return nodes, edges, LayoutConfig(transform=transform)
+
+
+def _distances_or_disconnected(search, nodes, edges, cfg):
+    try:
+        return search(nodes, edges, cfg)
+    except DisconnectedGraphError:
+        return DisconnectedGraphError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_graphs())
+@example((["a", "b", "c"], {("a", "b"): 0.25, ("b", "a"): 0.75, ("b", "c"): 1.0, ("c", "x"): 0.5},
+          LayoutConfig(transform=EdgeLengthTransform.ONE_MINUS_SIMILARITY)))
+@example((["a", "b", "c", "d"], {("a", "b"): 3.0, ("c", "d"): 10.0**6}, LayoutConfig()))
+@example(([], {}, LayoutConfig()))
+def test_ideal_distances_equal_heap_dijkstra_exactly(graph):
+    """The label-correcting search returns the heap oracle's floats, bit for
+    bit, and refuses a disconnected graph as the oracle does."""
+    nodes, edges, cfg = graph
+    assert (_distances_or_disconnected(ideal_distances, nodes, edges, cfg)
+            == _distances_or_disconnected(oracle_ideal_distances, nodes, edges, cfg))
+
+
+def test_a_label_lowered_after_its_node_was_processed_is_searched_again():
+    """From s, the long edge reaches a first, and a is processed before b
+    lowers it through two short edges; a must be processed again so that c
+    gets the lower label too."""
+    nodes = ["s", "a", "b", "c"]
+    edges = {("s", "a"): 0.0, ("s", "b"): 0.9, ("b", "a"): 0.9, ("a", "c"): 0.5}
+    cfg = LayoutConfig(transform=EdgeLengthTransform.ONE_MINUS_SIMILARITY)
+    d = ideal_distances(nodes, edges, cfg)
+    assert d == oracle_ideal_distances(nodes, edges, cfg)
+    assert d[0][3] == d[3][0] == pytest.approx(1.0)
+    assert d[0][1] == pytest.approx(0.2 / 0.7)
 
 
 # ---------------------------------------------------------------------------
